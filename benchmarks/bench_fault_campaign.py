@@ -1,9 +1,9 @@
-"""Seeded fault-injection campaign across all execution engines.
+"""Seeded fault-injection campaign across both execution engines.
 
 Runs a battery of fault classes — pool exhaustion (recovered and
 budget-exceeded), scratchpad overflow (raised and degraded), scheduler
 block aborts, and the adversarial-input corruptions — against the
-reference, batched and parallel engines, and checks the resilience
+reference and batched engines, and checks the resilience
 layer's acceptance bar: **the same FaultPlan produces the same
 exceptions, the same restart counts and a bit-identical recovered C on
 every engine**, and the degradation fallback matches the Gustavson
@@ -43,7 +43,7 @@ from repro.matrices import generators as g  # noqa: E402
 from repro.resilience import ADVERSARIAL_MODES, corrupt_csr  # noqa: E402
 from repro.sparse import CSRMatrix  # noqa: E402
 
-ENGINES = ("reference", "batched", "parallel")
+ENGINES = ("reference", "batched")
 
 
 def _operand(seed: int, n: int) -> CSRMatrix:

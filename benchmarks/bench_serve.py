@@ -3,19 +3,22 @@
 Starts the daemon as a real subprocess, drives it with a seeded,
 closed-loop client fleet (each client issues its next request only
 after the previous one resolved — the huggingbench shape: bounded
-concurrency, no coordinated-omission open loop), injects process-level
-chaos (a worker kill mid-run plus a deliberately undersized admission
+concurrency, no coordinated-omission open loop), injects chaos (a
+``request_delay``, a pipeline fault that fails every primary multiply
+so the circuit breaker trips, and a deliberately undersized admission
 queue), and asserts the daemon's contract:
 
 * **zero hangs** — every request returns within the client timeout;
 * **zero drops** — every request resolves to a typed outcome
   (``success`` / ``degraded`` / ``rejected``), never a connection
   error or a missing response;
-* **correctness** — every ``success``/``degraded`` digest equals the
-  reference engine's digest for the same matrix (the service is
+* **correctness** — every ``success`` digest equals the reference
+  engine's digest for the same matrix and every ``degraded`` digest
+  equals the offline global-ESC fallback's (the service is
   bit-identical to offline execution);
-* **determinism** — the chaos faults fired are exactly the plan's
-  faults, in plan order (scraped from ``/stats``).
+* **determinism** — the serve faults fired are exactly the plan's
+  serve faults, in plan order (scraped from ``/stats``);
+* **degradation** — the failing pipeline trips the breaker.
 
 Writes ``BENCH_serve.json`` with p50/p99 latency, throughput and
 per-outcome counters.
@@ -46,7 +49,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.campaign.plan import matrix_fingerprint, tiny_entries  # noqa: E402
 from repro.core import AcSpgemmOptions, ac_spgemm  # noqa: E402
-from repro.resilience.faults import FaultPlan, FaultSpec  # noqa: E402
+from repro.engine import ENGINES  # noqa: E402
+from repro.resilience.degrade import fallback_multiply  # noqa: E402
+from repro.resilience.faults import (  # noqa: E402
+    SERVE_FAULT_KINDS,
+    FaultPlan,
+    FaultSpec,
+)
 from repro.sparse import squared_operands  # noqa: E402
 
 #: client-side request timeout — a response slower than this counts as
@@ -56,15 +65,22 @@ CLIENT_TIMEOUT_S = 300.0
 MATRICES = [e.name for e in tiny_entries()]
 
 
-def reference_digests(names) -> dict[str, str]:
-    """Offline reference-engine digests the service must reproduce."""
-    digests = {}
+def reference_digests(names) -> dict[str, dict[str, str]]:
+    """Offline digests the service must reproduce, per outcome: the
+    reference engine's for ``success``, the global-ESC fallback's for
+    ``degraded``."""
+    digests = {"success": {}, "degraded": {}}
+    opts = AcSpgemmOptions(engine="reference")
     for entry in tiny_entries():
         if entry.name not in names:
             continue
         a, b = squared_operands(entry.build())
-        result = ac_spgemm(a, b, AcSpgemmOptions(engine="reference"))
-        digests[entry.name] = matrix_fingerprint(result.matrix)
+        digests["success"][entry.name] = matrix_fingerprint(
+            ac_spgemm(a, b, opts).matrix
+        )
+        digests["degraded"][entry.name] = matrix_fingerprint(
+            fallback_multiply(a, b, opts).matrix
+        )
     return digests
 
 
@@ -81,8 +97,6 @@ def start_daemon(*, queue: int, executors: int, deadline_ms: float,
         "--executors", str(executors),
         "--queue", str(queue),
         "--deadline-ms", str(deadline_ms),
-        "--supervise-interval", "0.2",
-        "--shm-prefix", "repro-bench-serve-",
     ]
     if fault_plan is not None:
         argv += ["--fault-plan", fault_plan.to_json()]
@@ -174,13 +188,15 @@ def run_bench(*, clients: int, requests: int, seed: int,
     rng = random.Random(seed)
     schedule = [{"matrix": rng.choice(names)} for _ in range(requests)]
 
-    # chaos: kill warm worker 0 when the 2nd executed request starts,
-    # drop the exported shm segments at the 4th — both must be absorbed
+    # chaos: delay the 2nd executed request; overflow the scratchpad in
+    # every primary multiply's first ESC round, so each one fails and
+    # the breaker trips after its threshold — all must still resolve
     plan = FaultPlan(
         seed=seed,
         faults=(
-            FaultSpec(kind="worker_kill", at=2, worker=0),
-            FaultSpec(kind="shm_drop", at=4),
+            FaultSpec(kind="request_delay", at=2, delay_ms=50.0),
+            FaultSpec(kind="scratchpad_overflow", stage="ESC", round=0,
+                      block=0),
         ),
     )
     # overload pressure: more clients than executor+queue slots, so the
@@ -204,7 +220,7 @@ def run_bench(*, clients: int, requests: int, seed: int,
             outcome = body.get("outcome", "missing")
             counters[outcome] = counters.get(outcome, 0) + 1
             if outcome in ("success", "degraded") and body.get("result"):
-                want = digests[schedule[i]["matrix"]]
+                want = digests[outcome][schedule[i]["matrix"]]
                 got = body["result"].get("digest")
                 if got != want:
                     digest_mismatches.append(
@@ -221,7 +237,9 @@ def run_bench(*, clients: int, requests: int, seed: int,
         {k: v for k, v in f.items()}
         for f in stats.get("faults_fired", [])
     ]
-    planned = [f.to_dict() for f in plan.faults]
+    planned = [
+        f.to_dict() for f in plan.faults if f.kind in SERVE_FAULT_KINDS
+    ]
     payload = {
         "bench": "serve",
         "engine": engine,
@@ -242,7 +260,7 @@ def run_bench(*, clients: int, requests: int, seed: int,
         "digest_mismatches": digest_mismatches,
         "faults_planned": planned,
         "faults_fired": fired,
-        "pool_worker_deaths": stats.get("pool_worker_deaths", 0),
+        "breaker_opens": stats.get("breaker_opens", 0),
         "daemon_exit_code": proc.returncode,
         "daemon_drained": "drained and stopped" in out,
         "metrics_scraped": "repro_serve_requests_total" in metrics_text,
@@ -254,6 +272,7 @@ def run_bench(*, clients: int, requests: int, seed: int,
         "zero_drops": not unresolved and resolved == requests,
         "byte_identical": not digest_mismatches,
         "chaos_deterministic": fired == planned,
+        "breaker_tripped": payload["breaker_opens"] >= 1,
         "clean_shutdown": proc.returncode == 0 and payload["daemon_drained"],
     }
     payload["ok"] = all(payload["gates"].values())
@@ -267,8 +286,7 @@ def main() -> int:
     parser.add_argument("--clients", type=int, default=4)
     parser.add_argument("--requests", type=int, default=40)
     parser.add_argument("--seed", type=int, default=20260808)
-    parser.add_argument("--engine", default="process",
-                        choices=("reference", "batched", "parallel", "process"))
+    parser.add_argument("--engine", default="batched", choices=tuple(ENGINES))
     parser.add_argument("--out", default="BENCH_serve.json")
     args = parser.parse_args()
     clients = 3 if args.smoke else args.clients

@@ -2,8 +2,7 @@
 
 Drives an in-process :class:`repro.serve.ServeCore` through every
 ``POST /multiply`` outcome class — success, cache hit, 404, 400,
-worker-crash-retried, degraded fallback, deadline-exceeded (504) and
-queue-rejected (429), with a ``request_delay`` chaos fault armed — and
+degraded fallback, deadline-exceeded (504) and queue-rejected (429), with a ``request_delay`` chaos fault armed — and
 asserts the distributed-tracing contract:
 
 * **completeness** — every handled request resolves to exactly one
@@ -49,7 +48,7 @@ from repro.obs import (  # noqa: E402
     read_flight_events,
     use_trace,
 )
-from repro.resilience.errors import WorkerCrashed  # noqa: E402
+from repro.resilience.errors import RestartBudgetExceeded  # noqa: E402
 from repro.resilience.faults import FaultPlan, FaultSpec  # noqa: E402
 from repro.serve import ServeConfig, ServeCore  # noqa: E402
 from repro.sparse import squared_operands  # noqa: E402
@@ -65,11 +64,6 @@ def _core(multiply=None, **overrides) -> ServeCore:
         executors=1,
         max_queue=4,
         default_deadline_ms=60_000.0,
-        retries=2,
-        backoff_base_ms=1.0,
-        backoff_cap_ms=2.0,
-        supervise_interval_s=0.2,
-        shm_prefix="repro-bench-trace-",
     )
     defaults.update(overrides)
     return ServeCore(ServeConfig(**defaults), multiply=multiply)
@@ -149,27 +143,11 @@ def run_scenarios(flight_log: Path) -> tuple[list[dict], dict]:
     records += _harvest(core, "sequential", bodies)
     routing = dict(routing, faults_fired=faults_fired)
 
-    # -- transient worker crash absorbed by one retry ------------------
-    calls = {"n": 0}
-
-    def flaky(a, b, options):
-        calls["n"] += 1
-        if calls["n"] == 1:
-            raise WorkerCrashed("bench chaos", stage="ESC")
-        return ac_spgemm(a, b, options)
-
-    core = _core(multiply=flaky)
-    try:
-        bodies = [core.handle({"matrix": "tiny-uniform"})]
-    finally:
-        core.close(drain=True)
-    records += _harvest(core, "retried", bodies)
-
-    # -- persistent crashes exhaust retries: degraded fallback ---------
+    # -- a failing pipeline: degraded fallback -------------------------
     def always(a, b, options):
-        raise WorkerCrashed("bench chaos", stage="ESC")
+        raise RestartBudgetExceeded("bench chaos", stage="ESC", restarts=1)
 
-    core = _core(multiply=always, retries=1)
+    core = _core(multiply=always)
     try:
         bodies = [core.handle({"matrix": "tiny-uniform"})]
     finally:

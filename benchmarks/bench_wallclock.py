@@ -1,14 +1,13 @@
 """Host wall-clock comparison of the execution engines.
 
-Runs ``reference``, ``batched``, ``parallel`` and ``process`` on a
-cross-section of the suite, verifies that every engine produces
+Runs ``reference`` and ``batched`` on a cross-section of the suite,
+verifies that both engines produce
 bit-identical results and identical simulated statistics, and reports
-the host-side speedups.  The payload also carries a span-attributed
+the host-side speedup.  The payload also carries a span-attributed
 host hotspot table (top span names by host seconds, joined with their
 simulated cycles) so a regression in host time points at the span that
-grew, and gates the geometric-mean speedups against the targets in
-:data:`repro.bench.wallclock.SPEEDUP_TARGETS` — the batched floor in
-full mode, the parallel floor only on multi-core hosts.
+grew, and in full mode gates the geometric-mean speedup against the
+batched floor in :data:`repro.bench.wallclock.SPEEDUP_TARGETS`.
 
 Usage::
 

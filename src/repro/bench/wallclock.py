@@ -25,6 +25,7 @@ import numpy as np
 
 from ..core.acspgemm import ac_spgemm
 from ..core.options import AcSpgemmOptions
+from ..engine import ENGINES
 from ..matrices.generators import (
     banded,
     long_row_matrix,
@@ -42,14 +43,11 @@ __all__ = [
     "run_trace_overhead",
 ]
 
-DEFAULT_ENGINES = ("reference", "batched", "parallel", "process")
+DEFAULT_ENGINES = tuple(ENGINES)
 
-#: geometric-mean host-speedup floors over the reference engine.  The
-#: batched floor holds unconditionally on the full case set; the
-#: parallel floor only where parallelism exists to pay for the dispatch
-#: (``os.cpu_count() >= 2`` — on one core the thread/process machinery
-#: can only break even at best, so the bench reports but does not gate).
-SPEEDUP_TARGETS = {"batched": 3.5, "parallel": 1.5}
+#: geometric-mean host-speedup floor over the reference engine, gated
+#: on the full case set
+SPEEDUP_TARGETS = {"batched": 3.5}
 
 
 def tune_allocator() -> bool:
@@ -206,20 +204,16 @@ def run_wallclock(
     }
     # the speedup claim is made on the full case set; smoke shrinks the
     # matrices until fixed overheads dominate, so smoke mode reports the
-    # targets without gating on them.  The parallel target additionally
-    # needs real cores to pay for its dispatch machinery.
-    cpu_count = os.cpu_count() or 1
+    # targets without gating on them
     enforced = {
-        e: t
-        for e, t in SPEEDUP_TARGETS.items()
-        if e in geomean and not smoke and (e == "batched" or cpu_count >= 2)
+        e: t for e, t in SPEEDUP_TARGETS.items() if e in geomean and not smoke
     }
     return {
         "bench": "engine-wallclock",
         "mode": "smoke" if smoke else "full",
         "repeats": repeats,
         "allocator_tuned": tuned,
-        "cpu_count": cpu_count,
+        "cpu_count": os.cpu_count() or 1,
         "engines": list(engines),
         "cases": rows,
         "all_identical": all(

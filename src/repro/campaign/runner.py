@@ -171,15 +171,8 @@ class CampaignRunner:
         Returns ``(metas, handles)``: the picklable per-matrix
         attachment descriptors (with the already-computed fingerprint,
         so workers skip both the rebuild and the re-hash) and the owner
-        handles to release once the workers are done.  Setting
-        ``REPRO_CAMPAIGN_OPERANDS=rebuild`` restores the legacy
-        rebuild-from-seed path (the determinism cross-check in CI runs
-        both and compares artifacts byte for byte).
+        handles to release once the workers are done.
         """
-        import os
-
-        if os.environ.get("REPRO_CAMPAIGN_OPERANDS", "").strip() == "rebuild":
-            return None, []
         from ..engine.shm import SharedCSR
 
         order = self._segment_names()

@@ -266,12 +266,11 @@ def worker_main(
     ``operands`` maps matrix names to shared-memory attachment
     descriptors (plus the parent-computed fingerprint): the runner
     builds every matrix exactly once and the workers map it zero-copy.
-    Matrices absent from ``operands`` — or all of them, when the runner
-    runs with ``REPRO_CAMPAIGN_OPERANDS=rebuild`` — are rebuilt from
-    the deterministic seeded generators as before, on demand and
-    memoised per worker.  ``throttle`` is a runtime test hook (a sleep
-    after each cell so kill/resume tests can interrupt a campaign
-    deterministically); it never enters the plan or artifact.
+    Matrices absent from ``operands`` are rebuilt from the deterministic
+    seeded generators, on demand and memoised per worker.  ``throttle``
+    is a runtime test hook (a sleep after each cell so kill/resume tests
+    can interrupt a campaign deterministically); it never enters the
+    plan or artifact.
 
     See the module docstring for starvation, SIGTERM-drain and
     per-cell-timeout semantics.

@@ -32,6 +32,7 @@ import numpy as np
 
 from .baselines import GPU_ALGORITHMS, make_algorithm
 from .core import AcSpgemmOptions, ac_spgemm
+from .engine import ENGINES
 from .resilience import ReproError
 from .sparse import (
     count_intermediate_products,
@@ -62,7 +63,7 @@ CSV_HEADERS = [
 ]
 
 #: host execution engines of the AC-SpGEMM pipeline (identical results)
-HOST_ENGINES = ("reference", "batched", "parallel", "process")
+HOST_ENGINES = tuple(ENGINES)
 
 #: registered ``repro.backends`` engines selectable via ``--engine``
 BACKEND_ENGINES = ("adaptive", "hash-spgemm", "hashmap-spgemm")
@@ -471,12 +472,9 @@ def cmd_serve(args) -> int:
         executors=args.executors,
         max_queue=args.queue,
         default_deadline_ms=args.deadline_ms,
-        retries=args.retries,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown_s=args.breaker_cooldown,
         cache_size=args.cache,
-        supervise_interval_s=args.supervise_interval,
-        shm_prefix=args.shm_prefix,
         fault_plan=fault_plan,
         flight_log=args.flight_log,
         trace_store=args.trace_store,
@@ -565,8 +563,7 @@ def main(argv=None) -> int:
     p.add_argument("matrix",
                    help="matrix file path, or suite:NAME for a suite entry")
     p.add_argument("--float", action="store_true", help="single precision")
-    p.add_argument("--engine", default="reference",
-                   choices=("reference", "batched", "parallel", "process"))
+    p.add_argument("--engine", default="reference", choices=HOST_ENGINES)
     p.add_argument("--estimator", default="uniform",
                    choices=("uniform", "sampling"))
     p.add_argument("--sanitize", action="store_true")
@@ -617,8 +614,7 @@ def main(argv=None) -> int:
                    choices=("ac-spgemm",) + BACKEND_ENGINES,
                    help="registered backend executing each local tile "
                         "multiply ('adaptive' routes per tile)")
-    p.add_argument("--engine", default="reference",
-                   choices=("reference", "batched", "parallel", "process"),
+    p.add_argument("--engine", default="reference", choices=HOST_ENGINES,
                    help="host execution engine for the tile pipelines")
     p.add_argument("--blocking", action="store_true",
                    help="single-buffer blocking broadcasts instead of the "
@@ -655,8 +651,7 @@ def main(argv=None) -> int:
                    help="comma-separated algorithm subset")
     p.add_argument("--dtypes", default="float64",
                    choices=("float32", "float64", "both"))
-    p.add_argument("--engine", default="reference",
-                   choices=("reference", "batched", "parallel", "process"))
+    p.add_argument("--engine", default="reference", choices=HOST_ENGINES)
     p.add_argument("--estimator", default="uniform",
                    choices=("uniform", "sampling"),
                    help="chunk-pool size estimator for AC-SpGEMM cells")
@@ -683,14 +678,13 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "serve",
-        help="SpGEMM-as-a-service daemon on the warm process pool",
+        help="SpGEMM-as-a-service daemon (in-process batched pipeline)",
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0,
                    help="listen port (0 = ephemeral; the chosen port is "
                         "printed in the listening line)")
-    p.add_argument("--engine", default="process",
-                   choices=("reference", "batched", "parallel", "process"),
+    p.add_argument("--engine", default="batched", choices=HOST_ENGINES,
                    help="primary execution engine (identical results)")
     p.add_argument("--backend", default="ac-spgemm",
                    choices=("ac-spgemm",) + BACKEND_ENGINES,
@@ -702,18 +696,15 @@ def main(argv=None) -> int:
                    help="bounded admission queue capacity (full = HTTP 429)")
     p.add_argument("--deadline-ms", type=float, default=30000.0,
                    help="default per-request deadline (expired = HTTP 504)")
-    p.add_argument("--retries", type=int, default=2,
-                   help="retry budget for transient worker crashes")
     p.add_argument("--breaker-threshold", type=int, default=3,
                    help="consecutive failures that trip the circuit breaker")
     p.add_argument("--breaker-cooldown", type=float, default=5.0,
                    help="seconds the tripped breaker stays open")
     p.add_argument("--cache", type=int, default=128,
                    help="content-addressed result cache entries")
-    p.add_argument("--supervise-interval", type=float, default=1.0,
-                   help="supervisor period (worker health, shm sweep)")
     p.add_argument("--shm-prefix", default="repro-serve-",
-                   help="deterministic shared-memory segment namespace")
+                   help="accepted and ignored: the daemon creates no "
+                        "shared memory")
     p.add_argument("--fault-plan", default=None,
                    help="chaos FaultPlan as JSON, or @path to a JSON file")
     p.add_argument("--flight-log", default=None,

@@ -109,9 +109,8 @@ class AcSpgemmResult:
     #: root :class:`~repro.obs.span.Span` of the pipeline span tree —
     #: always recorded; identical across engines for the same input
     spans: object | None = None
-    #: host-side engine telemetry (blocks stepped, fused launches,
-    #: thread-pool tasks); engine-specific by design, unlike every
-    #: simulated statistic
+    #: host-side engine telemetry (blocks stepped, fused launches);
+    #: engine-specific by design, unlike every simulated statistic
     engine_stats: dict = field(default_factory=dict)
     #: aggregate fraction of SM-cycles busy over the block-level kernel
     #: launches (1.0 when no block-level kernel ran)

@@ -227,8 +227,8 @@ class RowChunkTracker:
         atomic when the second chunk arrives — that charge is *deferred*
         to the end of the block's run (:class:`~repro.core.esc.EscBlock`
         counts the new shared rows and settles them in one
-        ``meter.atomic`` call), because the optimistic engines only
-        learn which block inserted a row's second chunk during the
+        ``meter.atomic`` call), because the batched engine only
+        learns which block inserted a row's second chunk during the
         serial replay and settle it the same way; charging it inline
         here would give the reference a different float-addition order
         and break per-block cycle bit-identity across engines.

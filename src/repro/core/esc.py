@@ -105,7 +105,7 @@ class EscBlock:
         chunks_written = 0
         # shared-row atomics are settled once at every exit (see
         # RowChunkTracker.insert): one n*atomic_cycles addition, the
-        # same float operation the optimistic engines' replay applies
+        # same float operation the batched engine's replay applies
         shared0 = len(tracker.shared_rows)
 
         # ---- Fetch A (§3.2.1) -----------------------------------------

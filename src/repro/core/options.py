@@ -92,13 +92,11 @@ class AcSpgemmOptions:
     #: collect a per-kernel execution trace (the artifact's Debug mode);
     #: the trace is attached to the result as ``result.trace``
     collect_trace: bool = False
-    #: host execution engine for the block-level stages: ``"reference"``
-    #: steps one simulated block at a time, ``"batched"`` fuses all ready
-    #: blocks of a launch into flat numpy batches, ``"parallel"`` runs
-    #: blocks on a thread pool, ``"process"`` pins ESC rounds to warm
-    #: worker processes fed via shared memory.  All engines produce
-    #: bit-identical results and identical simulated cycles/counters;
-    #: only host wall-clock differs (see ``repro.engine``).
+    #: host execution engine for the block-level stages, a name in
+    #: ``repro.engine.ENGINES``: ``"reference"`` steps one simulated
+    #: block at a time, ``"batched"`` fuses all ready blocks of a launch
+    #: into flat numpy batches.  Both produce bit-identical results and
+    #: identical simulated cycles/counters; only host wall-clock differs.
     engine: str = "reference"
     #: check pipeline invariants (pool bookkeeping, chunk linkage, row
     #: coverage) at every stage boundary; violations raise
@@ -116,8 +114,8 @@ class AcSpgemmOptions:
     fault_plan: FaultPlan | None = None
     #: collect the device-level trace (``repro.obs.device``): per-block
     #: events with SM placement, scratchpad high-water and sort shapes,
-    #: plus per-record counter attribution.  Byte-identical across all
-    #: three engines and zero-cost when off; attached to the result as
+    #: plus per-record counter attribution.  Byte-identical across both
+    #: engines and zero-cost when off; attached to the result as
     #: ``result.device_trace``
     device_trace: bool = False
 
@@ -125,10 +123,12 @@ class AcSpgemmOptions:
         object.__setattr__(self, "value_dtype", np.dtype(self.value_dtype))
         if self.value_dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ValueError("value_dtype must be float32 or float64")
-        if self.engine not in ("reference", "batched", "parallel", "process"):
+        from ..engine import ENGINES  # the engines import this module
+
+        if self.engine not in ENGINES:
             raise ValueError(
-                f"unknown engine {self.engine!r}; "
-                "expected 'reference', 'batched', 'parallel' or 'process'"
+                f"unknown engine {self.engine!r}; expected one of "
+                f"{', '.join(map(repr, ENGINES))}"
             )
         if self.multi_merge_max_chunks < 2:
             raise ValueError("multi_merge_max_chunks must be at least 2")

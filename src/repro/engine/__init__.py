@@ -18,28 +18,27 @@ That makes the *host execution strategy* pluggable:
     ``(block_id << key_bits) | key``, segment-boundary flags for
     compaction and ``np.add.reduceat`` for accumulation.  Charges the
     identical per-block :class:`~repro.gpu.cost.CostMeter` numbers.
-``parallel``
-    The unmodified per-block code on a thread pool
-    (:mod:`repro.engine.parallel`), with allocations recorded against
-    shadow objects and committed serially in block order so pool
-    exhaustion, chunk offsets and shared-row attribution stay
-    deterministic.
-``process``
-    The parallel engine with ESC rounds forced onto persistent warm
-    worker processes (:mod:`repro.engine.process`): operands travel
-    once per pair via ``multiprocessing.shared_memory`` and workers map
-    them zero-copy, sidestepping the GIL that caps the thread pool.
 
-Every engine produces bit-identical results and identical simulated
+Both engines produce bit-identical results and identical simulated
 statistics; they differ only in host wall-clock time (see
-``benchmarks/bench_wallclock.py``).
+``benchmarks/bench_wallclock.py``).  ``reference`` is the oracle the
+equivalence, fault-parity and device-trace suites compare ``batched``
+against.
 """
 
 from __future__ import annotations
 
 from .base import Engine, EngineContext, RoundOutcome
+from .batched import BatchedEngine
+from .reference import ReferenceEngine
 
 __all__ = ["Engine", "EngineContext", "RoundOutcome", "ENGINES", "get_engine"]
+
+#: engine name -> class; the one list of host engine names
+ENGINES: dict[str, type[Engine]] = {
+    ReferenceEngine.name: ReferenceEngine,
+    BatchedEngine.name: BatchedEngine,
+}
 
 
 def get_engine(name: str) -> Engine:
@@ -51,45 +50,3 @@ def get_engine(name: str) -> Engine:
             f"unknown engine {name!r}; available: {sorted(ENGINES)}"
         ) from None
     return cls()
-
-
-def _registry() -> dict:
-    from .batched import BatchedEngine
-    from .parallel import ParallelEngine
-    from .process import ProcessEngine
-    from .reference import ReferenceEngine
-
-    return {
-        ReferenceEngine.name: ReferenceEngine,
-        BatchedEngine.name: BatchedEngine,
-        ParallelEngine.name: ParallelEngine,
-        ProcessEngine.name: ProcessEngine,
-    }
-
-
-class _LazyRegistry(dict):
-    """Engine name -> class, resolved on first access (avoids importing
-    every engine implementation at package import time)."""
-
-    def _ensure(self) -> None:
-        if not super().__len__():
-            super().update(_registry())
-
-    def __getitem__(self, key):
-        self._ensure()
-        return super().__getitem__(key)
-
-    def __iter__(self):
-        self._ensure()
-        return super().__iter__()
-
-    def __len__(self) -> int:
-        self._ensure()
-        return super().__len__()
-
-    def __contains__(self, key) -> bool:
-        self._ensure()
-        return super().__contains__(key)
-
-
-ENGINES: dict = _LazyRegistry()

@@ -59,7 +59,7 @@ class Engine:
     """Host execution strategy for the block-level stages.
 
     ``host_stats`` is per-instance host-side telemetry (blocks stepped,
-    fused launches, thread-pool tasks...).  Unlike every simulated
+    fused launches...).  Unlike every simulated
     statistic it is *engine-specific by design* — the observability layer
     exports it under ``repro_host_ops_total`` and excludes it from the
     cross-engine parity comparisons.

@@ -3,8 +3,8 @@
 The reference engine steps blocks **in block order**, and each block
 stops at its *first* failed chunk-pool allocation — so which blocks hit
 :class:`~repro.core.chunks.PoolExhausted` in a round depends on the
-block-major allocation order.  A batched or parallel host cannot
-preserve that order while executing, so it must not touch the shared
+block-major allocation order.  A batched host cannot preserve that
+order while executing, so it must not touch the shared
 pool or tracker during execution.  Instead every block runs
 *optimistically* against unlimited virtual space, recording an ordered
 list of :class:`AllocationRecord`; afterwards :func:`replay_and_commit`

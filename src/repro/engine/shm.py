@@ -2,8 +2,8 @@
 
 A :class:`SharedCSR` places one CSR matrix's three arrays back-to-back
 in a single :class:`multiprocessing.shared_memory.SharedMemory` segment
-so warm worker processes can map the operands instead of receiving a
-pickled copy per task (or rebuilding them from generators).  The
+so campaign worker processes can map the operands instead of receiving
+a pickled copy per task (or rebuilding them from generators).  The
 attached views are read-only by convention — every consumer in this
 repository treats CSR arrays as immutable device buffers.
 
@@ -26,49 +26,16 @@ import numpy as np
 
 from ..sparse.csr import CSRMatrix
 
-__all__ = ["SharedCSR", "list_segments", "segment_exists", "sweep_segments"]
-
-#: where POSIX shared memory surfaces as files (Linux); existence and
-#: prefix listing degrade gracefully where this mount is absent
-_SHM_DIR = "/dev/shm"
-
-
-def segment_exists(name: str) -> bool:
-    """Whether a named segment still exists (best effort).
-
-    On hosts without a ``/dev/shm`` view the answer is unknowable
-    without attaching (which would perturb the resource tracker), so
-    the conservative answer is ``True``.
-    """
-    if not os.path.isdir(_SHM_DIR):  # pragma: no cover - non-Linux
-        return True
-    return os.path.exists(os.path.join(_SHM_DIR, name))
-
-
-def list_segments(prefix: str) -> list[str]:
-    """Names of live segments starting with ``prefix`` (sorted).
-
-    Used by supervisors to enumerate segments a SIGKILLed previous
-    owner of the same deterministic namespace may have leaked.  Returns
-    ``[]`` where ``/dev/shm`` is not visible.
-    """
-    if not prefix:
-        raise ValueError("refusing to list segments without a prefix")
-    if not os.path.isdir(_SHM_DIR):  # pragma: no cover - non-Linux
-        return []
-    return sorted(
-        name for name in os.listdir(_SHM_DIR) if name.startswith(prefix)
-    )
+__all__ = ["SharedCSR", "sweep_segments"]
 
 
 def sweep_segments(names) -> int:
     """Unlink every named segment that still exists; returns the count.
 
-    The shared reclaim path for deterministic segment namespaces: the
-    campaign runner sweeps the names its plan could have created, and
-    the serve supervisor sweeps its prefix minus the live exports.
-    Unlinking while attachments exist is safe on Linux (the memory goes
-    with the last mapping).
+    The reclaim path for deterministic segment namespaces: the campaign
+    runner sweeps the names its plan could have created.  Unlinking
+    while attachments exist is safe on Linux (the memory goes with the
+    last mapping).
     """
     swept = 0
     for seg in names:
@@ -192,21 +159,12 @@ class SharedCSR:
         """Segment name (for tests and diagnostics)."""
         return self._meta["name"]
 
-    def exists(self) -> bool:
-        """Whether the segment name is still linked (best effort).
-
-        ``False`` means an external actor (a chaos fault, a tmpfs
-        sweep) unlinked it: existing mappings stay valid, but new
-        attachers will fail and the owner should re-export.
-        """
-        return segment_exists(self._meta["name"])
-
     def close(self) -> None:
         """Drop this process's mapping (owner and attacher alike).
 
         When numpy views over the buffer are still alive the mmap
         cannot be closed; the mapping is abandoned instead (reclaimed at
-        process exit, which for the warm workers is the normal case) and
+        process exit, which for campaign workers is the normal case) and
         the handle is neutered so ``SharedMemory.__del__`` does not
         retry and print an ignored ``BufferError`` at shutdown.
         """

@@ -1,10 +1,10 @@
-"""Cross-process distributed request tracing with deterministic ids.
+"""Distributed request tracing with deterministic ids.
 
 One multiply entering ``repro serve`` (or one campaign cell) becomes a
 :class:`RequestTrace`: a rooted tree of :class:`TraceSpan` records that
 follows the request through admission-queue wait, cache lookup, the
-adaptive selection probe, retry/breaker/fallback transitions, the warm
-process-pool workers and back.  The design constraints, in order:
+adaptive selection probe, breaker/fallback transitions, the pipeline
+and back.  The design constraints, in order:
 
 **Deterministic ids.**  Trace and span ids never contain wall-clock
 time or randomness.  A trace id derives from the request's *content
@@ -20,11 +20,10 @@ for) but never feed id derivation.
 **W3C-style propagation.**  The HTTP boundary speaks a
 ``traceparent``-style header (``00-<trace32>-<span16>-01``): a client
 supplied trace id wins (the server joins the caller's trace), while
-the server's root span id still derives deterministically.  Process
-boundaries (warm-pool workers, campaign shards) receive the explicit
-``{"trace_id", "parent_id"}`` pair riding the existing task pickle;
-workers derive their span ids from it with the same rules and the
-parent grafts the returned spans back onto the live trace.
+the server's root span id still derives deterministically.  Campaign
+workers receive the explicit ``{"trace_id", "parent_id"}`` pair riding
+the existing task pickle and derive their span ids from it with the
+same rules.
 
 **Two writer threads, one root.**  The serve handler thread and the
 executor thread both write into one trace (a deadline-expired request
@@ -149,13 +148,6 @@ class TraceContext:
         return cls(
             trace_id=trace_id,
             span_id=derive_span_id(trace_id, parent, "request", ordinal),
-        )
-
-    def child(self, name: str, ordinal: int) -> "TraceContext":
-        """Derive a child context (cross-process hand-off helper)."""
-        return TraceContext(
-            trace_id=self.trace_id,
-            span_id=derive_span_id(self.trace_id, self.span_id, name, ordinal),
         )
 
 
@@ -301,30 +293,7 @@ class RequestTrace:
         with self._lock:
             self.root.attrs.update(attrs)
 
-    # -- cross-process grafts ----------------------------------------
-
-    def attach_remote_span(self, parent: TraceSpan, doc: dict) -> TraceSpan:
-        """Graft one worker-returned span (pre-derived id) onto ``parent``.
-
-        The worker derived ``doc["span_id"]`` with the same rules from
-        the ``{"trace_id", "parent_id"}`` pair that rode the task
-        pickle, so the id is deterministic regardless of which worker
-        executed the block.
-        """
-        with self._lock:
-            span = TraceSpan(
-                name=str(doc.get("name", "remote")),
-                trace_id=self.trace_id,
-                span_id=str(doc["span_id"]),
-                parent_id=parent.span_id,
-                attrs=dict(doc.get("attrs", {})),
-                t_start=0.0,
-                t_end=float(doc.get("t_host", 0.0)),
-                status=str(doc.get("status", "ok")),
-            )
-            self.spans.append(span)
-            self._by_id[span.span_id] = span
-            return span
+    # -- grafts ------------------------------------------------------
 
     def graft_result(self, parent: TraceSpan, result) -> dict:
         """Copy a finished pipeline's simulated-cycle span tree under
@@ -546,8 +515,8 @@ class TraceStore:
 
 # -- ambient context ----------------------------------------------------
 #
-# The pipeline internals (process pool dispatch, the adaptive selector,
-# the degraded-fallback abort) see the request's trace through one
+# The pipeline internals (the adaptive selector, the degraded-fallback
+# abort, shared-memory operand placement) see the request's trace through one
 # contextvar instead of threading arguments through every engine layer.
 # The serve executor activates it around the primary multiply; campaign
 # workers activate it around each cell.

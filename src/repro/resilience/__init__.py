@@ -16,11 +16,11 @@ for the full design.  Public surface:
 
 from .errors import (
     DeadlineExceeded,
+    PayloadTooLarge,
     ReproError,
     RestartBudgetExceeded,
     SanitizerError,
     ServerOverloaded,
-    WorkerCrashed,
     WorkerStarved,
 )
 from .faults import (
@@ -42,11 +42,11 @@ from .degrade import conservative_pool_bytes, fallback_multiply
 
 __all__ = [
     "DeadlineExceeded",
+    "PayloadTooLarge",
     "ReproError",
     "RestartBudgetExceeded",
     "SanitizerError",
     "ServerOverloaded",
-    "WorkerCrashed",
     "WorkerStarved",
     "FAULT_KINDS",
     "SERVE_FAULT_KINDS",

@@ -22,13 +22,13 @@ message strings.  The hierarchy:
     input (also a :class:`ValueError`).
   * :class:`SanitizerError` — a sanitizer-mode invariant check failed
     at a stage boundary (state corruption detector).
-  * :class:`WorkerCrashed` — a warm worker process died mid-round and
-    the pool's retry budget could not mask it.
   * :class:`WorkerStarved` — a campaign worker waited on a wedged work
     queue past the starvation window.
   * :class:`ServerOverloaded` — the serve daemon's bounded admission
     queue is full; the request is rejected with backpressure instead
     of buffering without bound.
+  * :class:`PayloadTooLarge` — a serve request declares an inline
+    matrix larger than the daemon will allocate.
   * :class:`DeadlineExceeded` — a request (or campaign cell) ran past
     its wallclock deadline.
 
@@ -41,11 +41,11 @@ from __future__ import annotations
 
 __all__ = [
     "DeadlineExceeded",
+    "PayloadTooLarge",
     "ReproError",
     "RestartBudgetExceeded",
     "SanitizerError",
     "ServerOverloaded",
-    "WorkerCrashed",
     "WorkerStarved",
 ]
 
@@ -124,17 +124,6 @@ class SanitizerError(ReproError):
     """
 
 
-class WorkerCrashed(ReproError):
-    """A warm worker process died and recovery could not mask it.
-
-    :meth:`~repro.engine.process.WarmProcessPool.run_esc` reaps dead
-    workers, redistributes their pending block states and respawns
-    replacements; this error escapes only once the retry budget is
-    spent.  It is *transient* by nature — the serve daemon retries it
-    with backoff before degrading.
-    """
-
-
 class WorkerStarved(ReproError):
     """A campaign worker's work queue stayed empty past the starvation
     window.
@@ -152,6 +141,15 @@ class ServerOverloaded(ReproError):
     Backpressure, not OOM: the request is rejected immediately with a
     typed error (HTTP 429) instead of queueing without bound.  Clients
     are expected to back off and retry.
+    """
+
+
+class PayloadTooLarge(ReproError):
+    """A serve request declares an inline matrix above the daemon's
+    dimension bound (HTTP 413).
+
+    Raised from the declared row and column counts, before anything
+    sized by them is allocated.
     """
 
 

@@ -6,7 +6,7 @@ inject into one ``ac_spgemm`` run.  Activating a plan produces a fresh
 the same plan can drive any number of runs — and the acceptance bar of
 the resilience layer is exactly that: **the same plan produces the same
 exceptions, the same restart counts and a bit-identical recovered C on
-every engine** (reference / batched / parallel).
+every engine** (reference / batched).
 
 Fault classes
 -------------
@@ -16,8 +16,8 @@ Fault classes
     chunk-pool admission attempt (1-based, counted across the whole
     run).  The hook sits in the single admission chokepoint
     (:meth:`ChunkPool.admission_ok`), which the reference engine hits
-    inside ``ChunkPool.allocate`` and the batched/parallel engines hit
-    during the serial replay — in *provably the same sequence*: both
+    inside ``ChunkPool.allocate`` and the batched engine hits during
+    the serial replay — in *provably the same sequence*: both
     walk blocks in block order and stop a block at its first failed
     admission, so the Nth admission attempt names the same allocation
     everywhere.  This exercises the real restart machinery.
@@ -37,25 +37,14 @@ Fault classes
     trip + pool growth) like a real mid-kernel casualty.  Decided in
     the driver from the round's pending list, so engine-identical.
 
-Process-level (serve) fault classes
------------------------------------
+Serve fault class
+-----------------
 
-These move the failure surface up a level — from one multiply to the
-long-running serve daemon — and are consumed at a single chokepoint:
+This moves the failure surface up a level — from one multiply to the
+long-running serve daemon — and is consumed at a single chokepoint:
 the server consults :meth:`FaultInjector.serve_faults` with the
-1-based request admission ordinal before executing each request, so a
+1-based request execution ordinal before executing each request, so a
 chaos run is deterministic given the plan.
-
-``worker_kill``
-    ``SIGKILL`` warm-pool worker ``worker`` when request ``at`` starts
-    executing.  Exercises the pool's mid-round reap/redistribute/respawn
-    healing and the server's retry-with-backoff path.
-
-``shm_drop``
-    Unlink the shared-memory segments of the pool's oldest exported
-    operand pair when request ``at`` starts executing (an external
-    ``/dev/shm`` sweep or tmpfs eviction).  Exercises the pool's
-    re-export heal in :meth:`~repro.engine.process.WarmProcessPool.load`.
 
 ``request_delay``
     Sleep ``delay_ms`` before executing request ``at`` — the "slow
@@ -94,8 +83,8 @@ __all__ = [
 #: per-multiply pipeline faults (engine-identical chokepoints)
 PIPELINE_FAULT_KINDS = ("pool_exhaust", "scratchpad_overflow", "block_abort")
 
-#: process-level faults consumed by the serve daemon per request ordinal
-SERVE_FAULT_KINDS = ("worker_kill", "shm_drop", "request_delay")
+#: faults consumed by the serve daemon per request execution ordinal
+SERVE_FAULT_KINDS = ("request_delay",)
 
 FAULT_KINDS = PIPELINE_FAULT_KINDS + SERVE_FAULT_KINDS
 
@@ -121,7 +110,6 @@ class FaultSpec:
     at: int | None = None  # 1-based ordinal (pool admission / serve request)
     round: int | None = None  # round index within the stage (from 0)
     block: int | None = None  # position within the round's pending list
-    worker: int | None = None  # worker_kill: warm-pool worker index
     delay_ms: float | None = None  # request_delay: injected latency
 
     def __post_init__(self) -> None:
@@ -130,9 +118,6 @@ class FaultSpec:
         if self.kind == "pool_exhaust" or self.kind in SERVE_FAULT_KINDS:
             if self.at is None or self.at < 1:
                 raise ValueError(f"{self.kind} needs a 1-based 'at' ordinal")
-            if self.kind == "worker_kill":
-                if self.worker is None or self.worker < 0:
-                    raise ValueError("worker_kill needs a worker index >= 0")
             if self.kind == "request_delay":
                 if self.delay_ms is None or self.delay_ms <= 0:
                     raise ValueError("request_delay needs delay_ms > 0")
@@ -155,7 +140,6 @@ class FaultSpec:
                 ("at", self.at),
                 ("round", self.round),
                 ("block", self.block),
-                ("worker", self.worker),
                 ("delay_ms", self.delay_ms),
             )
             if v is not None
@@ -254,7 +238,7 @@ class FaultInjector:
 
         Installed as ``ChunkPool.fault_hook``; consulted by
         ``ChunkPool.allocate`` (reference path) and by the serial
-        replay (batched/parallel paths) — once per admission attempt in
+        replay (batched path) — once per admission attempt in
         the identical block-major sequence.
         """
         self.admissions += 1
@@ -296,10 +280,10 @@ class FaultInjector:
     # -- chokepoint 3: serve request execution ----------------------------
 
     def serve_faults(self, request_ordinal: int) -> list[FaultSpec]:
-        """Process-level faults to apply before executing request N.
+        """Serve-level faults to apply before executing request N.
 
-        The serve daemon owns the effects (killing a pool worker,
-        unlinking a segment, sleeping) — this module stays import-light.
+        The serve daemon owns the effect (sleeping) — this module stays
+        import-light.
         Returned specs are logged as fired, in plan order.
         """
         specs = self._serve.get(request_ordinal, [])

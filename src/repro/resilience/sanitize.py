@@ -6,13 +6,12 @@ bookkeeping, the per-row chunk lists, the global chunk order keys and
 row-coverage completeness.  With ``sanitize=True`` the driver evaluates
 these at every stage boundary and raises
 :class:`~repro.resilience.errors.SanitizerError` on the first violation
-— a corruption detector for engine work (races in the parallel engine,
-replay bookkeeping bugs in the batched engine), in the spirit of
+— a corruption detector for engine work (replay bookkeeping bugs in
+the batched engine), in the spirit of
 ``compute-sanitizer`` for the original CUDA kernels.
 
 Everything here is duck-typed over the pool/tracker/scratchpad
-protocols and imports only numpy plus the error type, so the checks can
-be reused against the shadow objects of the optimistic engines as well.
+protocols and imports only numpy plus the error type.
 
 Invariants
 ----------

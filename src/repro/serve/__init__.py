@@ -1,12 +1,10 @@
-"""SpGEMM-as-a-service: the supervised, overload-tolerant serve daemon.
+"""SpGEMM-as-a-service: the overload-tolerant serve daemon.
 
-``repro serve`` keeps the expensive state of the process engine — warm
-worker processes and shared-memory operands — alive across requests
-and puts a hardened admission pipeline in front of it: bounded queue,
-deadlines, retry with backoff, a circuit breaker that degrades to the
-global-ESC fallback, and a supervisor that heals crashed workers and
-sweeps stale shared memory.  See :mod:`repro.serve.core` for the
-policy and :mod:`repro.serve.server` for the HTTP transport.
+``repro serve`` runs the ``batched`` pipeline in-process behind a
+hardened admission pipeline: bounded queue, deadlines, a result cache,
+and a circuit breaker that degrades to the global-ESC fallback.  See
+:mod:`repro.serve.core` for the policy and :mod:`repro.serve.server`
+for the HTTP transport.
 """
 
 from .core import ServeConfig, ServeCore

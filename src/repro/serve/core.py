@@ -17,8 +17,9 @@ the request lifecycle end to end and guarantees the daemon's contract:
     HTTP 429) or the deadline expired before a result was ready
     (:class:`~repro.resilience.errors.DeadlineExceeded`, HTTP 504).
 ``error``
-    The request itself was invalid (unparseable matrix, unknown name);
-    deterministic, never retried (HTTP 400/404).
+    The request itself was invalid (unparseable matrix, unknown name,
+    an inline matrix declaring more than :data:`MAX_INLINE_DIM` rows or
+    columns); deterministic (HTTP 400/404/413).
 
 Hardening layers, outermost first:
 
@@ -28,28 +29,25 @@ Hardening layers, outermost first:
   job to finish; an expired wait is surfaced as a typed rejection.  The
   executor still finishes (and caches) the abandoned job, so the work
   is not wasted.
-* **Retry with backoff** — transient errors (a warm worker crashed past
-  the pool's own healing budget) are retried with exponential backoff
-  before anything is degraded.
 * **Circuit breaker** — ``breaker_threshold`` consecutive primary
   failures trip the breaker: requests route straight to the global-ESC
   fallback (degraded-not-dropped) until a cooldown elapses, then one
   half-open probe decides whether to close it again.
-* **Supervision** — a daemon thread health-checks the warm pool,
-  respawns crashed workers and sweeps stale ``/dev/shm`` segments a
-  previous SIGKILLed incarnation may have leaked (the pool's
-  deterministic ``segment_prefix`` names make them enumerable).
 
-Chaos is first-class: a :class:`~repro.resilience.faults.FaultPlan`
-with serve-level faults (``worker_kill`` / ``shm_drop`` /
-``request_delay``) is consulted at one deterministic chokepoint — the
-1-based *execution ordinal* assigned when an executor picks a request
-up — so a chaos run is reproducible given the plan.
+Execution happens in this process, on the executor threads, with the
+``batched`` engine by default.  Chaos is first-class: the configured
+:class:`~repro.resilience.faults.FaultPlan` rides on every primary
+multiply's options, so its pipeline faults hit the pipeline's own
+chokepoints (and can trip the breaker), and its serve-level
+``request_delay`` faults are consulted at one deterministic chokepoint
+— the 1-based *execution ordinal* assigned when an executor picks a
+request up — so a chaos run is reproducible given the plan.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import queue
 import tempfile
 import threading
@@ -63,8 +61,6 @@ import numpy as np
 
 from ..bench.harness import CACHE_VERSION
 from ..core import AcSpgemmOptions, ac_spgemm
-from ..engine import process as process_mod
-from ..engine.shm import list_segments, sweep_segments
 from ..obs.flight import get_flight_recorder, install_flight_recorder
 from ..obs.metrics import DEFAULT_LATENCY_BUCKETS_MS, MetricsRegistry
 from ..obs.trace import (
@@ -77,9 +73,9 @@ from ..obs.trace import (
 from ..resilience.degrade import fallback_multiply
 from ..resilience.errors import (
     DeadlineExceeded,
+    PayloadTooLarge,
     ReproError,
     ServerOverloaded,
-    WorkerCrashed,
 )
 from ..resilience.faults import FaultPlan
 from ..sparse import COOMatrix, read_matrix_market, squared_operands
@@ -88,9 +84,10 @@ __all__ = ["ServeConfig", "ServeCore"]
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
-#: errors worth retrying — the failure is environmental, not a property
-#: of the input, so an identical resend can succeed
-_TRANSIENT = (WorkerCrashed, ConnectionError)
+#: largest row or column count an inline (COO or MTX) matrix may
+#: declare; ``row_ptr`` is sized from the declared rows before a single
+#: entry is read, so the bound is checked before anything is built
+MAX_INLINE_DIM = 1 << 22
 
 _BREAKER_CLOSED = 0
 _BREAKER_HALF_OPEN = 1
@@ -101,20 +98,15 @@ _BREAKER_OPEN = 2
 class ServeConfig:
     """Tunables of one serve daemon (all runtime knobs, never cached)."""
 
-    engine: str = "process"  # pipeline engine for primary execution
+    engine: str = "batched"  # pipeline engine for primary execution
     backend: str = "ac-spgemm"  # registered backend for primary execution
     executors: int = 2  # executor threads draining the queue
     max_queue: int = 8  # bounded admission queue capacity
     default_deadline_ms: float = 30_000.0  # per-request wait budget
-    retries: int = 2  # extra attempts for transient errors
-    backoff_base_ms: float = 10.0  # first backoff sleep
-    backoff_cap_ms: float = 200.0  # backoff ceiling
     breaker_threshold: int = 3  # consecutive failures to trip open
     breaker_cooldown_s: float = 5.0  # open -> half-open delay
     cache_size: int = 128  # content-addressed result cache entries
-    supervise_interval_s: float = 1.0  # supervisor loop period
-    shm_prefix: str = "repro-serve-"  # deterministic segment namespace
-    fault_plan: FaultPlan | None = None  # serve-level chaos, or None
+    fault_plan: FaultPlan | None = None  # pipeline + serve chaos, or None
     flight_log: str | None = None  # selector flight-recorder JSONL path
     trace_store: int = 256  # finalized request traces kept (LRU)
 
@@ -125,18 +117,38 @@ class ServeConfig:
             "executors": self.executors,
             "max_queue": self.max_queue,
             "default_deadline_ms": self.default_deadline_ms,
-            "retries": self.retries,
-            "backoff_base_ms": self.backoff_base_ms,
-            "backoff_cap_ms": self.backoff_cap_ms,
             "breaker_threshold": self.breaker_threshold,
             "breaker_cooldown_s": self.breaker_cooldown_s,
             "cache_size": self.cache_size,
-            "supervise_interval_s": self.supervise_interval_s,
-            "shm_prefix": self.shm_prefix,
             "fault_plan": self.fault_plan.to_dict() if self.fault_plan else None,
             "flight_log": self.flight_log,
             "trace_store": self.trace_store,
         }
+
+
+def _check_inline_dims(rows: int, cols: int) -> None:
+    if rows > MAX_INLINE_DIM or cols > MAX_INLINE_DIM:
+        raise PayloadTooLarge(
+            f"inline matrix declares {rows}x{cols}; rows and cols may not "
+            f"exceed {MAX_INLINE_DIM}",
+            stage="serve",
+        )
+
+
+def _mtx_dims(text: str) -> tuple[int, int] | None:
+    """Declared ``(rows, cols)`` of Matrix Market text, or None when the
+    size line does not parse (the reader then raises its typed error)."""
+    lines = io.StringIO(text)
+    lines.readline()  # banner
+    for line in lines:
+        if line.startswith("%"):
+            continue
+        try:
+            rows, cols = (int(x) for x in line.split()[:2])
+        except ValueError:
+            return None
+        return rows, cols
+    return None
 
 
 @dataclass
@@ -268,19 +280,6 @@ class ServeCore:
         self._by_fingerprint: dict[str, str] = {}
         self._entries = None  # lazy name -> SuiteEntry map
 
-        # The daemon executes on the process-wide warm pool (that is
-        # what engine="process" dispatches to); adopt it and give it
-        # this daemon's deterministic segment namespace so a previous
-        # SIGKILLed incarnation's leaked segments are enumerable.
-        self.pool = process_mod.warm_pool()
-        self.pool.segment_prefix = self.config.shm_prefix
-        swept = self.sweep_stale_segments()
-        if swept:
-            self.metrics.inc(
-                "repro_serve_shm_swept_total", swept,
-                help="Stale shared-memory segments reclaimed.",
-            )
-
         self._executors = [
             threading.Thread(
                 target=self._executor_loop, name=f"serve-exec-{i}", daemon=True
@@ -289,10 +288,6 @@ class ServeCore:
         ]
         for t in self._executors:
             t.start()
-        self._supervisor = threading.Thread(
-            target=self._supervisor_loop, name="serve-supervisor", daemon=True
-        )
-        self._supervisor.start()
 
     # -- request resolution -------------------------------------------
 
@@ -321,9 +316,11 @@ class ServeCore:
     def _resolve_matrix(self, payload: dict):
         """The operand matrix of one request: ``(name, matrix, fp)``.
 
-        Raises ``LookupError`` for unknown identifiers (HTTP 404) and
+        Raises ``LookupError`` for unknown identifiers (HTTP 404),
         ``ValueError`` / typed I-O errors for malformed inline matrices
-        (HTTP 400).
+        (HTTP 400) and :class:`PayloadTooLarge` for inline matrices
+        declaring more than :data:`MAX_INLINE_DIM` rows or columns
+        (HTTP 413).
         """
         from ..campaign.plan import matrix_fingerprint
 
@@ -352,9 +349,11 @@ class ServeCore:
         if "coo" in payload:
             d = payload["coo"]
             try:
+                rows, cols = int(d["rows"]), int(d["cols"])
+                _check_inline_dims(rows, cols)
                 m = COOMatrix(
-                    rows=int(d["rows"]),
-                    cols=int(d["cols"]),
+                    rows=rows,
+                    cols=cols,
                     row_idx=np.asarray(d["row_idx"], dtype=np.int64),
                     col_idx=np.asarray(d["col_idx"], dtype=np.int64),
                     values=np.asarray(d["values"], dtype=np.float64),
@@ -364,10 +363,14 @@ class ServeCore:
             fp = self._register_matrix(f"inline-{matrix_fingerprint(m)}", m)
             return f"inline-{fp}", m, fp
         if "mtx" in payload:
+            text = str(payload["mtx"])
+            dims = _mtx_dims(text)
+            if dims is not None:
+                _check_inline_dims(*dims)
             with tempfile.NamedTemporaryFile(
                 "w", suffix=".mtx", delete=False
             ) as fh:
-                fh.write(str(payload["mtx"]))
+                fh.write(text)
                 path = fh.name
             try:
                 m = read_matrix_market(path, strict=True)
@@ -384,6 +387,7 @@ class ServeCore:
             value_dtype=np.dtype(dtype),
             engine=self.config.engine,
             on_failure="raise",  # the core owns degradation, not the driver
+            fault_plan=self.config.fault_plan,
         )
 
     def _cache_key(self, matrix_fp: str, options: AcSpgemmOptions) -> str:
@@ -445,6 +449,13 @@ class ServeCore:
             return self._reply(
                 "error", 404, t0, trace=trace, reason=str(exc)
             )
+        except PayloadTooLarge as exc:
+            trace = self._start_trace(
+                payload_fingerprint(payload), ordinal, client, request_id, t0
+            )
+            return self._reply(
+                "error", 413, t0, trace=trace, reason=exc.one_line()
+            )
         except (ReproError, ValueError, KeyError, TypeError) as exc:
             trace = self._start_trace(
                 payload_fingerprint(payload), ordinal, client, request_id, t0
@@ -504,13 +515,8 @@ class ServeCore:
                 "rejected", 429, t0, trace=trace,
                 matrix=name, reason=err.one_line(),
             )
-        depth = self._queue.qsize()
-        self.metrics.set(
-            "repro_serve_queue_depth", depth,
-            help="Admission queue depth at the last sample.",
-        )
         self.metrics.set_max(
-            "repro_serve_queue_high_water", depth,
+            "repro_serve_queue_high_water", self._set_queue_depth(),
             help="Deepest admission queue observed.",
         )
 
@@ -585,6 +591,7 @@ class ServeCore:
             if job is None:  # shutdown sentinel
                 self._queue.task_done()
                 break
+            self._set_queue_depth()
             try:
                 job.response = self._execute(job)
             except Exception as exc:  # noqa: BLE001 - never hang a waiter
@@ -605,20 +612,28 @@ class ServeCore:
                 job.done.set()
                 self._queue.task_done()
 
+    def _set_queue_depth(self) -> int:
+        depth = self._queue.qsize()
+        self.metrics.set(
+            "repro_serve_queue_depth", depth,
+            help="Admission queue depth after the last admission or pick-up.",
+        )
+        return depth
+
+    def _set_breaker_state(self) -> str:
+        """Publish the breaker gauge; the caller holds the lock."""
+        self.metrics.set(
+            "repro_serve_breaker_state", self._breaker.state,
+            help="Circuit breaker: 0 closed, 1 half-open, 2 open.",
+        )
+        return self._breaker.state_name()
+
     def _apply_chaos(self, ordinal: int) -> None:
         """Fire this execution ordinal's serve-level faults, if any."""
         if self._injector is None:
             return
         for spec in self._injector.serve_faults(ordinal):
-            if spec.kind == "worker_kill":
-                self.pool.ensure(process_mod.resolve_process_workers())
-                self.pool.kill_worker(spec.worker)
-            elif spec.kind == "shm_drop":
-                # an external /dev/shm sweep: unlink everything the pool
-                # has exported; load() re-exports on the next multiply
-                sweep_segments(sorted(self.pool.exported_segment_names()))
-            elif spec.kind == "request_delay":
-                time.sleep(spec.delay_ms / 1000.0)
+            time.sleep(spec.delay_ms / 1000.0)  # request_delay
 
     def _execute(self, job: _Job) -> dict:
         trace = job.trace
@@ -626,7 +641,7 @@ class ServeCore:
             self._executed += 1
             ordinal = self._executed
             try_primary = self._breaker.route_primary()
-            breaker = self._breaker.state_name()
+            breaker = self._set_breaker_state()
         if trace is not None:
             trace.add_span(
                 "queue.wait", t_start=job.t_enqueue, ordinal=ordinal
@@ -661,69 +676,37 @@ class ServeCore:
 
         failure = None
         if try_primary:
-            attempt = 0
-            while True:
-                att_span = (
-                    trace.start_span(
-                        "attempt", parent=exec_span,
-                        attempt=attempt, breaker=breaker,
+            att_span = (
+                trace.start_span("attempt", parent=exec_span, breaker=breaker)
+                if trace is not None
+                else None
+            )
+            scope = (
+                use_trace(trace, att_span, breaker=breaker)
+                if trace is not None
+                else nullcontext()
+            )
+            try:
+                with scope:
+                    result = self._multiply(job.a, job.b, options)
+            except ReproError as exc:
+                failure = exc  # degrade below
+                if trace is not None:
+                    trace.end_span(
+                        att_span, status="error", error=exc.one_line()
                     )
-                    if trace is not None
-                    else None
-                )
-                scope = (
-                    use_trace(trace, att_span, breaker=breaker)
-                    if trace is not None
-                    else nullcontext()
-                )
-                try:
-                    with scope:
-                        result = self._multiply(job.a, job.b, options)
-                    if trace is not None:
-                        trace.end_span(att_span)
-                        trace.graft_result(exec_span, result)
-                    with self._lock:
-                        self._breaker.succeeded()
-                    _observe_execute("success")
-                    return self._finish_primary(job, result, attempt, ordinal)
-                except _TRANSIENT as exc:
-                    failure = exc
-                    if trace is not None:
-                        trace.end_span(
-                            att_span, status="error", error=exc.__class__.__name__
-                        )
-                    if attempt >= self.config.retries:
-                        break
-                    attempt += 1
-                    self.metrics.inc(
-                        "repro_serve_retries_total",
-                        help="Transient-error retries of primary execution.",
-                    )
-                    backoff = min(
-                        self.config.backoff_base_ms * (2 ** (attempt - 1)),
-                        self.config.backoff_cap_ms,
-                    )
-                    t_back = time.monotonic()
-                    time.sleep(backoff / 1000.0)
-                    if trace is not None:
-                        trace.add_span(
-                            "backoff", parent=exec_span,
-                            t_start=t_back, backoff_ms=backoff,
-                        )
-                except ReproError as exc:
-                    failure = exc  # deterministic failure: degrade, no retry
-                    if trace is not None:
-                        trace.end_span(
-                            att_span, status="error", error=exc.one_line()
-                        )
-                    break
-            with self._lock:
-                self._breaker.failed()
-                self.metrics.set(
-                    "repro_serve_breaker_state",
-                    self._breaker.state,
-                    help="Circuit breaker: 0 closed, 1 half-open, 2 open.",
-                )
+                with self._lock:
+                    self._breaker.failed()
+                    self._set_breaker_state()
+            else:
+                if trace is not None:
+                    trace.end_span(att_span)
+                    trace.graft_result(exec_span, result)
+                with self._lock:
+                    self._breaker.succeeded()
+                    self._set_breaker_state()
+                _observe_execute("success")
+                return self._finish_primary(job, result, ordinal)
         self.metrics.inc(
             "repro_serve_degraded_total",
             reason="breaker-open" if not try_primary else "pipeline-failure",
@@ -731,7 +714,7 @@ class ServeCore:
         )
         reason = (
             failure.one_line()
-            if isinstance(failure, ReproError)
+            if failure is not None
             else f"circuit breaker {self._breaker.state_name()}"
         )
         fb_span = (
@@ -765,8 +748,7 @@ class ServeCore:
             "cols": run.matrix.cols,
         }
 
-    def _finish_primary(self, job: _Job, result, retries: int,
-                        ordinal: int) -> dict:
+    def _finish_primary(self, job: _Job, result, ordinal: int) -> dict:
         from ..campaign.plan import matrix_fingerprint
 
         summary = {
@@ -830,57 +812,7 @@ class ServeCore:
                 help="Result-cache population.",
             )
         self.metrics.record_result(result)
-        return {"outcome": "success", "ordinal": ordinal,
-                "retries": retries, **summary}
-
-    # -- supervision ---------------------------------------------------
-
-    def sweep_stale_segments(self) -> int:
-        """Unlink prefixed ``/dev/shm`` segments this pool does not own."""
-        prefix = self.config.shm_prefix
-        if not prefix:
-            return 0
-        owned = self.pool.exported_segment_names()
-        stale = [n for n in list_segments(prefix) if n not in owned]
-        return sweep_segments(stale)
-
-    def _supervisor_loop(self) -> None:
-        target = process_mod.resolve_process_workers()
-        while not self._stop.wait(self.config.supervise_interval_s):
-            # heal the pool once it has ever been used (alive or reaped
-            # workers exist) — an idle daemon spawns nothing eagerly
-            if self.config.engine == "process" and (
-                self.pool.alive_count() or self.pool.worker_deaths
-            ):
-                restarted = self.pool.restart_crashed(target)
-                if restarted:
-                    self.metrics.inc(
-                        "repro_serve_worker_restarts_total", restarted,
-                        help="Warm-pool workers respawned by the supervisor.",
-                    )
-            swept = self.sweep_stale_segments()
-            if swept:
-                self.metrics.inc(
-                    "repro_serve_shm_swept_total", swept,
-                    help="Stale shared-memory segments reclaimed.",
-                )
-            self.metrics.set(
-                "repro_serve_queue_depth", self._queue.qsize(),
-                help="Admission queue depth at the last supervisor tick.",
-            )
-            with self._lock:
-                self.metrics.set(
-                    "repro_serve_breaker_state", self._breaker.state,
-                    help="Circuit breaker: 0 closed, 1 half-open, 2 open.",
-                )
-            self.metrics.set(
-                "repro_serve_pool_workers_alive", self.pool.alive_count(),
-                help="Live warm-pool workers.",
-            )
-            self.metrics.set(
-                "repro_serve_pool_worker_deaths", self.pool.worker_deaths,
-                help="Warm-pool workers reaped since pool creation.",
-            )
+        return {"outcome": "success", "ordinal": ordinal, **summary}
 
     # -- introspection -------------------------------------------------
 
@@ -897,8 +829,6 @@ class ServeCore:
                 "faults_fired": list(self._injector.fired)
                 if self._injector
                 else [],
-                "pool_worker_deaths": self.pool.worker_deaths,
-                "pool_workers_respawned": self.pool.workers_respawned,
                 "queue_depth": self._queue.qsize(),
                 "requests_admitted": self._admitted,
                 "routing": {
@@ -914,14 +844,12 @@ class ServeCore:
 
     # -- teardown ------------------------------------------------------
 
-    def close(self, *, drain: bool = True, teardown_pool: bool = False) -> None:
+    def close(self, *, drain: bool = True) -> None:
         """Stop accepting, optionally drain in-flight work, stop threads.
 
         ``drain=True`` (the SIGTERM path) lets queued jobs finish so
         every admitted request still resolves; ``drain=False`` abandons
-        the queue.  The warm pool is shared process state and outlives
-        the core unless ``teardown_pool`` is set (the daemon's exit
-        path — its segments must not survive the process).
+        the queue.
         """
         self._accepting = False
         if drain:
@@ -934,8 +862,4 @@ class ServeCore:
                 pass
         for t in self._executors:
             t.join(timeout=5)
-        self._supervisor.join(timeout=5)
         self.flight.flush()  # the drained event log must parse whole
-        if teardown_pool:
-            self.pool.shutdown()
-        self.pool.segment_prefix = None

@@ -7,7 +7,7 @@ nothing but sockets and signal handling.
 
 Endpoints::
 
-    GET  /healthz      liveness: 200 {"status": "ok", ...} while serving
+    GET  /healthz      liveness: 200 {"status": "ok"} while serving
     GET  /metrics      Prometheus text exposition (0.0.4)
     GET  /stats        live counters, breaker state, fired chaos faults
     GET  /traces       trace ids held by the core's bounded trace store
@@ -20,8 +20,7 @@ request's ``traceparent`` back as a header and in the JSON body.
 
 ``SIGTERM`` drains: the listener stops accepting, queued jobs finish,
 in-flight responses are written, the flight-recorder event log is
-flushed to a parseable state, the warm pool is torn down (its shared
-memory must not outlive the process) and the daemon exits 0.
+flushed to a parseable state and the daemon exits 0.
 """
 
 from __future__ import annotations
@@ -70,11 +69,7 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path == "/healthz":
             ok = self.core.healthy()
             self._send_json(
-                200 if ok else 503,
-                {
-                    "status": "ok" if ok else "draining",
-                    "workers_alive": self.core.pool.alive_count(),
-                },
+                200 if ok else 503, {"status": "ok" if ok else "draining"}
             )
         elif self.path == "/metrics":
             self._send(
@@ -175,8 +170,8 @@ def run_server(server: ReproServer, *, quiet: bool = False) -> int:
         for sig, handler in prev.items():
             signal.signal(sig, handler)
         server.server_close()
-        # drain: every admitted request resolves before the pool dies
-        server.core.close(drain=True, teardown_pool=True)
+        # drain: every admitted request resolves before the exit
+        server.core.close(drain=True)
     if not quiet:
         why = stop_reason[0] if stop_reason else "shutdown"
         print(f"repro serve drained and stopped ({why})", flush=True)

@@ -193,3 +193,20 @@ class TestStabilityChecker:
         assert not rep.observed_stable
         assert rep.consistent
         assert rep.max_value_deviation > 0.0
+
+
+class TestHotspotBench:
+    def test_run_hotspots_payload(self):
+        from repro.bench.wallclock import run_hotspots
+
+        hot = run_hotspots(smoke=True, engine="batched", top=5)
+        assert hot["bench"] == "host-hotspots"
+        assert hot["engine"] == "batched"
+        assert 0 < len(hot["top_spans"]) <= 5
+        assert hot["top_spans"][0]["host_seconds"] >= (
+            hot["top_spans"][-1]["host_seconds"]
+        )
+        names = {r["span"] for r in hot["top_spans"]}
+        assert "esc.round" in names  # the known dominant host span
+        spent = sum(r["host_seconds"] for r in hot["top_spans"])
+        assert spent <= hot["total_host_seconds"] + 1e-6

@@ -6,8 +6,10 @@ import signal
 import subprocess
 import sys
 import time
+from multiprocessing import shared_memory
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.bench import ResultCache, default_cache, run_case
@@ -27,6 +29,8 @@ from repro.campaign import (
     read_shard_lines,
     tiny_entries,
 )
+from repro.engine.shm import SharedCSR
+from tests.conftest import random_csr
 
 TINY2 = CampaignConfig(suite="tiny", limit=2)  # 2 matrices x 6 algs = 12 cells
 
@@ -418,3 +422,109 @@ class TestWorkerLiveness:
         assert len(lines) == 1 and lines[0]["status"] == "ok"
         diags = read_shard_diagnostics(shard)
         assert any(d.get("event") == "sigterm-drain" for d in diags)
+
+
+# ------------------------------------------------ shared-memory operands
+
+
+def _segment_exists(name: str) -> bool:
+    try:
+        seg = shared_memory.SharedMemory(name=name)
+    except FileNotFoundError:
+        return False
+    seg.close()
+    return True
+
+
+class TestSharedCSR:
+    def test_round_trip_is_byte_identical(self, rng):
+        m = random_csr(rng, 200, 150, 0.05, dtype=np.float32)
+        handle = SharedCSR.export(m)
+        try:
+            attached = SharedCSR.attach(handle.meta())
+            try:
+                out = attached.matrix()
+                assert out.rows == m.rows and out.cols == m.cols
+                assert out.row_ptr.tobytes() == np.ascontiguousarray(
+                    m.row_ptr, dtype=np.int64
+                ).tobytes()
+                assert out.col_idx.tobytes() == np.ascontiguousarray(
+                    m.col_idx, dtype=np.int64
+                ).tobytes()
+                assert out.values.tobytes() == m.values.tobytes()
+                assert out.values.dtype == m.values.dtype
+                # exported from a validated build: re-validation is skipped
+                assert out._validated
+            finally:
+                del out  # drop the aliasing views before closing the map
+                attached.close()
+        finally:
+            handle.release()
+
+    def test_release_unlinks_segment(self, rng):
+        handle = SharedCSR.export(random_csr(rng, 50, 50, 0.1))
+        name = handle.name
+        assert _segment_exists(name)
+        handle.release()
+        assert not _segment_exists(name)
+
+    def test_export_reclaims_stale_named_segment(self, rng):
+        """A segment leaked by a SIGKILLed owner is reclaimed on re-export."""
+        name = "repro_test_stale_segment"
+        stale = shared_memory.SharedMemory(create=True, size=64, name=name)
+        stale.buf[:4] = b"dead"
+        stale.close()  # owner died without unlinking
+        m = random_csr(rng, 40, 40, 0.2)
+        handle = SharedCSR.export(m, name=name)
+        try:
+            assert handle.name == name
+            attached = SharedCSR.attach(handle.meta())
+            out = attached.matrix()
+            assert out.values.tobytes() == m.values.tobytes()
+            del out
+            attached.close()
+        finally:
+            handle.release()
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
+
+    def test_empty_matrix_round_trip(self):
+        from repro.sparse.csr import CSRMatrix
+
+        m = CSRMatrix.from_dense(np.zeros((3, 4)))
+        handle = SharedCSR.export(m)
+        try:
+            attached = SharedCSR.attach(handle.meta())
+            out = attached.matrix()
+            assert out.nnz == 0 and out.rows == 3 and out.cols == 4
+            del out
+            attached.close()
+        finally:
+            handle.release()
+
+
+class TestCampaignSegmentSweep:
+    def test_sweep_reclaims_stale_segments(self, tmp_path):
+        """The next invocation of a SIGKILLed campaign unlinks every
+        segment the killed one could have created."""
+        runner = CampaignRunner(
+            tmp_path / "camp", CampaignConfig(suite="tiny", limit=2)
+        )
+        names = runner._segment_names()
+        assert names, "plan must map matrices to segment names"
+        victim = sorted(names.values())[0]
+        stale = shared_memory.SharedMemory(create=True, size=32, name=victim)
+        stale.close()
+        runner._sweep_segments()
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=victim)
+
+    def test_segment_names_are_plan_deterministic(self, tmp_path):
+        cfg = CampaignConfig(suite="tiny", limit=2)
+        r1 = CampaignRunner(tmp_path / "c", cfg)
+        r2 = CampaignRunner(tmp_path / "c", cfg)
+        assert r1._segment_names() == r2._segment_names()
+        other = CampaignRunner(tmp_path / "elsewhere", cfg)
+        assert set(other._segment_names().values()).isdisjoint(
+            r1._segment_names().values()
+        )

@@ -1,7 +1,7 @@
 """Degenerate-input audit: empty and zero-structure matrices.
 
-Every shape below must flow through the full adaptive pipeline (all
-three engines), the profile workload with every export, and every
+Every shape below must flow through the full adaptive pipeline (both
+engines), the profile workload with every export, and every
 registered baseline without divide-by-zero or empty-array reductions.
 Run with ``-W error::RuntimeWarning`` semantics in mind: the numpy
 warnings that precede ``nan`` results are treated as failures here.
@@ -19,7 +19,7 @@ from repro.obs import validate_perfetto
 from repro.obs.profile import profile_run
 from repro.sparse import matrix_stats, spgemm_reference
 
-ENGINES = ("reference", "batched", "parallel")
+ENGINES = ("reference", "batched")
 
 
 def _empty(rows: int, cols: int) -> CSRMatrix:

@@ -142,18 +142,18 @@ class TestDeterminism:
         )
         assert rap.matrix.allclose(ref)
 
-    def test_engine_equivalence_reference_vs_process(self):
+    def test_engine_equivalence_reference_vs_batched(self):
         a = poisson_2d(12)
         node = NodeConfig(devices=4)
         ref = summa_spgemm(
             a, a, node, AcSpgemmOptions(engine="reference"),
             backend="ac-spgemm",
         )
-        proc = summa_spgemm(
-            a, a, node, AcSpgemmOptions(engine="process"),
+        batched = summa_spgemm(
+            a, a, node, AcSpgemmOptions(engine="batched"),
             backend="ac-spgemm",
         )
-        assert ref.matrix.exactly_equal(proc.matrix)
+        assert ref.matrix.exactly_equal(batched.matrix)
 
     def test_mode_byte_identity_and_run_to_run(self):
         a = random_uniform(100, 100, 7, seed=9)

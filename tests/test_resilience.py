@@ -5,7 +5,7 @@ resilience suite on its own (``pytest -m fault``).
 
 The acceptance bar throughout: the same :class:`FaultPlan` produces the
 same exceptions, the same restart counts and a bit-identical recovered
-C on all three engines.
+C on both engines.
 """
 
 import numpy as np
@@ -30,7 +30,7 @@ from tests.conftest import random_csr
 
 pytestmark = pytest.mark.fault
 
-ENGINES = ("reference", "batched", "parallel", "process")
+ENGINES = ("reference", "batched")
 
 
 @pytest.fixture

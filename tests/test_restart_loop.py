@@ -13,7 +13,7 @@ from repro import AcSpgemmOptions, ac_spgemm, spgemm_reference
 from repro.gpu import SMALL_DEVICE
 from tests.conftest import random_csr
 
-ENGINES = ("reference", "batched", "parallel")
+ENGINES = ("reference", "batched")
 
 # (chunk_pool_bytes, pool_growth_factor, minimum restarts it must force)
 RESTART_CONFIGS = [

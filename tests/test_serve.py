@@ -1,8 +1,8 @@
-"""The serve daemon: admission, deadlines, retry, breaker, transport.
+"""The serve daemon: admission, deadlines, breaker, transport.
 
 Core policy is tested HTTP-free through :class:`repro.serve.ServeCore`
-with an injectable ``multiply`` (so overload, deadline, retry and
-breaker paths are deterministic and fast); the transport layer gets an
+with an injectable ``multiply`` (so overload, deadline and breaker
+paths are deterministic and fast); the transport layer gets an
 in-thread :class:`ReproServer`; and the SIGTERM-drain contract runs the
 real ``repro serve`` subprocess — kill -TERM must drain in-flight work
 and exit 0.
@@ -27,7 +27,7 @@ import pytest
 
 from repro import AcSpgemmOptions, ac_spgemm
 from repro.campaign.plan import matrix_fingerprint, tiny_entries
-from repro.resilience.errors import RestartBudgetExceeded, WorkerCrashed
+from repro.resilience.errors import RestartBudgetExceeded
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.serve import ReproServer, ServeConfig, ServeCore
 from repro.sparse import squared_operands, write_matrix_market
@@ -42,11 +42,7 @@ def _core(**overrides) -> ServeCore:
         executors=1,
         max_queue=4,
         default_deadline_ms=60_000.0,
-        backoff_base_ms=1.0,
-        backoff_cap_ms=2.0,
         breaker_cooldown_s=30.0,
-        supervise_interval_s=0.1,
-        shm_prefix=f"repro-test-serve-{os.getpid()}-",
     )
     multiply = overrides.pop("multiply", None)
     clock = overrides.pop("clock", time.monotonic)
@@ -144,6 +140,53 @@ class TestServeCoreOutcomes:
         finally:
             core.close()
 
+    @pytest.mark.parametrize("form", ["coo", "mtx"])
+    def test_oversized_inline_dims_are_413(self, form):
+        """A zero-entry matrix declaring 10**12 rows is rejected from its
+        declared size; nothing sized by the row count is allocated."""
+        rows = 10**12
+        payload = {
+            "coo": {"coo": {"rows": rows, "cols": 3, "row_idx": [],
+                            "col_idx": [], "values": []}},
+            "mtx": {"mtx": "%%MatrixMarket matrix coordinate real general\n"
+                           f"{rows} 3 0\n"},
+        }[form]
+        core = _core()
+        try:
+            body = core.handle(payload)
+            assert (body["outcome"], body["status"]) == ("error", 413)
+            assert body["reason"].startswith("PayloadTooLarge")
+        finally:
+            core.close()
+
+    def test_default_core_runs_batched_in_process(self):
+        """The shipped defaults execute on ``batched`` in this process:
+        no child process and no shared-memory segment."""
+
+        def children() -> set[int]:
+            pids = set()
+            for task in Path("/proc/self/task").iterdir():
+                try:
+                    pids.update(map(int, (task / "children").read_text().split()))
+                except OSError:
+                    pass
+            return pids
+
+        shm = Path("/dev/shm")
+        segments = set(os.listdir(shm)) if shm.is_dir() else set()
+        before = children()
+        core = ServeCore()
+        try:
+            body = core.handle({"matrix": "tiny-uniform"})
+        finally:
+            core.close()
+        assert body["outcome"] == "success"
+        assert body["result"]["engine"] == "batched"
+        assert body["result"]["digest"] == _reference_digest("tiny-uniform")
+        assert children() <= before
+        if shm.is_dir():
+            assert set(os.listdir(shm)) <= segments
+
 
 class TestServeCoreHardening:
     def test_full_queue_rejects_typed_429(self):
@@ -212,34 +255,19 @@ class TestServeCoreHardening:
             release.set()
             core.close()
 
-    def test_transient_errors_retry_with_backoff_then_succeed(self):
+    def test_spent_restart_budget_degrades_not_drops(self):
         calls = []
 
-        def flaky_multiply(a, b, options):
+        def always_failing(a, b, options):
             calls.append(1)
-            if len(calls) < 3:
-                raise WorkerCrashed("worker died", stage="ESC")
-            return ac_spgemm(a, b, options)
+            raise RestartBudgetExceeded("gave up", stage="ESC", restarts=3)
 
-        core = _core(multiply=flaky_multiply, retries=2)
-        try:
-            body = core.handle({"matrix": "tiny-uniform"})
-            assert body["outcome"] == "success"
-            assert body["result"]["retries"] == 2
-            assert len(calls) == 3
-            assert core.metrics.value("repro_serve_retries_total") == 2
-        finally:
-            core.close()
-
-    def test_spent_retry_budget_degrades_not_drops(self):
-        def always_crashing(a, b, options):
-            raise WorkerCrashed("worker died", stage="ESC")
-
-        core = _core(multiply=always_crashing, retries=1)
+        core = _core(multiply=always_failing)
         try:
             body = core.handle({"matrix": "tiny-uniform"})
             assert body["outcome"] == "degraded"
-            assert "WorkerCrashed" in body["reason"]
+            assert "RestartBudgetExceeded" in body["reason"]
+            assert len(calls) == 1  # a pipeline failure is never retried
             # degraded results are still correct (global ESC is exact
             # on this matrix's digest-relevant structure)
             assert body["result"]["nnz"] > 0
@@ -259,7 +287,6 @@ class TestServeCoreHardening:
 
         core = _core(
             multiply=controlled_multiply,
-            retries=0,
             breaker_threshold=2,
             breaker_cooldown_s=10.0,
             clock=lambda: now[0],
@@ -346,12 +373,7 @@ class TestServeHTTP:
     @pytest.fixture()
     def server(self):
         core = ServeCore(
-            ServeConfig(
-                engine="reference",
-                executors=1,
-                supervise_interval_s=0.2,
-                shm_prefix=f"repro-test-http-{os.getpid()}-",
-            )
+            ServeConfig(engine="reference", executors=1)
         )
         srv = ReproServer(("127.0.0.1", 0), core)
         thread = threading.Thread(target=srv.serve_forever, daemon=True)
@@ -412,7 +434,7 @@ class TestServeDaemonSigterm:
             [
                 sys.executable, "-m", "repro.cli", "serve",
                 "--port", "0", "--engine", "reference",
-                "--executors", "1", "--supervise-interval", "0.2",
+                "--executors", "1",
                 "--shm-prefix", f"repro-test-sigterm-{os.getpid()}-",
             ],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
