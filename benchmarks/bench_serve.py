@@ -4,8 +4,9 @@ Starts the daemon as a real subprocess, drives it with a seeded,
 closed-loop client fleet (each client issues its next request only
 after the previous one resolved — the huggingbench shape: bounded
 concurrency, no coordinated-omission open loop), injects chaos (a
-``request_delay``, a pipeline fault that fails every primary multiply
-so the circuit breaker trips, and a deliberately undersized admission
+``request_delay``, a pipeline fault that fails the primary multiply of
+the larger matrices only, so the circuit breaker trips while the
+smaller ones still succeed, and a deliberately undersized admission
 queue), and asserts the daemon's contract:
 
 * **zero hangs** — every request returns within the client timeout;
@@ -18,7 +19,9 @@ queue), and asserts the daemon's contract:
   bit-identical to offline execution);
 * **determinism** — the serve faults fired are exactly the plan's
   serve faults, in plan order (scraped from ``/stats``);
-* **degradation** — the failing pipeline trips the breaker.
+* **degradation** — the failing pipeline trips the breaker, and the
+  run has both ``success`` and ``degraded`` outcomes, so both digest
+  comparisons above always run.
 
 Writes ``BENCH_serve.json`` with p50/p99 latency, throughput and
 per-outcome counters.
@@ -85,7 +88,8 @@ def reference_digests(names) -> dict[str, dict[str, str]]:
 
 
 def start_daemon(*, queue: int, executors: int, deadline_ms: float,
-                 fault_plan: FaultPlan | None, engine: str):
+                 fault_plan: FaultPlan | None, engine: str,
+                 breaker_threshold: int, breaker_cooldown_s: float):
     """Spawn ``repro serve`` and wait for its listening banner."""
     repo = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
@@ -97,6 +101,8 @@ def start_daemon(*, queue: int, executors: int, deadline_ms: float,
         "--executors", str(executors),
         "--queue", str(queue),
         "--deadline-ms", str(deadline_ms),
+        "--breaker-threshold", str(breaker_threshold),
+        "--breaker-cooldown", str(breaker_cooldown_s),
     ]
     if fault_plan is not None:
         argv += ["--fault-plan", fault_plan.to_json()]
@@ -188,14 +194,17 @@ def run_bench(*, clients: int, requests: int, seed: int,
     rng = random.Random(seed)
     schedule = [{"matrix": rng.choice(names)} for _ in range(requests)]
 
-    # chaos: delay the 2nd executed request; overflow the scratchpad in
-    # every primary multiply's first ESC round, so each one fails and
-    # the breaker trips after its threshold — all must still resolve
+    # chaos: delay the 2nd executed request; exhaust the chunk pool at
+    # the 5th admission, which only the larger tiny matrices reach, and
+    # overflow the scratchpad in the restart round that follows, so
+    # exactly those primaries fail (tiny-uniform and tiny-powerlaw stay
+    # below 5 admissions and succeed) — all must still resolve
     plan = FaultPlan(
         seed=seed,
         faults=(
             FaultSpec(kind="request_delay", at=2, delay_ms=50.0),
-            FaultSpec(kind="scratchpad_overflow", stage="ESC", round=0,
+            FaultSpec(kind="pool_exhaust", at=5),
+            FaultSpec(kind="scratchpad_overflow", stage="ESC", round=1,
                       block=0),
         ),
     )
@@ -205,6 +214,11 @@ def run_bench(*, clients: int, requests: int, seed: int,
     proc, base = start_daemon(
         queue=queue_size, executors=1, deadline_ms=CLIENT_TIMEOUT_S * 1000,
         fault_plan=plan, engine=engine,
+        # the first failed primary trips the breaker, and with no
+        # cooldown the next request probes the primary again: with one
+        # executor every request of a succeeding matrix succeeds, so
+        # the outcome mix depends on the schedule, not on timing
+        breaker_threshold=1, breaker_cooldown_s=0.0,
     )
     counters = {"success": 0, "degraded": 0, "rejected": 0, "error": 0}
     digest_mismatches: list[str] = []
@@ -273,6 +287,7 @@ def run_bench(*, clients: int, requests: int, seed: int,
         "byte_identical": not digest_mismatches,
         "chaos_deterministic": fired == planned,
         "breaker_tripped": payload["breaker_opens"] >= 1,
+        "both_outcomes": counters["success"] >= 1 and counters["degraded"] >= 1,
         "clean_shutdown": proc.returncode == 0 and payload["daemon_drained"],
     }
     payload["ok"] = all(payload["gates"].values())

@@ -3,9 +3,6 @@
 Public entry point: :func:`ac_spgemm`.
 """
 
-# options first: constructing DEFAULT_OPTIONS loads repro.engine, whose
-# modules import the rest of this package
-from .options import AcSpgemmOptions, DEFAULT_OPTIONS
 from .acspgemm import AcSpgemmResult, MemoryReport, STAGE_KEYS, ac_spgemm
 from .chunks import Chunk, ChunkPool, PoolExhausted, RowChunkTracker
 from .compaction import (
@@ -24,6 +21,7 @@ from .memory_estimate import estimate_chunk_pool_bytes, estimate_output_entries
 from .merge import MergeAssignment, MultiMergeBlock, assign_merges
 from .merge_path import PathMergeBlock
 from .merge_search import SearchMergeBlock
+from .options import AcSpgemmOptions, DEFAULT_OPTIONS
 from .work_distribution import LocalWorkDistribution
 
 __all__ = [

@@ -93,7 +93,8 @@ class AcSpgemmOptions:
     #: the trace is attached to the result as ``result.trace``
     collect_trace: bool = False
     #: host execution engine for the block-level stages, a name in
-    #: ``repro.engine.ENGINES``: ``"reference"`` steps one simulated
+    #: ``repro.engine.ENGINES`` (``repro.engine.get_engine`` rejects any
+    #: other name when the run starts): ``"reference"`` steps one simulated
     #: block at a time, ``"batched"`` fuses all ready blocks of a launch
     #: into flat numpy batches.  Both produce bit-identical results and
     #: identical simulated cycles/counters; only host wall-clock differs.
@@ -123,13 +124,6 @@ class AcSpgemmOptions:
         object.__setattr__(self, "value_dtype", np.dtype(self.value_dtype))
         if self.value_dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
             raise ValueError("value_dtype must be float32 or float64")
-        from ..engine import ENGINES  # the engines import this module
-
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; expected one of "
-                f"{', '.join(map(repr, ENGINES))}"
-            )
         if self.multi_merge_max_chunks < 2:
             raise ValueError("multi_merge_max_chunks must be at least 2")
         if self.path_merge_max_chunks < self.multi_merge_max_chunks:

@@ -79,6 +79,7 @@ from ..resilience.errors import (
 )
 from ..resilience.faults import FaultPlan
 from ..sparse import COOMatrix, read_matrix_market, squared_operands
+from ..sparse.io import read_matrix_market_header
 
 __all__ = ["ServeConfig", "ServeCore"]
 
@@ -133,22 +134,6 @@ def _check_inline_dims(rows: int, cols: int) -> None:
             f"exceed {MAX_INLINE_DIM}",
             stage="serve",
         )
-
-
-def _mtx_dims(text: str) -> tuple[int, int] | None:
-    """Declared ``(rows, cols)`` of Matrix Market text, or None when the
-    size line does not parse (the reader then raises its typed error)."""
-    lines = io.StringIO(text)
-    lines.readline()  # banner
-    for line in lines:
-        if line.startswith("%"):
-            continue
-        try:
-            rows, cols = (int(x) for x in line.split()[:2])
-        except ValueError:
-            return None
-        return rows, cols
-    return None
 
 
 @dataclass
@@ -364,9 +349,11 @@ class ServeCore:
             return f"inline-{fp}", m, fp
         if "mtx" in payload:
             text = str(payload["mtx"])
-            dims = _mtx_dims(text)
-            if dims is not None:
-                _check_inline_dims(*dims)
+            # newline=None splits lines exactly as the file reader does
+            _, _, _, dims = read_matrix_market_header(
+                io.StringIO(text, newline=None), name="inline mtx"
+            )
+            _check_inline_dims(*dims[:2])
             with tempfile.NamedTemporaryFile(
                 "w", suffix=".mtx", delete=False
             ) as fh:

@@ -21,6 +21,7 @@ from .csr import CSRMatrix
 __all__ = [
     "MatrixMarketError",
     "read_matrix_market",
+    "read_matrix_market_header",
     "write_matrix_market",
     "save_binary",
     "load_binary",
@@ -67,6 +68,28 @@ def _parse_size(parts: list[str], line: str, n: int) -> tuple[int, ...]:
     return dims
 
 
+def read_matrix_market_header(fh, *, name: str = "<stream>"):
+    """Read the banner and size line of an open Matrix Market stream.
+
+    Returns ``(format, field, symmetry, dims)`` with ``dims`` being
+    ``(rows, cols, nnz)`` for coordinate and ``(rows, cols)`` for array
+    format, and leaves ``fh`` positioned at the first entry line.
+    Nothing is sized by the declared dimensions, so callers can bound
+    them before reading the body.
+    """
+    header = fh.readline()
+    if not header:
+        raise MatrixMarketError(f"empty file: {name!r}")
+    fmt, field, symmetry = _parse_header(header)
+    line = fh.readline()
+    while line.startswith("%"):
+        line = fh.readline()
+    if not line.strip():
+        raise MatrixMarketError("truncated file: missing size line")
+    dims = _parse_size(line.split(), line, 3 if fmt == "coordinate" else 2)
+    return fmt, field, symmetry, dims
+
+
 def read_matrix_market(path: str | os.PathLike, *, strict: bool = True) -> CSRMatrix:
     """Parse a ``.mtx`` file into canonical CSR.
 
@@ -80,18 +103,11 @@ def read_matrix_market(path: str | os.PathLike, *, strict: bool = True) -> CSRMa
     through verbatim with ``strict=False``.
     """
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        if not header:
-            raise MatrixMarketError(f"empty file: {os.fspath(path)!r}")
-        fmt, field, symmetry = _parse_header(header)
-        line = fh.readline()
-        while line.startswith("%"):
-            line = fh.readline()
-        if not line.strip():
-            raise MatrixMarketError("truncated file: missing size line")
-        size_parts = line.split()
+        fmt, field, symmetry, dims = read_matrix_market_header(
+            fh, name=os.fspath(path)
+        )
         if fmt == "coordinate":
-            rows, cols, nnz = _parse_size(size_parts, line, 3)
+            rows, cols, nnz = dims
             try:
                 body = np.loadtxt(fh, ndmin=2) if nnz else np.zeros((0, 3))
             except ValueError as exc:
@@ -127,7 +143,7 @@ def read_matrix_market(path: str | os.PathLike, *, strict: bool = True) -> CSRMa
                     "(pass strict=False to accept NaN/inf)"
                 )
         else:  # array (dense column-major)
-            rows, cols = _parse_size(size_parts, line, 2)
+            rows, cols = dims
             try:
                 data = np.loadtxt(fh)
             except ValueError as exc:

@@ -140,16 +140,20 @@ class TestServeCoreOutcomes:
         finally:
             core.close()
 
-    @pytest.mark.parametrize("form", ["coo", "mtx"])
+    @pytest.mark.parametrize("form", ["coo", "mtx", "mtx-cr"])
     def test_oversized_inline_dims_are_413(self, form):
         """A zero-entry matrix declaring 10**12 rows is rejected from its
-        declared size; nothing sized by the row count is allocated."""
+        declared size; nothing sized by the row count is allocated.
+        ``mtx-cr`` ends its lines in a bare carriage return, which the
+        Matrix Market reader also treats as a line break."""
         rows = 10**12
+        mtx = ("%%MatrixMarket matrix coordinate real general\n"
+               f"{rows} 3 0\n")
         payload = {
             "coo": {"coo": {"rows": rows, "cols": 3, "row_idx": [],
                             "col_idx": [], "values": []}},
-            "mtx": {"mtx": "%%MatrixMarket matrix coordinate real general\n"
-                           f"{rows} 3 0\n"},
+            "mtx": {"mtx": mtx},
+            "mtx-cr": {"mtx": mtx.replace("\n", "\r")},
         }[form]
         core = _core()
         try:
@@ -309,6 +313,23 @@ class TestServeCoreHardening:
             assert body["outcome"] == "success"
             assert len(calls) == primary_calls + 1
             assert core.stats()["breaker"] == "closed"
+            assert core.stats()["breaker_opens"] == 1
+        finally:
+            core.close()
+
+    def test_pipeline_fault_in_plan_fails_primary_and_trips_breaker(self):
+        """The daemon's plan reaches every primary multiply: a pipeline
+        fault fails it, the request degrades and the breaker trips."""
+        plan = FaultPlan(
+            faults=(FaultSpec(kind="scratchpad_overflow", stage="ESC",
+                              round=0, block=0),),
+        )
+        core = _core(fault_plan=plan, breaker_threshold=2)
+        try:
+            for n in ("tiny-uniform", "tiny-grid2d"):
+                body = core.handle({"matrix": n})
+                assert body["outcome"] == "degraded"
+                assert "ScratchpadOverflow" in body["reason"]
             assert core.stats()["breaker_opens"] == 1
         finally:
             core.close()
