@@ -54,6 +54,23 @@ def excluded(key: str) -> bool:
     return any(s in key for s in EXCLUDE_SUBSTRINGS)
 
 
+def engine_neutral(flat: dict[str, float], engine) -> dict[str, float]:
+    """Drop the payload's own host-engine label (its top-level
+    ``"engine"``) from metric keys.  Host engines are byte-identical in
+    every simulated statistic, so a baseline recorded on one engine
+    gates a candidate run on another; other ``engine`` labels (a routed
+    backend's, say) never equal a host engine name and are kept."""
+    if not isinstance(engine, str):
+        return flat
+    label = f'engine="{engine}"'
+    out: dict[str, float] = {}
+    for key, v in flat.items():
+        key = key.replace("{" + label + "}", "")
+        key = key.replace(label + ",", "").replace("," + label, "")
+        out[key] = v
+    return out
+
+
 def compare(
     baseline: dict, candidate: dict, threshold: float
 ) -> tuple[list[dict], list[str], list[str]]:
@@ -63,8 +80,16 @@ def compare(
     are dicts with key/base/cand/ratio, improvements are formatted lines
     and missing lists keys present in only one payload.
     """
-    base = {k: v for k, v in flatten(baseline).items() if not excluded(k)}
-    cand = {k: v for k, v in flatten(candidate).items() if not excluded(k)}
+    base = {
+        k: v
+        for k, v in engine_neutral(flatten(baseline), baseline.get("engine")).items()
+        if not excluded(k)
+    }
+    cand = {
+        k: v
+        for k, v in engine_neutral(flatten(candidate), candidate.get("engine")).items()
+        if not excluded(k)
+    }
     regressions: list[dict] = []
     improvements: list[str] = []
     for key in sorted(base.keys() & cand.keys()):

@@ -3,7 +3,8 @@
 Runs ``reference`` and ``batched`` on a cross-section of the suite,
 verifies that both engines produce
 bit-identical results and identical simulated statistics, and reports
-the host-side speedup.  The payload also carries a span-attributed
+the host-side speedup and each engine's peak traced heap (from a
+separate, untimed pass).  The payload also carries a span-attributed
 host hotspot table (top span names by host seconds, joined with their
 simulated cycles) so a regression in host time points at the span that
 grew, and in full mode gates the geometric-mean speedup against the
@@ -44,7 +45,8 @@ from repro.bench.wallclock import (  # noqa: E402
 def _print_hotspots(hot: dict) -> None:
     print(
         f"host hotspots ({hot['mode']}, engine={hot['engine']}, "
-        f"{hot['total_host_seconds'] * 1e3:.1f} ms total):"
+        f"{hot['total_host_seconds'] * 1e3:.1f} ms total, "
+        f"peak heap {hot['peak_heap_mib']:.1f} MiB):"
     )
     print(f"  {'span':20s} {'calls':>7s} {'host ms':>9s} {'sim cycles':>14s}")
     for row in hot["top_spans"]:
@@ -136,6 +138,9 @@ def main(argv=None) -> int:
                 continue
             mark = "" if row["identical"][eng] else "  MISMATCH!"
             line += f" | {eng} {s * 1e3:8.1f} ms ({row['speedup'][eng]:.2f}x){mark}"
+        line += " | heap " + " ".join(
+            f"{eng} {mib:.1f}" for eng, mib in row["peak_heap_mib"].items()
+        ) + " MiB"
         print(line)
     for eng, g in payload["geomean_speedup"].items():
         target = payload["speedup_targets"].get(eng)

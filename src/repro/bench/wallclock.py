@@ -9,7 +9,10 @@ speedup would be meaningless.
 
 The JSON payload (``BENCH_pr1.json``) records, per case, the seconds per
 engine, the speedup over the reference engine and the equivalence
-verdict, plus the geometric-mean speedups across cases.
+verdict, plus the geometric-mean speedups across cases.  It also records
+each engine's peak traced heap per case (``peak_heap_mib``), measured in
+a separate untimed pass under :mod:`tracemalloc`, so a working set that
+grows back shows next to the timings.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import json
 import math
 import os
 import time
+import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -134,6 +138,17 @@ def _signature(result) -> dict:
     }
 
 
+def _peak_heap_mib(case: WallclockCase, engine: str) -> float:
+    """Peak traced heap (MiB) of one untimed run of ``engine``."""
+    opts = AcSpgemmOptions(value_dtype=np.dtype(case.dtype), engine=engine)
+    tracemalloc.start()
+    try:
+        ac_spgemm(case.a, case.b, opts)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def _time_engines(
     case: WallclockCase, engines: tuple[str, ...], repeats: int
 ) -> tuple[dict[str, float], dict[str, dict]]:
@@ -185,6 +200,7 @@ def run_wallclock(
             "seconds": {"reference": ref_s},
             "speedup": {},
             "identical": {},
+            "peak_heap_mib": {e: _peak_heap_mib(case, e) for e in engines},
         }
         for engine in engines:
             if engine == "reference":
@@ -241,7 +257,9 @@ def run_hotspots(
     cycles is pure host overhead — that is where the next fast path
     goes.  ``top`` bounds the table to the heaviest span names by host
     seconds; anything dropped is summed under ``other_host_seconds`` so
-    the table never silently hides cost.
+    the table never silently hides cost.  ``peak_heap_mib`` is the
+    engine's largest traced heap peak over the cases, from a separate
+    untimed pass.
     """
     tuned = tune_allocator()
     cases = wallclock_cases(smoke)
@@ -256,6 +274,7 @@ def run_hotspots(
             for s in result.spans.walk():
                 sim_cycles[s.name] = sim_cycles.get(s.name, 0.0) + s.duration
         total = time.perf_counter() - t0
+    peak_heap = max(_peak_heap_mib(case, engine) for case in cases)
     rows = [
         {
             "span": name,
@@ -273,6 +292,7 @@ def run_hotspots(
         "engine": engine,
         "allocator_tuned": tuned,
         "total_host_seconds": total,
+        "peak_heap_mib": peak_heap,
         "attributed_host_seconds": sum(r["host_seconds"] for r in rows),
         "top_spans": kept,
         "other_host_seconds": sum(r["host_seconds"] for r in dropped),

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..baselines.registry import BACKEND_ALGORITHMS, GPU_ALGORITHMS
 from ..bench.harness import CACHE_VERSION
+from ..core.options import DEFAULT_OPTIONS, AcSpgemmOptions
 from ..matrices import generators as g
 from ..matrices.collection import NAMED_COLLECTION
 from ..matrices.suite import SuiteEntry, suite_entries
@@ -77,7 +78,7 @@ class CampaignConfig:
     limit: int | None = None
     algorithms: tuple[str, ...] = tuple(GPU_ALGORITHMS)
     dtypes: tuple[str, ...] = ("float64",)
-    engine: str = "reference"
+    engine: str = DEFAULT_OPTIONS.engine
     estimator: str = "uniform"
     sanitize: bool = False
     fallback: bool = False
@@ -108,14 +109,12 @@ class CampaignConfig:
         harness convention (default runs share default cache keys).
         """
         if (
-            self.engine == "reference"
+            self.engine == DEFAULT_OPTIONS.engine
             and self.estimator == "uniform"
             and not self.sanitize
             and not self.fallback
         ):
             return None
-        from ..core.options import AcSpgemmOptions
-
         return AcSpgemmOptions(
             engine=self.engine,
             estimator=self.estimator,

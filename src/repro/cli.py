@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import GPU_ALGORITHMS, make_algorithm
-from .core import AcSpgemmOptions, ac_spgemm
+from .core import DEFAULT_OPTIONS, AcSpgemmOptions, ac_spgemm
 from .engine import ENGINES
 from .resilience import ReproError
 from .sparse import (
@@ -65,6 +65,9 @@ CSV_HEADERS = [
 #: host execution engines of the AC-SpGEMM pipeline (identical results)
 HOST_ENGINES = tuple(ENGINES)
 
+#: every ``--engine`` default, and the host engine under a backend
+DEFAULT_ENGINE = DEFAULT_OPTIONS.engine
+
 #: registered ``repro.backends`` engines selectable via ``--engine``
 BACKEND_ENGINES = ("adaptive", "hash-spgemm", "hashmap-spgemm")
 
@@ -89,7 +92,7 @@ def _run_one(
     *,
     dtype,
     verify: bool,
-    engine: str = "reference",
+    engine: str = DEFAULT_ENGINE,
     sanitize: bool = False,
     fallback: bool = False,
     estimator: str = "uniform",
@@ -98,7 +101,7 @@ def _run_one(
     use_backend = engine in BACKEND_ENGINES
     opts = AcSpgemmOptions(
         value_dtype=dtype,
-        engine="reference" if use_backend else engine,
+        engine=DEFAULT_ENGINE if use_backend else engine,
         estimator=estimator,
         sanitize=sanitize,
         on_failure="fallback" if fallback else "raise",
@@ -270,7 +273,7 @@ def cmd_analyze(args) -> int:
     use_backend = args.engine in BACKEND_ENGINES
     opts = AcSpgemmOptions(
         value_dtype=np.float32 if args.float else np.float64,
-        engine="reference" if use_backend else args.engine,
+        engine=DEFAULT_ENGINE if use_backend else args.engine,
         estimator=args.estimator,
         sanitize=args.sanitize,
         on_failure="fallback" if args.fallback else "raise",
@@ -518,7 +521,7 @@ def main(argv=None) -> int:
     p.add_argument("--verify", action="store_true",
                    help="confirm against the CPU reference (artifact A.6)")
     p.add_argument("--float", action="store_true", help="single precision")
-    p.add_argument("--engine", default="reference",
+    p.add_argument("--engine", default=DEFAULT_ENGINE,
                    choices=ENGINE_CHOICES,
                    help="host execution engine, or a registered backend "
                         "('adaptive' routes each multiply per its structure)")
@@ -537,7 +540,7 @@ def main(argv=None) -> int:
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--float", action="store_true")
-    p.add_argument("--engine", default="reference", choices=ENGINE_CHOICES)
+    p.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINE_CHOICES)
     p.add_argument("--estimator", default="uniform",
                    choices=("uniform", "sampling"))
     p.add_argument("--sanitize", action="store_true")
@@ -549,7 +552,7 @@ def main(argv=None) -> int:
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--float", action="store_true")
-    p.add_argument("--engine", default="reference", choices=ENGINE_CHOICES)
+    p.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINE_CHOICES)
     p.add_argument("--estimator", default="uniform",
                    choices=("uniform", "sampling"))
     p.add_argument("--sanitize", action="store_true")
@@ -563,7 +566,7 @@ def main(argv=None) -> int:
     p.add_argument("matrix",
                    help="matrix file path, or suite:NAME for a suite entry")
     p.add_argument("--float", action="store_true", help="single precision")
-    p.add_argument("--engine", default="reference", choices=HOST_ENGINES)
+    p.add_argument("--engine", default=DEFAULT_ENGINE, choices=HOST_ENGINES)
     p.add_argument("--estimator", default="uniform",
                    choices=("uniform", "sampling"))
     p.add_argument("--sanitize", action="store_true")
@@ -583,7 +586,7 @@ def main(argv=None) -> int:
     p.add_argument("matrix",
                    help="matrix file path, or suite:NAME for a suite entry")
     p.add_argument("--float", action="store_true", help="single precision")
-    p.add_argument("--engine", default="reference", choices=ENGINE_CHOICES)
+    p.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINE_CHOICES)
     p.add_argument("--estimator", default="uniform",
                    choices=("uniform", "sampling"))
     p.add_argument("--sanitize", action="store_true")
@@ -614,7 +617,7 @@ def main(argv=None) -> int:
                    choices=("ac-spgemm",) + BACKEND_ENGINES,
                    help="registered backend executing each local tile "
                         "multiply ('adaptive' routes per tile)")
-    p.add_argument("--engine", default="reference", choices=HOST_ENGINES,
+    p.add_argument("--engine", default=DEFAULT_ENGINE, choices=HOST_ENGINES,
                    help="host execution engine for the tile pipelines")
     p.add_argument("--blocking", action="store_true",
                    help="single-buffer blocking broadcasts instead of the "
@@ -651,7 +654,7 @@ def main(argv=None) -> int:
                    help="comma-separated algorithm subset")
     p.add_argument("--dtypes", default="float64",
                    choices=("float32", "float64", "both"))
-    p.add_argument("--engine", default="reference", choices=HOST_ENGINES)
+    p.add_argument("--engine", default=DEFAULT_ENGINE, choices=HOST_ENGINES)
     p.add_argument("--estimator", default="uniform",
                    choices=("uniform", "sampling"),
                    help="chunk-pool size estimator for AC-SpGEMM cells")
@@ -684,7 +687,7 @@ def main(argv=None) -> int:
     p.add_argument("--port", type=int, default=0,
                    help="listen port (0 = ephemeral; the chosen port is "
                         "printed in the listening line)")
-    p.add_argument("--engine", default="batched", choices=HOST_ENGINES,
+    p.add_argument("--engine", default=DEFAULT_ENGINE, choices=HOST_ENGINES,
                    help="primary execution engine (identical results)")
     p.add_argument("--backend", default="ac-spgemm",
                    choices=("ac-spgemm",) + BACKEND_ENGINES,

@@ -94,11 +94,14 @@ class AcSpgemmOptions:
     collect_trace: bool = False
     #: host execution engine for the block-level stages, a name in
     #: ``repro.engine.ENGINES`` (``repro.engine.get_engine`` rejects any
-    #: other name when the run starts): ``"reference"`` steps one simulated
-    #: block at a time, ``"batched"`` fuses all ready blocks of a launch
-    #: into flat numpy batches.  Both produce bit-identical results and
-    #: identical simulated cycles/counters; only host wall-clock differs.
-    engine: str = "reference"
+    #: other name when the run starts): ``"batched"`` (the default) fuses
+    #: the ready blocks of a launch into flat numpy batches, slab by slab
+    #: under a fixed product budget; ``"reference"`` steps one simulated
+    #: block at a time and is the oracle the equivalence suites compare
+    #: against.  Both produce bit-identical results and identical
+    #: simulated cycles/counters; only host wall-clock and memory differ.
+    #: The CLI, campaign and SUMMA tile defaults all follow this field.
+    engine: str = "batched"
     #: check pipeline invariants (pool bookkeeping, chunk linkage, row
     #: coverage) at every stage boundary; violations raise
     #: ``SanitizerError`` (see ``repro.resilience.sanitize``)

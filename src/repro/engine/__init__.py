@@ -10,9 +10,10 @@ That makes the *host execution strategy* pluggable:
     The original path: every simulated thread block is stepped one at a
     time in pure Python (:mod:`repro.engine.reference`).  Simple,
     obviously correct, slow.
-``batched``
-    All ready blocks of a kernel launch are fused into flat numpy
-    batches (:mod:`repro.engine.batched`): expansion via one global
+``batched`` (the default)
+    The ready blocks of a kernel launch are fused into flat numpy
+    batches (:mod:`repro.engine.batched`), run as slabs of consecutive
+    blocks under a fixed product budget: expansion via one global
     ``searchsorted``, the per-block stable LSD radix sorts replaced by a
     single composite-key ``np.argsort(kind="stable")`` over
     ``(block_id << key_bits) | key``, segment-boundary flags for

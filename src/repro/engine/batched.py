@@ -1,7 +1,8 @@
 """Batched vectorized execution of the block-level stages.
 
-All ready blocks of one kernel launch are fused into flat numpy arrays
-and stepped in lockstep:
+The ready blocks of one kernel launch are fused into flat numpy arrays
+and stepped in lockstep, one slab of consecutive blocks at a time (at
+most :data:`SLAB_ELEMENTS` uncommitted products per slab):
 
 * **Expansion** — the per-block work-distribution ``searchsorted`` over
   the decremented count state is replaced by one global ``searchsorted``
@@ -240,10 +241,49 @@ def _esc_finish(st: _EscState, sanitize: bool = False) -> None:
         st.scratch.reset()
 
 
+#: elements one slab may hold: the uncommitted products an ESC slab
+#: expands, or the chunk entries the output copy indexes at once.  A
+#: launch runs as slabs of consecutive blocks under this budget, the
+#: host analogue of §3.2's bounded per-block window: the working set
+#: stays fixed instead of growing with the launch, as global ESC's does.
+SLAB_ELEMENTS = 1 << 17
 
 
+def _slab_bounds(sizes: list[int]) -> list[tuple[int, int]]:
+    """``[start, stop)`` runs of consecutive items whose sizes sum to at
+    most :data:`SLAB_ELEMENTS`; an item above it forms a run of its own."""
+    bounds: list[tuple[int, int]] = []
+    first = held = 0
+    for k, size in enumerate(sizes):
+        if k > first and held + size > SLAB_ELEMENTS:
+            bounds.append((first, k))
+            first, held = k, 0
+        held += size
+    if first < len(sizes):
+        bounds.append((first, len(sizes)))
+    return bounds
 
 
+def _esc_slabs(ectx: EngineContext, pending: list) -> list[list]:
+    """Split ``pending`` into runs of consecutive blocks whose
+    uncommitted products stay within :data:`SLAB_ELEMENTS`."""
+    a, b, opts = ectx.a, ectx.b, ectx.options
+    npb = ectx.glb.nnz_per_block
+    n_pending = len(pending)
+    los = np.fromiter(
+        (blk.block_id * npb for blk in pending), dtype=np.int64, count=n_pending
+    )
+    n_ent = np.minimum(a.nnz, los + npb) - los
+    cols = a.col_idx[_ragged_arange(los, n_ent)]
+    counts = b.row_ptr[cols + 1] - b.row_ptr[cols]
+    if opts.enable_long_row_handling:
+        counts[long_row_mask(counts, opts)] = 0  # pointer chunks, no products
+    starts = np.zeros(n_pending, dtype=np.int64)
+    np.cumsum(n_ent[:-1], out=starts[1:])
+    rem = np.add.reduceat(counts, starts) - np.fromiter(
+        (blk.committed for blk in pending), dtype=np.int64, count=n_pending
+    )
+    return [pending[s0:s1] for s0, s1 in _slab_bounds(rem.tolist())]
 
 
 def _esc_optimistic_batch(
@@ -329,9 +369,10 @@ def _esc_optimistic_batch(
     # first ``take`` elements, emitted in descending offset order
     b_elem = _ragged_revrange(b_start_cat, take)
     exp_cols = b.col_idx[b_elem]
-    exp_vals = (
-        np.repeat(a_vals_cat, take) * b.values[b_elem]
-    ).astype(dtype, copy=False)
+    # in place: the same mixed-precision loop and final cast as
+    # ``(a * b).astype(dtype)``, one product-sized temporary fewer
+    exp_vals = np.repeat(a_vals_cat, take)
+    np.multiply(exp_vals, b.values[b_elem], out=exp_vals)
     del prev, lo, take, b_elem
 
     # ---- per-block setup charges, long rows, WD placement -------------
@@ -557,10 +598,14 @@ def _esc_optimistic_batch(
         perm = _segmented_sort(keys, seg_sizes, seg_off, sort_bits_list)
         keys_s = keys[perm]
         vals_s = vals_b[perm]
+        # drop each iteration-sized temporary once consumed, so the
+        # iteration's peak holds as few element-sized arrays as possible
+        del rows_b, cols_b, vals_b, keys, perm
 
         comp_keys, comp_vals, comp_counts = _segmented_compact(
             keys_s, vals_s, seg_off
         )
+        del keys_s, vals_s
         comp_off = np.zeros(len(runnable) + 1, dtype=np.int64)
         np.cumsum(comp_counts, out=comp_off[1:])
         comp_total = int(comp_off[-1])
@@ -568,6 +613,7 @@ def _esc_optimistic_batch(
         comp_rows_all = rl.astype(np.int64)
         rl <<= cbmax
         comp_cols_all = (comp_keys - rl).astype(np.int64)
+        del comp_keys, rl
         if any(rmin_list):
             comp_rows_all += np.repeat(
                 np.asarray(rmin_list, dtype=np.int64), comp_counts
@@ -1211,20 +1257,21 @@ def _copy_chunks_batched(
         values[dest] = chunk.factor * b.values[lo : lo + m]
         copied_per_chunk[ci] = m
 
-    # ---- data chunks: coalesced slice copies over the live runs -------
-    data_ci = np.fromiter(
-        (
-            ci
-            for ci, ch in enumerate(chunks)
-            if ch.kind == "data" and ch.rows.shape[0]
-        ),
-        np.int64,
+    # ---- data chunks: coalesced slice copies over the live runs, one
+    # slab of consecutive chunks at a time (the per-element index arrays
+    # below then stay bounded; coalesced copies never span chunks) -----
+    data_ci = [
+        ci
+        for ci, ch in enumerate(chunks)
+        if ch.kind == "data" and ch.rows.shape[0]
+    ]
+    data_lens = np.fromiter(
+        (chunks[ci].rows.shape[0] for ci in data_ci), np.int64, len(data_ci)
     )
-    if data_ci.shape[0]:
-        dchunks = [chunks[ci] for ci in data_ci.tolist()]
-        lens = np.fromiter(
-            (ch.rows.shape[0] for ch in dchunks), np.int64, len(dchunks)
-        )
+    for c0, c1 in _slab_bounds(data_lens.tolist()):
+        slab_ci = np.asarray(data_ci[c0:c1], dtype=np.int64)
+        dchunks = [chunks[ci] for ci in data_ci[c0:c1]]
+        lens = data_lens[c0:c1]
         off = np.zeros(len(dchunks) + 1, dtype=np.int64)
         np.cumsum(lens, out=off[1:])
         rows_cat = np.concatenate([ch.rows for ch in dchunks])
@@ -1247,7 +1294,7 @@ def _copy_chunks_batched(
                 minlength=pos.shape[0] + 1,
             )[: pos.shape[0]]
         )
-        run_key = data_ci[run_di] * n_rows + run_row
+        run_key = slab_ci[run_di] * n_rows + run_row
         if owned_keys.shape[0]:
             j = np.searchsorted(owned_keys, run_key)
             jc = np.minimum(j, owned_keys.shape[0] - 1)
@@ -1312,7 +1359,7 @@ def _copy_chunks_batched(
         copied_data = np.bincount(
             di_l, weights=cnt_l, minlength=len(dchunks)
         ).astype(np.int64)
-        for di, cp in zip(data_ci.tolist(), copied_data.tolist()):
+        for di, cp in zip(data_ci[c0:c1], copied_data.tolist()):
             copied_per_chunk[di] = cp
 
     # ---- per-chunk charges: cycles/counters depend only on the copied
@@ -1371,8 +1418,9 @@ def _copy_chunks_batched(
 class BatchedEngine(ReferenceEngine):
     """Fuse all ready blocks of each kernel launch into numpy batches.
 
-    Every stage is batched: ESC and Multi Merge as one flat batch per
-    round, Path/Search Merge as lockstep iterations whose sorts and
+    Every stage is batched: ESC as one flat batch per slab of each
+    round, Multi Merge as one flat batch per round, Path/Search Merge
+    as lockstep iterations whose sorts and
     compactions fuse across workers (threshold sampling stays
     per-worker — it reads tiny arrays and carries restart cursors).
     """
@@ -1382,7 +1430,13 @@ class BatchedEngine(ReferenceEngine):
     def esc_round(self, ectx: EngineContext, pending: list) -> list[RoundOutcome]:
         self.count("fused_esc_launches")
         self.count("fused_esc_blocks", len(pending))
-        runs = _esc_optimistic_batch(ectx, pending)
+        # blocks are independent until the serial replay, so running the
+        # launch slab by slab leaves every run (and the one replay below,
+        # which alone touches the pool and tracker) unchanged
+        runs: list[OptimisticRun] = []
+        for slab in _esc_slabs(ectx, pending):
+            self.count("fused_esc_slabs")
+            runs += _esc_optimistic_batch(ectx, slab)
         return replay_and_commit(
             ectx.pool, ectx.tracker, runs, ectx.options.costs
         )

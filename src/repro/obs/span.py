@@ -7,7 +7,7 @@ in simulated cycles and a stack of open spans, so the driver can nest
 stages naturally::
 
     spans = SpanRecorder(clock_ghz=1.582)
-    spans.start("acspgemm", engine="reference")
+    spans.start("acspgemm", engine="batched")
     spans.leaf("glb", 1234.0, stage="GLB")
     with spans.span("esc", stage="ESC"):
         spans.leaf("esc.round", 5678.0, round=0)

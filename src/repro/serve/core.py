@@ -60,7 +60,7 @@ from pathlib import Path
 import numpy as np
 
 from ..bench.harness import CACHE_VERSION
-from ..core import AcSpgemmOptions, ac_spgemm
+from ..core import DEFAULT_OPTIONS, AcSpgemmOptions, ac_spgemm
 from ..obs.flight import get_flight_recorder, install_flight_recorder
 from ..obs.metrics import DEFAULT_LATENCY_BUCKETS_MS, MetricsRegistry
 from ..obs.trace import (
@@ -99,7 +99,7 @@ _BREAKER_OPEN = 2
 class ServeConfig:
     """Tunables of one serve daemon (all runtime knobs, never cached)."""
 
-    engine: str = "batched"  # pipeline engine for primary execution
+    engine: str = DEFAULT_OPTIONS.engine  # pipeline engine for primary execution
     backend: str = "ac-spgemm"  # registered backend for primary execution
     executors: int = 2  # executor threads draining the queue
     max_queue: int = 8  # bounded admission queue capacity

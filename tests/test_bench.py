@@ -210,3 +210,5 @@ class TestHotspotBench:
         assert "esc.round" in names  # the known dominant host span
         spent = sum(r["host_seconds"] for r in hot["top_spans"])
         assert spent <= hot["total_host_seconds"] + 1e-6
+        # measured in its own untimed pass; any real run allocates
+        assert hot["peak_heap_mib"] > 0

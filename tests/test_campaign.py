@@ -14,6 +14,7 @@ import pytest
 
 from repro.bench import ResultCache, default_cache, run_case
 from repro.bench.harness import CACHE_VERSION, MatrixCase
+from repro.core import AcSpgemmOptions
 from repro.campaign import (
     CampaignConfig,
     CampaignError,
@@ -80,7 +81,20 @@ class TestPlan:
         assert k != cell_key(cells[0], "fp1", TINY2)  # matrix changed
         assert k != cell_key(cells[1], "fp0", TINY2)  # algorithm changed
         assert k != cell_key(cells[0], "fp0", TINY2.with_(verify=True))
-        assert k != cell_key(cells[0], "fp0", TINY2.with_(engine="batched"))
+        # the oracle engine is the non-default one
+        assert k != cell_key(cells[0], "fp0", TINY2.with_(engine="reference"))
+
+    def test_default_engine_shares_default_fingerprint(self):
+        # a campaign at the pipeline's default engine keys its cells like
+        # every other default run; any other engine gets its own key
+        assert CampaignConfig().engine == AcSpgemmOptions().engine
+        assert CampaignConfig().options() is None
+        assert CampaignConfig().options_fingerprint() == "default"
+        oracle = CampaignConfig(engine="reference")
+        assert oracle.options().engine == "reference"
+        assert oracle.options_fingerprint() not in (
+            "default", CampaignConfig().options_fingerprint()
+        )
 
     def test_plan_pin_rejects_different_config(self, tmp_path):
         CampaignRunner(tmp_path, TINY2).run()

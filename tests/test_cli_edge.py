@@ -60,3 +60,25 @@ def test_compare_output_names_all_algorithms(tmp_path, rng, capsys):
     out = capsys.readouterr().out
     for name in ("ac-spgemm", "cusparse", "bhsparse", "rmerge", "nsparse", "kokkos"):
         assert name in out
+
+
+@pytest.mark.parametrize("command", ["single", "analyze"])
+def test_backend_engine_runs_on_default_host_engine(
+    command, tmp_path, rng, monkeypatch
+):
+    """``--engine adaptive`` names a backend; the AC-SpGEMM pipeline
+    under it runs on the default host engine, not the oracle."""
+    import repro.backends as backends
+
+    seen = []
+    run_backend = backends.run_backend
+
+    def spy(name, a, b, opts=None, **kw):
+        seen.append(opts.engine)
+        return run_backend(name, a, b, opts, **kw)
+
+    monkeypatch.setattr(backends, "run_backend", spy)
+    p = tmp_path / "m.mtx"
+    write_matrix_market(p, random_csr(rng, 30, 30, 0.15))
+    assert main([command, str(p), "--engine", "adaptive"]) == 0
+    assert seen == ["batched"]

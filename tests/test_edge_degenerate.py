@@ -73,7 +73,7 @@ class TestDegeneratePipeline:
             prom = rep.registry().to_prometheus()
         assert label in text and "100.0%" not in text.splitlines()[1]
         validate_perfetto(payload)
-        assert doc["metrics"]['repro_output_nnz{engine="reference"}'] == 0
+        assert doc["metrics"]['repro_output_nnz{engine="batched"}'] == 0
         assert prom.endswith("\n")
         rep.write_trace(tmp_path / "t.json")
         rep.write_metrics_json(tmp_path / "m.json")

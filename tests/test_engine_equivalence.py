@@ -8,7 +8,9 @@ identical simulated statistics — per-stage cycles, traffic counters,
 restart count, multiprocessor load, memory report.  The cases below
 sweep the shapes that exercise distinct code paths: empty rows, dense
 rows, long rows, both value dtypes, disabled bit reduction, and a pool
-small enough to force completion restarts.
+small enough to force completion restarts.  Slab-boundary cases shrink
+the batched engine's ESC slab budget so launches split into several
+slabs, down to one block per slab, and compare the device trace too.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import numpy as np
 import pytest
 
 from repro import AcSpgemmOptions, ac_spgemm
+from repro.engine import batched
 from repro.matrices import generators as g
-from repro.sparse.stats import squared_operands
+from repro.sparse.stats import count_intermediate_products, squared_operands
 from tests.conftest import random_csr
 
 ENGINES = ("batched",)
@@ -36,6 +39,7 @@ def _signature(res) -> dict:
         "mp_load": res.multiprocessor_load,
         "n_chunks": res.n_chunks,
         "memory": res.memory,
+        "device_trace": res.device_trace.to_json() if res.device_trace else None,
     }
 
 
@@ -99,3 +103,66 @@ def test_restarts_from_small_pool():
 def test_bit_reduction_disabled():
     a, b = squared_operands(g.random_uniform(350, 350, 9.0, seed=15))
     _run_all(a, b, enable_bit_reduction=False)
+
+
+# ---------------------------------------------------------------------------
+# slab boundaries: a launch split into slabs must not perturb anything
+
+
+def _log_slabs(monkeypatch, budget: int) -> list[list[list[int]]]:
+    """Cap batched ESC slabs at ``budget`` products; the returned list
+    collects each launch's slabs as block-id lists."""
+    monkeypatch.setattr(batched, "SLAB_ELEMENTS", budget)
+    log: list[list[list[int]]] = []
+    split = batched._esc_slabs
+
+    def spy(ectx, pending):
+        slabs = split(ectx, pending)
+        log.append([[blk.block_id for blk in slab] for slab in slabs])
+        return slabs
+
+    monkeypatch.setattr(batched, "_esc_slabs", spy)
+    return log
+
+
+def _mid_budget(a, b) -> int:
+    """A budget that splits the first launch into about three slabs."""
+    return max(1, count_intermediate_products(a, b) // 3)
+
+
+@pytest.mark.parametrize("split", ["block-per-slab", "mid"])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_slab_boundaries(monkeypatch, split, dtype):
+    a, b = squared_operands(g.random_uniform(400, 400, 10.0, seed=16))
+    budget = 1 if split == "block-per-slab" else _mid_budget(a, b)
+    log = _log_slabs(monkeypatch, budget)
+    _run_all(a, b, dtype=dtype, device_trace=True)
+    first = log[0]
+    assert len(first) > 1, "the launch must split"
+    if split == "block-per-slab":
+        assert all(len(slab) == 1 for slab in first)
+
+
+def test_slab_boundaries_long_rows(monkeypatch):
+    mtx = g.long_row_matrix(400, 3.0, n_long_rows=3, long_row_len=300, seed=17)
+    a, b = squared_operands(mtx)
+    log = _log_slabs(monkeypatch, _mid_budget(a, b))
+    _run_all(a, b, device_trace=True)
+    assert len(log[0]) > 1
+
+
+@pytest.mark.parametrize("split", ["block-per-slab", "mid"])
+def test_restart_across_slab_boundary(monkeypatch, split):
+    a, b = squared_operands(g.random_uniform(400, 400, 10.0, seed=14))
+    budget = 1 if split == "block-per-slab" else _mid_budget(a, b)
+    log = _log_slabs(monkeypatch, budget)
+    res = _run_all(
+        a, b, chunk_pool_bytes=6000, chunk_pool_lower_bound_bytes=0,
+        device_trace=True,
+    )
+    assert res.restarts > 0
+    # the blocks the first launch failed came from more than one of its
+    # slabs, so the serial replay's restart decision spans a boundary
+    slab_of = {bid: i for i, slab in enumerate(log[0]) for bid in slab}
+    retried = {bid for slab in log[1] for bid in slab}
+    assert len({slab_of[bid] for bid in retried}) > 1

@@ -485,16 +485,16 @@ class TestProfileCli:
         validate_perfetto_file(trace)
         doc = json.loads(metrics.read_text())
         assert doc["bench"] == "profile" and doc["schema"] == 1
-        assert doc["metrics"]['repro_runs_total{engine="reference"}'] == 1
+        assert doc["metrics"]['repro_runs_total{engine="batched"}'] == 1
         assert_prometheus_parseable(prom.read_text())
 
     def test_matrix_file_and_engine_flag(self, tmp_path, rng, capsys):
         m = random_csr(rng, 30, 30, 0.15)
         p = tmp_path / "m.mtx"
         write_matrix_market(p, m)
-        rc = cli_main(["profile", str(p), "--engine", "batched", "--float"])
+        rc = cli_main(["profile", str(p), "--engine", "reference", "--float"])
         assert rc == 0
-        assert "engine=batched" in capsys.readouterr().out
+        assert "engine=reference" in capsys.readouterr().out
 
     def test_unknown_suite_entry_fails(self):
         with pytest.raises(SystemExit):
@@ -566,6 +566,24 @@ class TestBenchCompare:
         reg, imp, missing = bc.compare(base, cand, 0.01)
         assert [r["key"] for r in reg] == ["metrics.cycles"]
         assert len(imp) == 1 and "bytes" in imp[0]
+        assert missing == []
+
+    def test_host_engine_label_is_neutral(self):
+        # a baseline recorded on one host engine gates a run on another;
+        # labels other than the payload's own engine stay distinct
+        bc = _load_bench_compare()
+        base = {"engine": "reference", "metrics": {
+            'runs{engine="reference"}': 1,
+            'cycles{engine="reference",stage="ESC"}': 100.0,
+            'sel{engine="hash-spgemm"}': 2,
+        }}
+        cand = {"engine": "batched", "metrics": {
+            'runs{engine="batched"}': 1,
+            'cycles{engine="batched",stage="ESC"}': 120.0,
+            'sel{engine="hash-spgemm"}': 2,
+        }}
+        reg, _, missing = bc.compare(base, cand, 0.001)
+        assert [r["key"] for r in reg] == ['metrics.cycles{stage="ESC"}']
         assert missing == []
 
     def test_main_exit_codes(self, tmp_path):

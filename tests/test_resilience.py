@@ -5,7 +5,8 @@ resilience suite on its own (``pytest -m fault``).
 
 The acceptance bar throughout: the same :class:`FaultPlan` produces the
 same exceptions, the same restart counts and a bit-identical recovered
-C on both engines.
+C on both engines — also when the batched engine splits its ESC
+launches into slabs.
 """
 
 import numpy as np
@@ -21,10 +22,12 @@ from repro import (
     spgemm_reference,
 )
 from repro.core.chunks import PoolExhausted
+from repro.engine import batched
 from repro.gpu import SMALL_DEVICE
 from repro.gpu.memory import ScratchpadOverflow
 from repro.resilience import ADVERSARIAL_MODES, corrupt_csr
 from repro.sparse import validate_csr
+from repro.sparse.stats import count_intermediate_products
 from repro.sparse.validate import CSRValidationError
 from tests.conftest import random_csr
 
@@ -164,6 +167,89 @@ class TestScratchpadOverflowInjection:
         clean = ac_spgemm(operand, operand, _opts())
         faulty = ac_spgemm(operand, operand, _opts(fault_plan=plan))
         assert faulty.matrix.exactly_equal(clean.matrix)
+
+
+class TestSlabBoundaryParity:
+    """Fault outcomes with batched ESC launches split into slabs: one
+    block per slab, and about three slabs per launch."""
+
+    @pytest.fixture(params=["block-per-slab", "mid"])
+    def slabbed(self, request, operand, monkeypatch):
+        budget = (
+            1
+            if request.param == "block-per-slab"
+            else count_intermediate_products(operand, operand) // 3
+        )
+        monkeypatch.setattr(batched, "SLAB_ELEMENTS", budget)
+
+    @staticmethod
+    def _both(operand, **kw):
+        return [
+            ac_spgemm(operand, operand, _opts(engine=e, device_trace=True, **kw))
+            for e in ENGINES
+        ]
+
+    @staticmethod
+    def _assert_same(ref, bat):
+        if not bat.degraded:  # a degraded result has no engine stats
+            assert bat.engine_stats["fused_esc_slabs"] > bat.engine_stats[
+                "fused_esc_launches"
+            ], "the launches must split"
+        assert bat.matrix.exactly_equal(ref.matrix)
+        assert bat.restarts == ref.restarts
+        assert bat.n_chunks == ref.n_chunks
+        assert bat.stage_cycles == ref.stage_cycles
+        assert bat.counters == ref.counters
+        assert bat.degraded == ref.degraded
+        assert bat.device_trace.to_json() == ref.device_trace.to_json()
+
+    def test_pool_exhaust(self, operand, slabbed):
+        ref, bat = self._both(
+            operand, fault_plan=FaultPlan.pool_exhaust_at(3, 12, 40)
+        )
+        assert ref.restarts >= 1
+        self._assert_same(ref, bat)
+
+    def test_pool_exhaust_budget_raises_same(self, operand, slabbed):
+        plan = FaultPlan.pool_exhaust_at(*range(1, 500))
+        raised = []
+        for e in ENGINES:
+            with pytest.raises(RestartBudgetExceeded) as ei:
+                ac_spgemm(
+                    operand, operand,
+                    _opts(fault_plan=plan, max_restarts=2, engine=e),
+                )
+            raised.append(
+                (ei.value.stage, ei.value.block_id, ei.value.restarts, str(ei.value))
+            )
+        assert raised[0] == raised[1]
+
+    def test_scratchpad_overflow_in_restart_round(self, operand, slabbed):
+        # the restart round's launch holds only the blocks the replay
+        # failed; an overflow there fires identically on both engines
+        plan = FaultPlan(faults=(
+            FaultSpec(kind="pool_exhaust", at=3),
+            FaultSpec(kind="scratchpad_overflow", stage="ESC", round=1, block=0),
+        ))
+        raised = []
+        for e in ENGINES:
+            with pytest.raises(ScratchpadOverflow) as ei:
+                ac_spgemm(operand, operand, _opts(fault_plan=plan, engine=e))
+            raised.append(
+                (ei.value.stage, ei.value.block_id, ei.value.restarts, str(ei.value))
+            )
+        assert raised[0] == raised[1]
+        assert raised[0][2] == 1
+
+    def test_scratchpad_overflow_fallback(self, operand, slabbed):
+        plan = FaultPlan(faults=(
+            FaultSpec(kind="pool_exhaust", at=3),
+            FaultSpec(kind="scratchpad_overflow", stage="ESC", round=1, block=0),
+        ))
+        ref, bat = self._both(operand, fault_plan=plan, on_failure="fallback")
+        assert ref.degraded
+        assert bat.failure == ref.failure
+        self._assert_same(ref, bat)
 
 
 class TestBlockAbortInjection:
