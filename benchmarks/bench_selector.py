@@ -21,11 +21,15 @@ and mismatches alike, so it is reported separately
 rather than being folded into the mismatch regret.
 
 Writes ``BENCH_selector.json`` with per-matrix rows and the summary.
+With ``--expect PATH`` the run also fails when any matrix present in
+both it and the earlier artifact at ``PATH`` differs in ``cycles``,
+``dispatched_to`` or ``adaptive_cycles``: simulated routing is a pinned
+contract, and host-side changes must leave it bit-for-bit alone.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_selector.py [--smoke] \
-        [--out BENCH_selector.json]
+        [--out BENCH_selector.json] [--expect BENCH_selector.json]
 """
 
 from __future__ import annotations
@@ -150,12 +154,41 @@ def grade(entries) -> tuple[list[dict], dict]:
     return rows, summary
 
 
+#: per-matrix fields ``--expect`` pins
+PINNED_FIELDS = ("cycles", "dispatched_to", "adaptive_cycles")
+
+
+def expectation_failures(rows: list[dict], expected: list[dict]) -> list[str]:
+    """Pinned-field differences for matrices present in both runs."""
+    want = {r["matrix"]: r for r in expected}
+    shared = [r for r in rows if r["matrix"] in want]
+    if not shared:
+        return ["no matrix of this run is in the expected artifact"]
+    return [
+        f"{r['matrix']}: {field} {r[field]!r} != expected "
+        f"{want[r['matrix']][field]!r}"
+        for r in shared
+        for field in PINNED_FIELDS
+        if r[field] != want[r["matrix"]][field]
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="thin the suite for CI (every 8th entry)")
     parser.add_argument("--out", default="BENCH_selector.json")
+    parser.add_argument(
+        "--expect",
+        metavar="PATH",
+        help="earlier BENCH_selector.json whose per-matrix cycles, "
+        "dispatched_to and adaptive_cycles this run must reproduce",
+    )
     args = parser.parse_args(argv)
+    # read before --out may overwrite the same file
+    expected = (
+        json.loads(Path(args.expect).read_text())["rows"] if args.expect else None
+    )
 
     smoke = registry_smoke()
     print(f"registry smoke: {len(smoke['engines'])} engines, "
@@ -201,6 +234,11 @@ def main(argv=None) -> int:
             f"{MAX_MISMATCH_LOSS:.0%} on {worst['matrix']} "
             f"(chose {worst['dispatched_to']}, oracle {worst['oracle']})"
         )
+    if expected is not None:
+        drift = expectation_failures(rows, expected)
+        failures.extend(f"routing differs from {args.expect}: {d}" for d in drift)
+        if not drift:
+            print(f"routing matches {args.expect} on every shared matrix")
     for f in failures:
         print(f"GATE FAILED: {f}", file=sys.stderr)
     return 1 if failures else 0

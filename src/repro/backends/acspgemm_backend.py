@@ -12,7 +12,7 @@ import numpy as np
 
 from ..core.acspgemm import ac_spgemm
 from ..core.options import AcSpgemmOptions, DEFAULT_OPTIONS
-from ..gpu.radix import bits_required
+from ..gpu.radix import bits_required, bits_required_array
 from ..gpu.scheduler import schedule_blocks
 from .base import Backend
 from .registry import register_backend
@@ -92,33 +92,34 @@ class AcSpgemmBackend(Backend):
         if not opts.enable_bit_reduction:
             col_bits = bits_required(max(f.cols - 1, 1))
 
-        # ---- ESC: one meter per GLB block, scheduled over the SMs ----
-        block_cycles = []
-        for e, t, rws in zip(block_e, block_t, block_r):
-            m = self._fresh_meter(opts)
-            e = int(e)
-            # A fetch, local row ids, unique-row count, B row lengths
-            m.global_read(e, eb)
-            m.global_read(e, 4)
-            m.alu(2 * e)
-            m.global_read(e, 8, coalesced=False)
-            n_it = max(1, int(np.ceil(t / epb)))
-            row_bits = bits_required(int(rws))
-            tb = t / n_it
-            w = (t / compaction) / n_it
-            for _ in range(n_it):
-                m.global_read(int(tb), eb)  # expansion gather
-                m.flops(int(2 * tb))
-                m.scan(int(2 * tb))  # min/max bit-reduction sweeps
-                m.radix_sort(int(tb), row_bits + col_bits)
-                m.scan(int(tb))  # compaction scan
-                m.alu(int(2 * tb))  # neighbour comparisons
-                m.scratchpad(int(2 * w))  # chunk staging round trip
-                m.global_write(int(w), eb)
-                m.global_write(1, 32)  # chunk header
-            block_cycles.append(m.cycles)
+        # ---- ESC: one block per GLB block, scheduled over the SMs ----
+        # every block repeats the same iteration charge n_it times; the
+        # iterations run as a loop masked to the blocks still iterating
+        m = self._block_meter(opts, n_blocks)
+        # A fetch, local row ids, unique-row count, B row lengths
+        m.global_read(block_e, eb)
+        m.global_read(block_e, 4)
+        m.alu(2 * block_e)
+        m.global_read(block_e, 8, coalesced=False)
+        n_it = np.maximum(1, np.ceil(block_t / epb).astype(np.int64))
+        sort_bits = bits_required_array(block_r.astype(np.int64)) + col_bits
+        tb = block_t / n_it
+        w = (block_t / compaction) / n_it
+        tb1, tb2 = tb.astype(np.int64), (2 * tb).astype(np.int64)
+        w1, w2 = w.astype(np.int64), (2 * w).astype(np.int64)
+        for it in range(int(n_it.max())):
+            on = n_it > it
+            m.global_read(np.where(on, tb1, 0), eb)  # expansion gather
+            m.flops(np.where(on, tb2, 0))
+            m.scan(np.where(on, tb2, 0))  # min/max bit-reduction sweeps
+            m.radix_sort(np.where(on, tb1, 0), sort_bits)
+            m.scan(np.where(on, tb1, 0))  # compaction scan
+            m.alu(np.where(on, tb2, 0))  # neighbour comparisons
+            m.scratchpad(np.where(on, w2, 0))  # chunk staging round trip
+            m.global_write(np.where(on, w1, 0), eb)
+            m.global_write(on, 32)  # chunk header
         esc = schedule_blocks(
-            block_cycles, cfg.num_sms, launch_overhead=launch
+            m.cycles.tolist(), cfg.num_sms, launch_overhead=launch
         ).makespan_cycles
 
         glb = self._fresh_meter(opts)
@@ -130,8 +131,9 @@ class AcSpgemmBackend(Backend):
         # ---- shared rows: block cuts plus iteration-overflow cuts ----
         interior = bounds[1:-1]
         cut_pos = interior[~np.isin(interior, cum_e)]
-        cuts = np.zeros(f.rows, dtype=np.int64)
-        np.add.at(cuts, np.searchsorted(cum_e, cut_pos, "right") - 1, 1)
+        cuts = np.bincount(
+            np.searchsorted(cum_e, cut_pos, "right") - 1, minlength=f.rows
+        ).astype(np.int64)
         # a row also splits across chunks when its compacted tail cannot
         # be carried between ESC iterations (keep-last-row capacity)
         remaining = np.maximum(1, temps // int(max(1.0, compaction)))
@@ -149,23 +151,25 @@ class AcSpgemmBackend(Backend):
 
         mm_mask = (n_chunks_r <= opts.multi_merge_max_chunks) & (rem_r <= epb)
 
-        def merge_block_cost(n_rows: int, elems: int, n_segs: int) -> float:
-            m = self._fresh_meter(opts)
+        def merge_block_costs(n_rows, elems, n_segs) -> list[float]:
+            """Cycles of one merge block per entry (arrays of rows,
+            elements and chunk segments per block)."""
+            m = self._block_meter(opts, len(elems))
             # gather: each segment is its own (transaction-quantised) read
-            seg = max(1, int(elems / max(1, n_segs)))
-            for _ in range(int(n_segs)):
-                m.global_read(seg, eb)
-            m.scan(int(2 * elems))  # min/max reduction
+            seg = np.maximum(1, (elems / np.maximum(1, n_segs)).astype(np.int64))
+            for k in range(int(n_segs.max(initial=0))):
+                m.global_read(np.where(n_segs > k, seg, 0), eb)
+            m.scan(2 * elems)  # min/max reduction
             m.radix_sort(
-                int(elems), bits_required(max(1, int(n_rows) - 1)) + col_bits
+                elems, bits_required_array(np.maximum(1, n_rows - 1)) + col_bits
             )
-            m.scan(int(elems))
-            m.alu(int(2 * elems))
-            m.scratchpad(int(2 * elems))
-            m.global_write(int(elems), eb)
+            m.scan(elems)
+            m.alu(2 * elems)
+            m.scratchpad(2 * elems)
+            m.global_write(elems, eb)
             m.global_write(1, 32)
-            m.atomic(int(n_rows))
-            return m.cycles
+            m.atomic(n_rows)
+            return m.cycles.tolist()
 
         # ---- MM: greedy capacity packing, one block per group --------
         stage_mm = launch
@@ -173,16 +177,14 @@ class AcSpgemmBackend(Backend):
             mm_rem = rem_r[mm_mask]
             mm_chunks = n_chunks_r[mm_mask]
             csum = np.cumsum(mm_rem)
+            # rows are packed in order, so each group is a run of rows
             group_id = (csum - mm_rem) // epb
-            group_costs = [
-                merge_block_cost(
-                    int(sel.sum()),
-                    int(mm_rem[sel].sum()),
-                    int(mm_chunks[sel].sum()),
-                )
-                for gid in np.unique(group_id)
-                for sel in ((group_id == gid),)
-            ]
+            firsts = np.flatnonzero(np.diff(group_id, prepend=-1))
+            group_costs = merge_block_costs(
+                np.diff(np.append(firsts, len(group_id))),
+                np.add.reduceat(mm_rem, firsts),
+                np.add.reduceat(mm_chunks, firsts),
+            )
             stage_mm = schedule_blocks(
                 group_costs, cfg.num_sms, launch_overhead=launch
             ).makespan_cycles
@@ -190,10 +192,11 @@ class AcSpgemmBackend(Backend):
         # ---- PM/SM: one block per oversized shared row ---------------
         stage_pm = 0.0
         if (~mm_mask).any():
-            pm_costs = [
-                merge_block_cost(1, int(r), int(c))
-                for r, c in zip(rem_r[~mm_mask], n_chunks_r[~mm_mask])
-            ]
+            pm_costs = merge_block_costs(
+                np.ones(int((~mm_mask).sum()), dtype=np.int64),
+                rem_r[~mm_mask],
+                n_chunks_r[~mm_mask],
+            )
             stage_pm = schedule_blocks(
                 pm_costs, cfg.num_sms, launch_overhead=launch
             ).makespan_cycles

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.options import AcSpgemmOptions
-from ..gpu.cost import CostMeter
+from ..gpu.cost import BlockArrayMeter, CostMeter
 from ..obs.device import DeviceTrace
 from ..obs.span import SpanRecorder
 
@@ -79,6 +79,11 @@ class Backend:
     @staticmethod
     def _fresh_meter(opts: AcSpgemmOptions) -> CostMeter:
         return CostMeter(config=opts.device, constants=opts.costs)
+
+    @staticmethod
+    def _block_meter(opts: AcSpgemmOptions, n: int) -> BlockArrayMeter:
+        """Meters for the ``n`` blocks of one launch, priced as arrays."""
+        return BlockArrayMeter(opts.device, n, opts.costs)
 
     @staticmethod
     def _key_bits(n_cols: int) -> int:

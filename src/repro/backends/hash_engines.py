@@ -22,8 +22,8 @@ Two engines, promoted from the host-side cost sketches in
     traversal), at the price of chain-chasing ALU work per probe.
 
 Both engines execute the launch/record protocol of the AC-SpGEMM
-driver exactly — per-block :class:`~repro.gpu.cost.CostMeter`\\ s,
-real :class:`~repro.gpu.memory.Scratchpad` occupancy,
+driver exactly — per-block cycles and traffic counters, the
+:class:`~repro.gpu.memory.Scratchpad` capacity limit,
 :func:`~repro.gpu.scheduler.schedule_blocks` makespans, span trees and
 device traces — so :func:`repro.obs.analyze.reconcile` holds with zero
 tolerance.  Numerically they model the scheduler-dependent hash
@@ -31,10 +31,15 @@ insertion order with a seeded shuffle, so they are *not* bit-stable
 (the †-rows of Table 1).
 
 The op list each run executes is built by ``_build_ops`` from pure
-row statistics (temporary products and output nnz per row).  The
-selector's :meth:`predict_cycles` builds the same op list from
-*estimated* per-row output sizes — so the prediction shares every cost
-constant and scheduling decision with the execution, and its only
+row statistics (temporary products and output nnz per row).  Each
+launch is priced whole: its block plan (the nsparse bins and
+global-table rows, or the Deveci row blocks) is reduced to per-block
+sums with ``np.add.reduceat`` and charged to one
+:class:`~repro.gpu.cost.BlockArrayMeter`, which gives every block the
+cycles a per-block :class:`~repro.gpu.cost.CostMeter` would, bit for
+bit.  The selector's :meth:`predict_cycles` builds the same op list
+from *estimated* per-row output sizes — so the prediction shares every
+cost constant and scheduling decision with the execution, and its only
 error source is the sampled nnz estimate.
 """
 
@@ -61,14 +66,40 @@ __all__ = ["NsparseHashBackend", "DeveciHashmapBackend"]
 
 
 @dataclass
-class _BlockWork:
-    """One block of a launch: its meter plus trace metadata."""
+class _Blocks:
+    """A launch's block plan: per-block row statistics in dispatch order.
 
-    block_id: int
-    row_lo: int
-    row_hi: int
-    meter: object
-    scratch_high_water: int = 0
+    Block ``i`` covers A rows ``row_lo[i]..row_hi[i]`` and has id
+    ``first_id + i``; ``temps``/``a_len``/``nnz`` are its rows' sums.
+    """
+
+    first_id: int
+    row_lo: np.ndarray
+    row_hi: np.ndarray
+    n_rows: np.ndarray
+    temps: np.ndarray
+    a_len: np.ndarray
+    nnz: np.ndarray
+
+    @classmethod
+    def of(cls, first_id, rows, starts, temps, a_lengths, nnz_rows):
+        """Blocks of consecutive entries of ``rows`` beginning at ``starts``."""
+        if not len(starts):
+            empty = np.zeros(0, dtype=np.int64)
+            return cls(first_id, empty, empty, empty, empty, empty, empty)
+        ends = np.append(starts[1:], len(rows))
+        return cls(
+            first_id=first_id,
+            row_lo=rows[starts],
+            row_hi=rows[ends - 1],
+            n_rows=ends - starts,
+            temps=np.add.reduceat(temps[rows], starts),
+            a_len=np.add.reduceat(a_lengths[rows], starts),
+            nnz=np.add.reduceat(nnz_rows[rows], starts),
+        )
+
+    def __len__(self) -> int:
+        return len(self.n_rows)
 
 
 @dataclass
@@ -83,11 +114,13 @@ class _DevicePass:
 
 @dataclass
 class _Launch:
-    """One scheduled kernel launch over ``works`` blocks."""
+    """One scheduled kernel launch: its blocks and their meters."""
 
     stage: str
     round_index: int
-    works: list
+    blocks: _Blocks
+    meter: BlockArrayMeter
+    scratch_high_water: np.ndarray
 
 
 def _pow2_ceil(x: np.ndarray) -> np.ndarray:
@@ -95,6 +128,20 @@ def _pow2_ceil(x: np.ndarray) -> np.ndarray:
     return (1 << np.ceil(np.log2(np.maximum(x, 1))).astype(np.int64)).astype(
         np.int64
     )
+
+
+def _scratch_high_water(cfg, name: str, n_bytes: np.ndarray) -> np.ndarray:
+    """Per-block high water of one fresh scratchpad allocation.
+
+    The first block whose ``n_bytes`` exceed the device's per-block
+    scratchpad raises :class:`~repro.gpu.memory.ScratchpadOverflow`
+    through :meth:`Scratchpad.alloc` itself, so the error is the one a
+    per-block allocation would raise.
+    """
+    over = np.flatnonzero(n_bytes > cfg.scratchpad_bytes)
+    if over.size:
+        Scratchpad.for_device(cfg).alloc(name, int(n_bytes[over[0]]))
+    return n_bytes
 
 
 class _SimulatedHashEngine(Backend):
@@ -192,15 +239,15 @@ class _SimulatedHashEngine(Backend):
                     )
                 spans.leaf(op.label, cycles, stage=op.stage, **op.attrs)
                 continue
+            block_cycles = op.meter.cycles.tolist()
             timing = schedule_blocks(
-                [w.meter.cycles for w in op.works],
+                block_cycles,
                 cfg.num_sms,
                 launch_overhead=launch,
                 record_placements=dtrace is not None,
             )
             stage_cycles[op.stage] += timing.makespan_cycles
-            for w in op.works:
-                counters.merge(w.meter.counters)
+            counters.merge(op.meter.totals())
             counters.kernel_launches += 1
             if timing.n_blocks >= cfg.num_sms:
                 min_mp_load = min(min_mp_load, timing.multiprocessor_load)
@@ -208,6 +255,7 @@ class _SimulatedHashEngine(Backend):
                 util_busy += timing.total_block_cycles
                 util_cap += len(timing.sm_busy_cycles) * timing.makespan_cycles
             if dtrace is not None:
+                blk = op.blocks
                 dtrace.record_launch(
                     op.stage,
                     round_index=op.round_index,
@@ -216,15 +264,23 @@ class _SimulatedHashEngine(Backend):
                     launch_overhead=launch,
                     workers=[
                         BlockMeta(
-                            worker_id=w.block_id,
-                            row_lo=w.row_lo,
-                            row_hi=w.row_hi,
-                            cycles=w.meter.cycles,
+                            worker_id=blk.first_id + i,
+                            row_lo=lo,
+                            row_hi=hi,
+                            cycles=cyc,
                             done=True,
-                            scratch_high_water=w.scratch_high_water,
-                            counters=w.meter.counters.snapshot(),
+                            scratch_high_water=hw,
+                            counters=snap,
                         )
-                        for w in op.works
+                        for i, (lo, hi, cyc, hw, snap) in enumerate(
+                            zip(
+                                blk.row_lo.tolist(),
+                                blk.row_hi.tolist(),
+                                block_cycles,
+                                op.scratch_high_water.tolist(),
+                                op.meter.snapshots(),
+                            )
+                        )
                     ],
                     counters={"kernel_launches": 1},
                 )
@@ -233,7 +289,7 @@ class _SimulatedHashEngine(Backend):
                 timing.makespan_cycles,
                 stage=op.stage,
                 round=op.round_index,
-                blocks=len(op.works),
+                blocks=len(op.blocks),
             )
 
         memory = MemoryReport(
@@ -290,7 +346,7 @@ class _SimulatedHashEngine(Backend):
                 total += op.meter.cycles / cfg.num_sms + launch
             else:
                 total += schedule_blocks(
-                    [w.meter.cycles for w in op.works],
+                    op.meter.cycles.tolist(),
                     cfg.num_sms,
                     launch_overhead=launch,
                 ).makespan_cycles
@@ -320,12 +376,13 @@ class NsparseHashBackend(_SimulatedHashEngine):
         self, *, temps, nnz_rows, a_lengths, rows, cols, nnz_a, b_rows, opts
     ):
         cfg = opts.device
-        make = lambda: self._fresh_meter(opts)  # noqa: E731
+        eb = opts.element_bytes
         key_bits = self._key_bits(cols)
+        collide = self.collision_factor
         ops: list = []
 
         # ---- BIN: product counts and bin bucketing (device-wide) ----
-        m = make()
+        m = self._fresh_meter(opts)
         m.global_read(rows + 1, 4)
         m.global_read(nnz_a, 4)
         if nnz_a:
@@ -337,6 +394,9 @@ class NsparseHashBackend(_SimulatedHashEngine):
         ops.append(_DevicePass("BIN", "bin", m, {"rows": rows}))
 
         # ---- binning plan (mirrors what the BIN kernel computed) ----
+        # one launch per power-of-two table size (rows in row order,
+        # cap // size rows per block), then one single-row block per
+        # row whose table cannot fit scratchpad; size 0 marks that bin
         cap = self._capacity_entries(opts)
         active = np.nonzero(temps)[0]
         need = np.maximum(self.min_table_entries, 2 * temps[active])
@@ -344,126 +404,77 @@ class NsparseHashBackend(_SimulatedHashEngine):
         local_rows = active[~is_global]
         global_rows = active[is_global]
         sizes = _pow2_ceil(need[~is_global])
-        bins = []  # (table_entries, rows in row order)
-        for size in np.unique(sizes):
-            bins.append((int(size), local_rows[sizes == size]))
-
-        def local_blocks(size: int, bin_rows: np.ndarray, start_id: int):
-            rpb = max(1, cap // size)
-            blocks = []
-            for i in range(0, len(bin_rows), rpb):
-                blocks.append((start_id + len(blocks), bin_rows[i : i + rpb]))
-            return blocks
-
+        plan: list[tuple[int, _Blocks]] = []
         block_id = 0
-        sym_launches: list[_Launch] = []
-        num_plan: list[tuple[int, list]] = []  # (table size or 0, blocks)
-        for rnd, (size, bin_rows) in enumerate(bins):
-            blocks = local_blocks(size, bin_rows, block_id)
-            block_id += len(blocks)
-            num_plan.append((size, blocks))
-            works = []
-            for bid, blk_rows in blocks:
-                bm = make()
-                scratch = Scratchpad.for_device(cfg)
-                n_r = len(blk_rows)
-                scratch.alloc("tables", n_r * size * 4)  # 4-byte keys
-                temp_blk = int(temps[blk_rows].sum())
-                bm.global_read(2 * n_r, 4)  # row list + pointer pairs
-                bm.global_read(int(a_lengths[blk_rows].sum()), 4)
-                bm.global_read(temp_blk, 4, coalesced=False)  # gather B cols
-                bm.scratchpad(n_r * size)  # table init
-                bm.hash_probe(temp_blk, in_scratchpad=True)
-                bm.hash_collision(int(self.collision_factor * temp_blk))
-                bm.scratchpad(n_r * size)  # count sweep
-                bm.global_write(n_r, 4)
-                works.append(
-                    _BlockWork(
-                        bid,
-                        int(blk_rows[0]),
-                        int(blk_rows[-1]),
-                        bm,
-                        scratch.high_water,
-                    )
-                )
-            sym_launches.append(_Launch("SYM", rnd, works))
+        for size in np.unique(sizes).tolist():
+            bin_rows = local_rows[sizes == size]
+            starts = np.arange(0, len(bin_rows), max(1, cap // size))
+            blk = _Blocks.of(block_id, bin_rows, starts, temps, a_lengths, nnz_rows)
+            plan.append((size, blk))
+            block_id += len(starts)
         if len(global_rows):
-            works = []
-            gblocks = []
-            for r in global_rows.tolist():
-                bid = block_id
-                block_id += 1
-                gblocks.append((bid, np.array([r], dtype=np.int64)))
-                bm = make()
-                temp_r = int(temps[r])
+            starts = np.arange(len(global_rows))
+            blk = _Blocks.of(block_id, global_rows, starts, temps, a_lengths, nnz_rows)
+            plan.append((0, blk))
+            block_id += len(starts)
+
+        # ---- SYM: count nnz per row in hash tables ------------------
+        for rnd, (size, blk) in enumerate(plan):
+            bm = self._block_meter(opts, len(blk))
+            if size:  # scratchpad bin: 4-byte keys
+                table = blk.n_rows * size
+                high_water = _scratch_high_water(cfg, "tables", table * 4)
+                bm.global_read(2 * blk.n_rows, 4)  # row list + pointer pairs
+                bm.global_read(blk.a_len, 4)
+                bm.global_read(blk.temps, 4, coalesced=False)  # gather B cols
+                bm.scratchpad(table)  # table init
+                bm.hash_probe(blk.temps, in_scratchpad=True)
+                bm.hash_collision((collide * blk.temps).astype(np.int64))
+                bm.scratchpad(table)  # count sweep
+                bm.global_write(blk.n_rows, 4)
+            else:  # global-table bin
+                high_water = np.zeros(len(blk), dtype=np.int64)
                 bm.global_read(2, 4)
-                bm.global_read(int(a_lengths[r]), 4)
-                bm.global_read(temp_r, 4, coalesced=False)
-                bm.hash_probe(temp_r, in_scratchpad=False)
+                bm.global_read(blk.a_len, 4)
+                bm.global_read(blk.temps, 4, coalesced=False)
+                bm.hash_probe(blk.temps, in_scratchpad=False)
                 bm.hash_probe(
-                    int(self.collision_factor * temp_r), in_scratchpad=False
+                    (collide * blk.temps).astype(np.int64), in_scratchpad=False
                 )
                 bm.global_write(1, 4)
-                works.append(_BlockWork(bid, r, r, bm))
-            sym_launches.append(_Launch("SYM", len(bins), works))
-            num_plan.append((0, gblocks))
-        ops.extend(sym_launches)
+            ops.append(_Launch("SYM", rnd, blk, bm, high_water))
 
         # ---- PTR: row-pointer prefix scan (device-wide) -------------
-        m = make()
+        m = self._fresh_meter(opts)
         m.global_read(rows, 4)
         m.scan(rows)
         m.global_write(rows + 1, 4)
         ops.append(_DevicePass("PTR", "row_ptr", m, {}))
 
         # ---- NUM: accumulate values, sort each row, write C ---------
-        for rnd, (size, blocks) in enumerate(num_plan):
-            works = []
-            for bid, blk_rows in blocks:
-                bm = make()
-                n_r = len(blk_rows)
-                temp_blk = int(temps[blk_rows].sum())
-                nnz_blk = int(nnz_rows[blk_rows].sum())
-                high_water = 0
-                if size:  # scratchpad bin
-                    scratch = Scratchpad.for_device(cfg)
-                    scratch.alloc("tables", n_r * size * opts.element_bytes)
-                    high_water = scratch.high_water
-                    bm.global_read(2 * n_r, 4)
-                    bm.global_read(
-                        int(a_lengths[blk_rows].sum()), opts.element_bytes
-                    )
-                    bm.global_read(temp_blk, opts.element_bytes, coalesced=False)
-                    bm.scratchpad(n_r * size)  # table init
-                    bm.hash_probe(temp_blk, in_scratchpad=True)
-                    bm.hash_collision(int(self.collision_factor * temp_blk))
-                else:  # global-table bin
-                    bm.global_read(2 * n_r, 4)
-                    bm.global_read(
-                        int(a_lengths[blk_rows].sum()), opts.element_bytes
-                    )
-                    bm.global_read(temp_blk, opts.element_bytes, coalesced=False)
-                    bm.hash_probe(temp_blk, in_scratchpad=False)
-                    bm.hash_probe(
-                        int(self.collision_factor * temp_blk), in_scratchpad=False
-                    )
-                bm.flops(2 * temp_blk)
-                bm.radix_sort(nnz_blk, key_bits)  # emit rows column-sorted
-                bm.global_write(nnz_blk, opts.element_bytes)
-                works.append(
-                    _BlockWork(
-                        bid,
-                        int(blk_rows[0]),
-                        int(blk_rows[-1]),
-                        bm,
-                        high_water,
-                    )
+        for rnd, (size, blk) in enumerate(plan):
+            bm = self._block_meter(opts, len(blk))
+            bm.global_read(2 * blk.n_rows, 4)
+            bm.global_read(blk.a_len, eb)
+            bm.global_read(blk.temps, eb, coalesced=False)
+            if size:  # scratchpad bin
+                table = blk.n_rows * size
+                high_water = _scratch_high_water(cfg, "tables", table * eb)
+                bm.scratchpad(table)  # table init
+                bm.hash_probe(blk.temps, in_scratchpad=True)
+                bm.hash_collision((collide * blk.temps).astype(np.int64))
+            else:  # global-table bin
+                high_water = np.zeros(len(blk), dtype=np.int64)
+                bm.hash_probe(blk.temps, in_scratchpad=False)
+                bm.hash_probe(
+                    (collide * blk.temps).astype(np.int64), in_scratchpad=False
                 )
-            ops.append(_Launch("NUM", rnd, works))
+            bm.flops(2 * blk.temps)
+            bm.radix_sort(blk.nnz, key_bits)  # emit rows column-sorted
+            bm.global_write(blk.nnz, eb)
+            ops.append(_Launch("NUM", rnd, blk, bm, high_water))
 
-        global_table_bytes = int(
-            (2 * temps[global_rows]).sum() * opts.element_bytes
-        )
+        global_table_bytes = int((2 * temps[global_rows]).sum() * eb)
         info = {
             "n_blocks": block_id,
             "global_table_bytes": global_table_bytes,
@@ -471,6 +482,34 @@ class NsparseHashBackend(_SimulatedHashEngine):
             "helper_bytes": 8 * rows + 4 * (rows + 1),
         }
         return ops, info
+
+
+def _row_block_starts(temps: np.ndarray, cap: int) -> np.ndarray:
+    """First row of each contiguous block of the greedy row partition.
+
+    A block closes before the row that would push its non-empty load
+    past ``cap`` temporary products, so a row heavier than ``cap`` gets
+    a block of its own.  Walks block to block over the cumulative load
+    with ``searchsorted``, so the cost grows with blocks, not rows.
+    """
+    rows = len(temps)
+    if not rows:
+        return np.zeros(0, dtype=np.int64)
+    load = np.concatenate(([0], np.cumsum(temps)))
+    starts = [0]
+    start = 0
+    while True:
+        # first row r whose inclusion overflows: load[r + 1] - load[start] > cap
+        over = int(np.searchsorted(load, load[start] + cap, side="right")) - 1
+        if over >= rows:
+            break
+        # close before it, unless it is the block's first loaded row
+        end = over if load[over] > load[start] else over + 1
+        if end >= rows:
+            break
+        starts.append(end)
+        start = end
+    return np.asarray(starts, dtype=np.int64)
 
 
 @register_backend
@@ -492,11 +531,11 @@ class DeveciHashmapBackend(_SimulatedHashEngine):
         self, *, temps, nnz_rows, a_lengths, rows, cols, nnz_a, b_rows, opts
     ):
         cfg = opts.device
-        make = lambda: self._fresh_meter(opts)  # noqa: E731
+        eb = opts.element_bytes
         ops: list = []
 
         # ---- PART: product counts and team partition (device-wide) --
-        m = make()
+        m = self._fresh_meter(opts)
         m.global_read(rows + 1, 4)
         m.global_read(nnz_a, 4)
         if nnz_a:
@@ -508,74 +547,52 @@ class DeveciHashmapBackend(_SimulatedHashEngine):
         # contiguous row blocks, one team each; a block closes once it
         # holds elements_per_block temporary products (huge rows get a
         # block of their own — the L2 spill absorbs them)
-        cap_temp = cfg.elements_per_block
-        blocks: list[tuple[int, int]] = []
-        start = 0
-        acc = 0
-        for r in range(rows):
-            t = int(temps[r])
-            if acc and acc + t > cap_temp:
-                blocks.append((start, r))
-                start, acc = r, 0
-            acc += t
-        if rows:
-            blocks.append((start, rows))
+        starts = _row_block_starts(temps, cfg.elements_per_block)
+        blocks = _Blocks.of(
+            0, np.arange(rows, dtype=np.int64), starts, temps, a_lengths, nnz_rows
+        )
         ops.append(_DevicePass("PART", "partition", m, {"blocks": len(blocks)}))
 
         def phase(stage: str, numeric: bool) -> _Launch:
             l1 = self._l1_entries(opts, numeric=numeric)
             entry_bytes = 4 + 4 + (opts.value_dtype.itemsize if numeric else 0)
-            works = []
-            for bid, (lo, hi) in enumerate(blocks):
-                bm = make()
-                blk_temps = temps[lo:hi]
-                temp_blk = int(blk_temps.sum())
-                spilled = 2 * blk_temps > l1
-                l2_temp = int(blk_temps[spilled].sum())
-                l1_temp = temp_blk - l2_temp
-                used = min(l1, 2 * temp_blk)
-                high_water = 0
-                if used:
-                    scratch = Scratchpad.for_device(cfg)
-                    scratch.alloc("l1", used * entry_bytes)
-                    high_water = scratch.high_water
-                bm.global_read(2, 4)  # block descriptor
-                bm.global_read(
-                    int(a_lengths[lo:hi].sum()), opts.element_bytes if numeric else 4
-                )
-                bm.global_read(
-                    temp_blk, opts.element_bytes if numeric else 4, coalesced=False
-                )
-                bm.scratchpad(used)  # head-array init
-                bm.hash_probe(l1_temp, in_scratchpad=True)
-                bm.alu(self.chain_alu * l1_temp)  # chain chase
-                bm.hash_probe(l2_temp, in_scratchpad=False)
-                bm.alu(self.chain_alu * l2_temp)
-                nnz_blk = int(nnz_rows[lo:hi].sum())
-                if numeric:
-                    bm.flops(2 * temp_blk)
-                    l2_nnz = int(nnz_rows[lo:hi][spilled].sum())
-                    if l2_nnz:
-                        bm.global_read(l2_nnz, opts.element_bytes, coalesced=False)
-                    # compaction traversal instead of a per-row sort
-                    bm.scratchpad(2 * nnz_blk)
-                    bm.alu(2 * nnz_blk)
-                    bm.global_write(nnz_blk, opts.element_bytes)
-                else:
-                    bm.global_write(hi - lo, 4)  # per-row nnz counts
-                works.append(_BlockWork(bid, lo, hi - 1, bm, high_water))
-            return _Launch(stage, 0, works)
+            in_bytes = eb if numeric else 4
+            spilled = 2 * temps > l1  # rows served from the L2 spill
+            l2_temp = np.add.reduceat(np.where(spilled, temps, 0), starts)
+            l1_temp = blocks.temps - l2_temp
+            used = np.minimum(l1, 2 * blocks.temps)
+            high_water = _scratch_high_water(cfg, "l1", used * entry_bytes)
+            bm = self._block_meter(opts, len(blocks))
+            bm.global_read(2, 4)  # block descriptor
+            bm.global_read(blocks.a_len, in_bytes)
+            bm.global_read(blocks.temps, in_bytes, coalesced=False)
+            bm.scratchpad(used)  # head-array init
+            bm.hash_probe(l1_temp, in_scratchpad=True)
+            bm.alu(self.chain_alu * l1_temp)  # chain chase
+            bm.hash_probe(l2_temp, in_scratchpad=False)
+            bm.alu(self.chain_alu * l2_temp)
+            if numeric:
+                bm.flops(2 * blocks.temps)
+                l2_nnz = np.add.reduceat(np.where(spilled, nnz_rows, 0), starts)
+                bm.global_read(l2_nnz, eb, coalesced=False)
+                # compaction traversal instead of a per-row sort
+                bm.scratchpad(2 * blocks.nnz)
+                bm.alu(2 * blocks.nnz)
+                bm.global_write(blocks.nnz, eb)
+            else:
+                bm.global_write(blocks.n_rows, 4)  # per-row nnz counts
+            return _Launch(stage, 0, blocks, bm, high_water)
 
-        if blocks:
+        if len(blocks):
             ops.append(phase("SYM", numeric=False))
 
-        m = make()
+        m = self._fresh_meter(opts)
         m.global_read(rows, 4)
         m.scan(rows)
         m.global_write(rows + 1, 4)
         ops.append(_DevicePass("OUT", "row_ptr", m, {}))
 
-        if blocks:
+        if len(blocks):
             ops.append(phase("NUM", numeric=True))
 
         l1_num = self._l1_entries(opts, numeric=True)

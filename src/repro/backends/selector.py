@@ -126,22 +126,32 @@ class AdaptiveSelector(Backend):
     #: bit-stable reference engine wins exact ties
     candidates = ("ac-spgemm", "hash-spgemm", "hashmap-spgemm")
 
-    def select(self, features, options: AcSpgemmOptions | None = None) -> str:
-        """The candidate with the lowest predicted cycle count."""
-        opts = options or DEFAULT_OPTIONS
+    def select(
+        self,
+        features,
+        options: AcSpgemmOptions | None = None,
+        *,
+        predictions: dict[str, float] | None = None,
+    ) -> str:
+        """The candidate with the lowest predicted cycle count.
+
+        ``predictions`` (from :meth:`predictions`) spares pricing every
+        candidate again when the caller already has them.
+        """
         if features.temp_products == 0:
             # nothing to multiply: any engine is free; keep bit-stable
             return self.candidates[0]
+        if predictions is None:
+            predictions = self.predictions(features, options)
         best_name = None
         best = float("inf")
         for name in self.candidates:
-            predicted = get_backend(name).predict_cycles(features, opts)
-            if predicted < best:
-                best_name, best = name, predicted
+            if predictions[name] < best:
+                best_name, best = name, predictions[name]
         return best_name
 
     def predictions(self, features, options: AcSpgemmOptions | None = None):
-        """Per-candidate predicted cycles (bench/debug helper)."""
+        """Per-candidate predicted cycles, in candidate order."""
         opts = options or DEFAULT_OPTIONS
         return {
             name: get_backend(name).predict_cycles(features, opts)
@@ -149,11 +159,7 @@ class AdaptiveSelector(Backend):
         }
 
     def predict_cycles(self, features, options: AcSpgemmOptions | None = None) -> float:
-        opts = options or DEFAULT_OPTIONS
-        return min(
-            get_backend(name).predict_cycles(features, opts)
-            for name in self.candidates
-        )
+        return min(self.predictions(features, options).values())
 
     def run(self, a, b, options=None, *, spans=None, dtrace=None, scheduler_seed=0):
         opts = options or DEFAULT_OPTIONS
@@ -183,8 +189,10 @@ class AdaptiveSelector(Backend):
         # exactly one launch overhead reaches the makespan
         probe = self._fresh_meter(opts)
         features = collect_features(a, b, probe)
+        # each candidate is priced once: the route and the flight
+        # recorder's audit read the same predictions
         preds = self.predictions(features, opts)
-        choice = self.select(features, opts)
+        choice = self.select(features, opts, predictions=preds)
         trace_note("selector.choice", choice)
         sel_cycles = (
             probe.cycles

@@ -11,14 +11,15 @@ __all__ = ["row_temp_counts", "output_row_counts"]
 
 def row_temp_counts(a: CSRMatrix, b: CSRMatrix) -> np.ndarray:
     """Temporary products generated per row of A (the quantity every
-    inspection-based approach bins rows by)."""
-    counts = np.zeros(a.rows, dtype=np.int64)
-    if a.nnz == 0 or b.nnz == 0:
-        return counts
+    inspection-based approach bins rows by).
+
+    Each row's sum of B row lengths over its columns, as a difference
+    of one cumulative sum at A's row pointers (exact in int64).
+    """
     expand = b.row_lengths()[a.col_idx]
-    a_rows = np.repeat(np.arange(a.rows, dtype=np.int64), a.row_lengths())
-    np.add.at(counts, a_rows, expand)
-    return counts
+    csum = np.zeros(len(expand) + 1, dtype=np.int64)
+    np.cumsum(expand, dtype=np.int64, out=csum[1:])
+    return csum[a.row_ptr[1:]] - csum[a.row_ptr[:-1]]
 
 
 def output_row_counts(c: CSRMatrix) -> np.ndarray:

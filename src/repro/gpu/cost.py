@@ -34,12 +34,16 @@ Calibration of the constants (all per-SM, in core cycles):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from .config import DeviceConfig
 from .counters import TrafficCounters
 
-__all__ = ["CostMeter", "CostConstants", "DEFAULT_COSTS"]
+__all__ = ["BlockArrayMeter", "CostMeter", "CostConstants", "DEFAULT_COSTS"]
+
+_COUNTER_FIELDS = tuple(f.name for f in fields(TrafficCounters))
 
 
 @dataclass(frozen=True)
@@ -218,3 +222,142 @@ class CostMeter:
     def merge(self, other: "CostMeter") -> None:
         """Fold another meter's counters (NOT cycles) into this one."""
         self.counters.merge(other.counters)
+
+
+class BlockArrayMeter:
+    """``n`` independent per-block :class:`CostMeter`\\ s held as arrays.
+
+    Prices a whole launch at once: ``cycles`` and every
+    :class:`TrafficCounters` field (in ``counters``) are length-``n``
+    arrays, one entry per block.  Each method mirrors its
+    :class:`CostMeter` namesake and adds, per block, the same terms in
+    the same order.  IEEE ``+ - * /`` round identically in numpy and
+    Python, so block ``i`` ends bit-identical to a :class:`CostMeter`
+    fed the ``i``-th counts.  Counts broadcast (a scalar charges every
+    block); a count ``<= 0`` is a no-op for its block, as on a
+    :class:`CostMeter`.  Radix sorts are not logged (no ``sort_log``).
+    """
+
+    def __init__(
+        self, config: DeviceConfig, n: int, constants: CostConstants = DEFAULT_COSTS
+    ) -> None:
+        self.config = config
+        self.constants = constants
+        self.n = int(n)
+        self.cycles = np.zeros(self.n)
+        self.counters = {
+            name: np.zeros(self.n, dtype=np.int64) for name in _COUNTER_FIELDS
+        }
+
+    @staticmethod
+    def _counts(n) -> np.ndarray:
+        """Per-block counts; a non-positive count charges nothing."""
+        return np.maximum(np.asarray(n, dtype=np.int64), 0)
+
+    # -- global memory ------------------------------------------------
+
+    def global_read(self, n_elements, element_bytes, *, coalesced=True) -> None:
+        n = self._counts(n_elements)
+        self._global_access(n, element_bytes, coalesced, write=False)
+
+    def global_write(self, n_elements, element_bytes, *, coalesced=True) -> None:
+        n = self._counts(n_elements)
+        self._global_access(n, element_bytes, coalesced, write=True)
+
+    def _global_access(self, n: np.ndarray, b, coalesced: bool, write: bool) -> None:
+        k = self.constants
+        payload = n * b
+        if coalesced:
+            tx_bytes = self.config.global_transaction_bytes
+            transactions = -(-payload // tx_bytes)
+            moved = transactions * tx_bytes
+        else:
+            transactions = n
+            moved = n * np.maximum(b, k.uncoalesced_sector_bytes)
+        self.cycles += moved / k.bytes_per_cycle
+        self.counters["global_transactions"] += transactions
+        key = "global_bytes_written" if write else "global_bytes_read"
+        self.counters[key] += payload
+
+    # -- on-chip work ---------------------------------------------------
+
+    def scratchpad(self, n_accesses) -> None:
+        n = self._counts(n_accesses)
+        self.cycles += n / self.constants.scratchpad_lanes
+        self.counters["scratchpad_accesses"] += n
+
+    def alu(self, n_ops) -> None:
+        self.cycles += self._counts(n_ops) / self.constants.alu_lanes
+
+    def flops(self, n) -> None:
+        n = self._counts(n)
+        self.alu(n)
+        self.counters["flops"] += n
+
+    def radix_sort(self, n_elements, key_bits) -> None:
+        n = self._counts(n_elements)
+        k = self.constants
+        bits = np.asarray(key_bits).astype(np.int64)
+        passes = np.where(
+            n > 0, np.maximum(1, -(-bits // k.radix_bits_per_pass)), 0
+        )
+        work = passes * n
+        self.alu((work * k.radix_pass_alu_per_element).astype(np.int64))
+        self.scratchpad((work * k.radix_pass_scratch_per_element).astype(np.int64))
+        self.counters["sorted_elements"] += n
+        self.counters["sort_passes"] += passes
+
+    def scan(self, n_elements) -> None:
+        n = self._counts(n_elements)
+        self.scratchpad(2 * n)
+        self.alu(2 * n)
+
+    def atomic(self, n=1) -> None:
+        n = self._counts(n)
+        self.cycles += n * self.constants.atomic_cycles
+        self.counters["atomic_ops"] += n
+
+    def hash_probe(self, n, *, in_scratchpad: bool = True) -> None:
+        n = self._counts(n)
+        k = self.constants
+        if in_scratchpad:
+            self.scratchpad((n * k.hash_probe_scratch_accesses).astype(np.int64))
+            self.alu((n * k.hash_probe_alu).astype(np.int64))
+            self.cycles += n * k.scratchpad_atomic_cycles
+        else:
+            self._global_access(n, k.global_hash_probe_bytes, False, write=True)
+            self.cycles += n * k.global_hash_atomic_cycles
+        self.counters["atomic_ops"] += n
+        self.counters["hash_probes"] += n
+
+    def hash_collision(self, n) -> None:
+        n = self._counts(n)
+        accesses = n * self.constants.hash_probe_scratch_accesses
+        self.scratchpad(accesses.astype(np.int64))
+        self.counters["hash_collisions"] += n
+
+    # -- device-level events (no count guard, as on CostMeter) ----------
+
+    def kernel_launch(self, n=1) -> None:
+        n = np.asarray(n, dtype=np.int64)
+        self.cycles += n * self.constants.kernel_launch_cycles
+        self.counters["kernel_launches"] += n
+
+    def host_round_trip(self, n=1) -> None:
+        n = np.asarray(n, dtype=np.int64)
+        self.cycles += n * self.constants.host_round_trip_cycles
+        self.counters["host_round_trips"] += n
+
+    # -- read-out -------------------------------------------------------
+
+    def totals(self) -> TrafficCounters:
+        """Every block's counters summed (what merging each block's
+        :class:`CostMeter` counters would give)."""
+        return TrafficCounters(
+            **{name: int(v.sum()) for name, v in self.counters.items()}
+        )
+
+    def snapshots(self) -> list[dict[str, int]]:
+        """Per-block counter dicts, as ``TrafficCounters.snapshot()``."""
+        columns = [self.counters[name].tolist() for name in _COUNTER_FIELDS]
+        return [dict(zip(_COUNTER_FIELDS, row)) for row in zip(*columns)]

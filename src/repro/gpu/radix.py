@@ -19,6 +19,7 @@ __all__ = [
     "radix_sort_permutation",
     "radix_sort_pairs",
     "bits_required",
+    "bits_required_array",
     "fast_stable_sort",
 ]
 
@@ -52,6 +53,20 @@ def bits_required(max_value: int) -> int:
     if max_value < 0:
         raise ValueError("max_value must be non-negative")
     return max(1, int(max_value).bit_length())
+
+
+#: ``2**k`` for every bit an int64 can hold
+_POWERS_OF_TWO = 1 << np.arange(63, dtype=np.int64)
+
+
+def bits_required_array(max_values) -> np.ndarray:
+    """:func:`bits_required` element-wise, exact for any int64."""
+    values = np.asarray(max_values, dtype=np.int64)
+    if values.size and values.min() < 0:
+        raise ValueError("max_value must be non-negative")
+    # bit_length(v) is the number of powers of two <= v
+    bits = np.searchsorted(_POWERS_OF_TWO, values, side="right")
+    return np.maximum(1, bits).astype(np.int64)
 
 
 def _stable_counting_argsort(digits: np.ndarray, radix: int) -> np.ndarray:

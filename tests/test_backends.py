@@ -250,6 +250,87 @@ class TestSelectorDegenerate:
 
 
 # ---------------------------------------------------------------------------
+# predict once: one prediction per candidate per routed multiply
+# ---------------------------------------------------------------------------
+
+
+def _candidate_classes():
+    return {name: type(get_backend(name)) for name in AdaptiveSelector.candidates}
+
+
+@pytest.fixture
+def predict_calls(monkeypatch):
+    """Count ``predict_cycles`` calls per candidate engine."""
+    calls = {name: 0 for name in AdaptiveSelector.candidates}
+    for name, cls in _candidate_classes().items():
+        orig = cls.predict_cycles
+
+        def counting(self, *args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "predict_cycles", counting)
+    return calls
+
+
+class TestPredictOnce:
+    def test_direct_run_prices_each_candidate_once(self, predict_calls):
+        a, b = squared_operands(g.random_uniform(200, 200, 8, seed=81050))
+        run_backend("adaptive", a, b)
+        assert predict_calls == {name: 1 for name in AdaptiveSelector.candidates}
+
+    def test_summa_tiles_price_each_candidate_once(self, predict_calls, monkeypatch):
+        from repro.multi import NodeConfig, summa_spgemm
+
+        runs = []
+        orig_run = AdaptiveSelector.run
+
+        def counting_run(self, *args, **kwargs):
+            runs.append(1)
+            return orig_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(AdaptiveSelector, "run", counting_run)
+        a, b = squared_operands(g.random_uniform(120, 120, 6, seed=81051))
+        summa_spgemm(a, b, NodeConfig(devices=4), backend="adaptive")
+        assert len(runs) > 1
+        assert predict_calls == {
+            name: len(runs) for name in AdaptiveSelector.candidates
+        }
+
+    def test_flight_record_chooses_argmin_of_its_predictions(self):
+        from repro.campaign.plan import tiny_entries
+
+        chosen = set()
+        inputs = [entry.build() for entry in tiny_entries()]
+        inputs.append(g.random_uniform(250, 250, 12, seed=81052))
+        for m in inputs:
+            self._check_audit(*squared_operands(m), chosen)
+        # the inputs exercise every candidate as the argmin
+        assert chosen == set(AdaptiveSelector.candidates)
+
+    @staticmethod
+    def _check_audit(a, b, chosen):
+        res = run_backend("adaptive", a, b)
+        audit = res.routing_audit
+        predicted = audit["predicted"]
+        argmin = min(AdaptiveSelector.candidates, key=predicted.__getitem__)
+        assert audit["chosen"] == argmin == res.dispatched_to
+        assert audit["predicted_chosen"] == predicted[argmin]
+        chosen.add(argmin)
+
+    def test_forced_tie_routes_to_ac_spgemm(self, monkeypatch):
+        for cls in _candidate_classes().values():
+            monkeypatch.setattr(cls, "predict_cycles", lambda self, f, o=None: 1234.0)
+        a, b = squared_operands(g.random_uniform(150, 150, 8, seed=81055))
+        f = collect_features(a, b)
+        assert f.temp_products > 0
+        assert AdaptiveSelector().select(f) == "ac-spgemm"
+        res = run_backend("adaptive", a, b)
+        assert res.dispatched_to == "ac-spgemm"
+        assert res.routing_audit["chosen"] == "ac-spgemm"
+
+
+# ---------------------------------------------------------------------------
 # prediction accuracy: the op-list replay keeps hash engines honest
 # ---------------------------------------------------------------------------
 
