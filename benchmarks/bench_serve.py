@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import random
 import re
 import signal
@@ -261,6 +262,11 @@ def run_bench(*, clients: int, requests: int, seed: int,
         "requests": requests,
         "queue": queue_size,
         "seed": seed,
+        "host": {
+            "cpu_count": os.cpu_count() or 1,
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+        },
         "wall_seconds": round(wall, 3),
         "throughput_rps": round(len(lat) / wall, 3) if wall else 0.0,
         "latency_ms": {

@@ -45,14 +45,20 @@ from repro.bench.wallclock import (  # noqa: E402
 def _print_hotspots(hot: dict) -> None:
     print(
         f"host hotspots ({hot['mode']}, engine={hot['engine']}, "
-        f"{hot['total_host_seconds'] * 1e3:.1f} ms total, "
+        f"{hot['total_host_seconds'] * 1e3:.1f} "
+        f"± {hot['total_iqr_seconds'] * 1e3:.1f} ms total, "
+        f"median ± IQR over {hot['repeats']} passes, "
         f"peak heap {hot['peak_heap_mib']:.1f} MiB):"
     )
-    print(f"  {'span':20s} {'calls':>7s} {'host ms':>9s} {'sim cycles':>14s}")
+    print(
+        f"  {'span':20s} {'calls':>7s} {'host ms':>9s} {'± IQR':>7s}"
+        f" {'sim cycles':>14s}"
+    )
     for row in hot["top_spans"]:
         print(
             f"  {row['span']:20s} {row['calls']:7d}"
             f" {row['host_seconds'] * 1e3:9.1f}"
+            f" {row['iqr_seconds'] * 1e3:7.1f}"
             f" {row['sim_cycles']:14.0f}"
         )
     if hot["other_host_seconds"]:
@@ -63,14 +69,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--smoke", action="store_true",
-        help="small matrices, single repeat (CI)",
+        help="small matrices (CI)",
     )
     parser.add_argument(
         "--out", default=None, help="JSON output path"
     )
     parser.add_argument(
         "--repeats", type=int, default=None,
-        help="timing repeats per engine (best-of); default 3, 1 for smoke",
+        help="timing repeats per engine (median and IQR); default 3, "
+        "5 for smoke",
     )
     parser.add_argument(
         "--trace-overhead", action="store_true",
@@ -87,7 +94,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.hotspots:
-        hot = run_hotspots(smoke=args.smoke, engine=args.engine)
+        hot = run_hotspots(
+            smoke=args.smoke, engine=args.engine, repeats=args.repeats
+        )
         _print_hotspots(hot)
         if args.out:
             print(f"wrote {write_payload(hot, args.out)}")
@@ -123,21 +132,31 @@ def main(argv=None) -> int:
         return 0
 
     payload = run_wallclock(smoke=args.smoke, repeats=args.repeats)
-    payload["hotspots"] = run_hotspots(smoke=args.smoke, engine=args.engine)
+    payload["hotspots"] = run_hotspots(
+        smoke=args.smoke, engine=args.engine, repeats=args.repeats
+    )
     path = write_payload(payload, args.out or "BENCH_pr1.json")
 
     print(
         f"engine wall-clock bench ({payload['mode']}, "
         f"{payload['cpu_count']} cpu):"
     )
+    print(f"  median ms ± IQR over {payload['repeats']} interleaved repeats")
     for row in payload["cases"]:
+        iqr = row["iqr_seconds"]
         ref = row["seconds"]["reference"]
-        line = f"  {row['case']:24s} ref {ref * 1e3:8.1f} ms"
+        line = (
+            f"  {row['case']:24s} ref {ref * 1e3:8.1f} "
+            f"± {iqr['reference'] * 1e3:5.1f} ms"
+        )
         for eng, s in row["seconds"].items():
             if eng == "reference":
                 continue
             mark = "" if row["identical"][eng] else "  MISMATCH!"
-            line += f" | {eng} {s * 1e3:8.1f} ms ({row['speedup'][eng]:.2f}x){mark}"
+            line += (
+                f" | {eng} {s * 1e3:8.1f} ± {iqr[eng] * 1e3:5.1f} ms "
+                f"({row['speedup'][eng]:.2f}x){mark}"
+            )
         line += " | heap " + " ".join(
             f"{eng} {mib:.1f}" for eng, mib in row["peak_heap_mib"].items()
         ) + " MiB"

@@ -23,14 +23,10 @@ from .harness import MatrixCase, ResultCache, RunRecord, default_cache, run_case
 from .metrics import SpeedupSummary, harmonic_mean, speedup_summary, trend_bins
 from .report import format_table, human_bytes, write_csv
 from .stability import StabilityReport, check_bit_stability
-from .trace import KernelEvent, PointEvent, TraceRecorder
 
 __all__ = [
     "GPU_LINEUP",
-    "KernelEvent",
     "MatrixCase",
-    "PointEvent",
-    "TraceRecorder",
     "ResultCache",
     "RunRecord",
     "SpeedupSummary",

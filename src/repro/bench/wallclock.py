@@ -7,12 +7,14 @@ Correctness is checked in the same pass: every engine must produce
 bit-identical values and identical simulated statistics, otherwise the
 speedup would be meaningless.
 
-The JSON payload (``BENCH_pr1.json``) records, per case, the seconds per
-engine, the speedup over the reference engine and the equivalence
-verdict, plus the geometric-mean speedups across cases.  It also records
-each engine's peak traced heap per case (``peak_heap_mib``), measured in
-a separate untimed pass under :mod:`tracemalloc`, so a working set that
-grows back shows next to the timings.
+The JSON payload (``BENCH_pr1.json``) records, per case, the median
+seconds per engine over the interleaved repeats with their interquartile
+range, the speedup of the medians over the reference engine and the
+equivalence verdict, plus the geometric-mean speedups across cases.  It
+also records each engine's peak traced heap per case
+(``peak_heap_mib``), measured in a separate untimed pass under
+:mod:`tracemalloc`, so a working set that grows back shows next to the
+timings.
 """
 
 from __future__ import annotations
@@ -149,10 +151,16 @@ def _peak_heap_mib(case: WallclockCase, engine: str) -> float:
         tracemalloc.stop()
 
 
+def _median_iqr(xs: list[float]) -> tuple[float, float]:
+    """Median and interquartile range of repeated timings."""
+    q1, med, q3 = np.percentile(xs, [25, 50, 75])
+    return float(med), float(q3 - q1)
+
+
 def _time_engines(
     case: WallclockCase, engines: tuple[str, ...], repeats: int
-) -> tuple[dict[str, float], dict[str, dict]]:
-    """Best-of-``repeats`` seconds and result signature per engine.
+) -> tuple[dict[str, list[float]], dict[str, dict]]:
+    """Seconds of every repeat and the result signature, per engine.
 
     Repeats are interleaved across engines (engine A, engine B, ...,
     engine A, ...) so that slow phases of a shared host hit every
@@ -162,15 +170,15 @@ def _time_engines(
         e: AcSpgemmOptions(value_dtype=np.dtype(case.dtype), engine=e)
         for e in engines
     }
-    best = {e: math.inf for e in engines}
+    samples: dict[str, list[float]] = {e: [] for e in engines}
     sigs: dict[str, dict] = {}
     for _ in range(repeats):
         for engine in engines:
             t0 = time.perf_counter()
             result = ac_spgemm(case.a, case.b, opts[engine])
-            best[engine] = min(best[engine], time.perf_counter() - t0)
+            samples[engine].append(time.perf_counter() - t0)
             sigs[engine] = _signature(result)
-    return best, sigs
+    return samples, sigs
 
 
 def run_wallclock(
@@ -180,24 +188,29 @@ def run_wallclock(
 ) -> dict:
     """Time every engine on every case and verify equivalence.
 
-    Returns the JSON-serialisable payload; ``geomean_speedup`` maps each
-    non-reference engine to its geometric-mean host speedup.
+    Returns the JSON-serialisable payload.  Each case's ``seconds`` is
+    the median per engine and ``iqr_seconds`` its interquartile range;
+    ``geomean_speedup`` maps each non-reference engine to the geometric
+    mean of its median speedups.
     """
     if repeats is None:
-        repeats = 1 if smoke else 3
+        repeats = 5 if smoke else 3
     engines = tuple(dict.fromkeys(("reference",) + tuple(engines)))
     tuned = tune_allocator()
     cases = wallclock_cases(smoke)
     rows = []
     speedups: dict[str, list[float]] = {e: [] for e in engines if e != "reference"}
     for case in cases:
-        best, sigs = _time_engines(case, engines, repeats)
-        ref_s, ref_sig = best["reference"], sigs["reference"]
+        samples, sigs = _time_engines(case, engines, repeats)
+        spread = {e: _median_iqr(xs) for e, xs in samples.items()}
+        median = {e: med for e, (med, _) in spread.items()}
+        ref_s, ref_sig = median["reference"], sigs["reference"]
         row = {
             "case": case.name,
             "dtype": case.dtype,
             "nnz_a": int(case.a.nnz),
-            "seconds": {"reference": ref_s},
+            "seconds": median,
+            "iqr_seconds": {e: iqr for e, (_, iqr) in spread.items()},
             "speedup": {},
             "identical": {},
             "peak_heap_mib": {e: _peak_heap_mib(case, e) for e in engines},
@@ -205,9 +218,8 @@ def run_wallclock(
         for engine in engines:
             if engine == "reference":
                 continue
-            s, sig = best[engine], sigs[engine]
+            s, sig = median[engine], sigs[engine]
             identical = all(ref_sig[k] == sig[k] for k in ref_sig)
-            row["seconds"][engine] = s
             row["speedup"][engine] = ref_s / s if s else math.inf
             row["identical"][engine] = identical
             if identical:
@@ -246,43 +258,58 @@ def run_hotspots(
     smoke: bool = False,
     engine: str = "batched",
     top: int = 10,
+    repeats: int | None = None,
 ) -> dict:
     """Span-attributed host hotspot table for one engine.
 
-    Runs every case once under :func:`~repro.obs.span.host_span_profile`
-    and joins the resulting per-span host seconds with the simulated
-    cycles each span name accumulates in the (engine-invariant) span
-    tree.  The result answers the optimisation question directly: a
-    span whose share of host seconds dwarfs its share of simulated
-    cycles is pure host overhead — that is where the next fast path
-    goes.  ``top`` bounds the table to the heaviest span names by host
+    Runs the case set ``repeats`` times, each pass under its own
+    :func:`~repro.obs.span.host_span_profile`.  The table is the median
+    pass (by total host seconds) with each span's interquartile range
+    over all passes, joined with the simulated cycles the span name
+    accumulates in the (engine-invariant) span tree.  The result answers
+    the optimisation question directly: a span whose share of host
+    seconds dwarfs its share of simulated cycles is pure host overhead —
+    that is where the next fast path goes.  ``top`` bounds the table to the heaviest span names by host
     seconds; anything dropped is summed under ``other_host_seconds`` so
     the table never silently hides cost.  ``peak_heap_mib`` is the
     engine's largest traced heap peak over the cases, from a separate
     untimed pass.
     """
+    if repeats is None:
+        repeats = 5 if smoke else 3
     tuned = tune_allocator()
     cases = wallclock_cases(smoke)
     sim_cycles: dict[str, float] = {}
-    with host_span_profile() as prof:
-        t0 = time.perf_counter()
-        for case in cases:
-            opts = AcSpgemmOptions(
-                value_dtype=np.dtype(case.dtype), engine=engine
-            )
-            result = ac_spgemm(case.a, case.b, opts)
-            for s in result.spans.walk():
-                sim_cycles[s.name] = sim_cycles.get(s.name, 0.0) + s.duration
-        total = time.perf_counter() - t0
+    tables: list[dict[str, dict]] = []
+    totals: list[float] = []
+    for rep in range(repeats):
+        with host_span_profile() as prof:
+            t0 = time.perf_counter()
+            for case in cases:
+                opts = AcSpgemmOptions(
+                    value_dtype=np.dtype(case.dtype), engine=engine
+                )
+                result = ac_spgemm(case.a, case.b, opts)
+                if rep == 0:
+                    for s in result.spans.walk():
+                        sim_cycles[s.name] = (
+                            sim_cycles.get(s.name, 0.0) + s.duration
+                        )
+            totals.append(time.perf_counter() - t0)
+        tables.append(prof.table())
     peak_heap = max(_peak_heap_mib(case, engine) for case in cases)
+    mid = sorted(range(repeats), key=totals.__getitem__)[repeats // 2]
     rows = [
         {
             "span": name,
             "calls": ent["calls"],
             "host_seconds": ent["host_seconds"],
+            "iqr_seconds": _median_iqr(
+                [t.get(name, {}).get("host_seconds", 0.0) for t in tables]
+            )[1],
             "sim_cycles": sim_cycles.get(name, 0.0),
         }
-        for name, ent in prof.table().items()
+        for name, ent in tables[mid].items()
     ]
     rows.sort(key=lambda r: (-r["host_seconds"], r["span"]))
     kept, dropped = rows[:top], rows[top:]
@@ -290,8 +317,10 @@ def run_hotspots(
         "bench": "host-hotspots",
         "mode": "smoke" if smoke else "full",
         "engine": engine,
+        "repeats": repeats,
         "allocator_tuned": tuned,
-        "total_host_seconds": total,
+        "total_host_seconds": totals[mid],
+        "total_iqr_seconds": _median_iqr(totals)[1],
         "peak_heap_mib": peak_heap,
         "attributed_host_seconds": sum(r["host_seconds"] for r in rows),
         "top_spans": kept,

@@ -247,7 +247,6 @@ def cmd_profile(args) -> int:
         estimator=args.estimator,
         sanitize=args.sanitize,
         on_failure="fallback" if args.fallback else "raise",
-        collect_trace=True,
     )
     report = profile_run(a, b, opts, matrix_name=name)
     print(report.text())

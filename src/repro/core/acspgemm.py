@@ -103,9 +103,6 @@ class AcSpgemmResult:
     clock_ghz: float
     shared_rows: int = 0
     merge_stats: dict[str, int] = field(default_factory=dict)
-    #: per-kernel execution trace (populated when
-    #: ``options.collect_trace`` is set — the artifact's Debug mode)
-    trace: object | None = None
     #: root :class:`~repro.obs.span.Span` of the pipeline span tree —
     #: always recorded; identical across engines for the same input
     spans: object | None = None
@@ -326,11 +323,6 @@ def _run_pipeline(
     min_mp_load = 1.0
     util_busy = 0.0
     util_cap = 0.0
-    trace = None
-    if opts.collect_trace:
-        from ..bench.trace import TraceRecorder
-
-        trace = TraceRecorder(clock_ghz=cfg.clock_ghz)
 
     def track_timing(timing: KernelTiming) -> None:
         nonlocal min_mp_load, util_busy, util_cap
@@ -346,8 +338,6 @@ def _run_pipeline(
     stage_cycles["GLB"] = _device_wide_cycles(glb_meter, cfg.num_sms) + launch
     counters.merge(glb_meter.counters)
     counters.kernel_launches += 1
-    if trace:
-        trace.record_span("GLB", stage_cycles["GLB"], counters=counters)
     if dtrace is not None:
         glb_attr = glb_meter.counters.snapshot()
         glb_attr["kernel_launches"] += 1
@@ -512,10 +502,6 @@ def _run_pipeline(
             stage_cycles["ESC"] += timing.makespan_cycles
             counters.kernel_launches += 1
             track_timing(timing)
-            if trace:
-                trace.record_kernel(
-                    "ESC", timing, round_cycles, pool=pool, counters=counters
-                )
             if dtrace is not None:
                 dtrace.record_launch(
                     "ESC",
@@ -574,18 +560,6 @@ def _run_pipeline(
                     stage="ESC",
                     pool_bytes=pool.capacity_bytes,
                 )
-                if trace:
-                    trace.record_point(
-                        "restart",
-                        detail=f"pool grown to {pool.capacity_bytes} B, "
-                        f"{len(still_pending)} blocks pending",
-                    )
-                    trace.record_span(
-                        "ESC",
-                        opts.costs.host_round_trip_cycles,
-                        pool=pool,
-                        counters=counters,
-                    )
             pending = still_pending
 
     if opts.sanitize:
@@ -630,10 +604,6 @@ def _run_pipeline(
                 stage_cycles[stage] += timing.makespan_cycles
                 counters.kernel_launches += 1
                 track_timing(timing)
-                if trace:
-                    trace.record_kernel(
-                        stage, timing, cycles, pool=pool, counters=counters
-                    )
                 if dtrace is not None:
                     dtrace.record_launch(
                         stage,
@@ -706,10 +676,6 @@ def _run_pipeline(
             stage_cycles["MCC"] += launch
             counters.kernel_launches += 1
         counters.merge(mcc_meter.counters)
-        if trace:
-            trace.record_span(
-                "MCC", stage_cycles["MCC"], pool=pool, counters=counters
-            )
         if dtrace is not None:
             mcc_attr = mcc_meter.counters.snapshot()
             if assignment.n_shared_rows:
@@ -769,11 +735,6 @@ def _run_pipeline(
         counters.merge(out_meter.counters)
         counters.kernel_launches += 2  # row-pointer scan + copy
         track_timing(timing)
-        if trace:
-            trace.record_span("CC", scan_cycles, pool=pool, counters=counters)
-            trace.record_kernel(
-                "CC", timing, copy_cycles, pool=pool, counters=counters
-            )
         if dtrace is not None:
             scan_attr = out_meter.counters.snapshot()
             scan_attr["kernel_launches"] += 1
@@ -838,7 +799,6 @@ def _run_pipeline(
         clock_ghz=cfg.clock_ghz,
         shared_rows=assignment.n_shared_rows,
         merge_stats=merge_stats,
-        trace=trace,
         spans=_finish_spans(spans, owns_spans, anchor, restarts=restarts),
         engine_stats={k: engine.host_stats[k] for k in sorted(engine.host_stats)},
         sm_utilization=util_busy / util_cap if util_cap else 1.0,

@@ -89,9 +89,6 @@ class AcSpgemmOptions:
     path_merge_max_chunks: int = 8
     validate_inputs: bool = True
     col_index_bytes: int = 4  # 32-bit column ids, as in the CUDA artifact
-    #: collect a per-kernel execution trace (the artifact's Debug mode);
-    #: the trace is attached to the result as ``result.trace``
-    collect_trace: bool = False
     #: host execution engine for the block-level stages, a name in
     #: ``repro.engine.ENGINES`` (``repro.engine.get_engine`` rejects any
     #: other name when the run starts): ``"batched"`` (the default) fuses

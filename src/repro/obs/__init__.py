@@ -1,19 +1,24 @@
 """Unified observability layer: spans, metrics and profile exports.
 
-Three pieces, all driven by the simulated device clock so every export
-is engine-comparable and byte-deterministic:
+One simulated timeline, recorded as two views on the same device clock
+so every export is engine-comparable and byte-deterministic:
 
-* :mod:`repro.obs.span` — the nested host-side span tree the driver
-  records for every run (``acspgemm`` → ``setup`` / ``estimate`` /
-  ``esc`` / ``merge`` / ``output``);
+* :mod:`repro.obs.span` — the nested span tree the driver records for
+  every run (``acspgemm`` → ``setup`` / ``estimate`` / ``esc`` /
+  ``merge`` / ``output``);
+* :mod:`repro.obs.device` — the opt-in device trace: one record per
+  kernel launch, device-wide pass and restart round trip, with per-SM
+  block placements and counter attribution.
+
+Built on those two:
+
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, aggregating
   traffic counters, per-stage cycles, restart/degradation counts and
   pool high-water marks into JSON and Prometheus text exports;
-* :mod:`repro.obs.export` / :mod:`repro.obs.profile` — Perfetto JSON
-  emission + validation and the ``repro profile`` workload;
-* :mod:`repro.obs.device` / :mod:`repro.obs.analyze` — the opt-in
-  device-level trace (per-SM/per-block timelines, counter attribution)
-  and the ``repro analyze`` paper-figure reports built from it;
+* :mod:`repro.obs.export` / :mod:`repro.obs.profile` — the one Perfetto
+  builder (spans + device trace) with its validator, and the
+  ``repro profile`` workload;
+* :mod:`repro.obs.analyze` — the ``repro analyze`` paper-figure reports;
 * :mod:`repro.obs.trace` / :mod:`repro.obs.flight` — the cross-process
   request-tracing layer (deterministic ids, ``traceparent``
   propagation) and the adaptive-selector flight recorder.
@@ -26,7 +31,6 @@ from .export import (
     routing_events,
     sanitize_label_name,
     sanitize_metric_name,
-    span_events,
     validate_perfetto,
     validate_perfetto_file,
     write_perfetto,
@@ -82,7 +86,6 @@ __all__ = [
     "AnalysisReport",
     "analyze_result",
     "render_html",
-    "span_events",
     "parse_prometheus_text",
     "sanitize_label_name",
     "sanitize_metric_name",

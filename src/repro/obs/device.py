@@ -49,8 +49,8 @@ __all__ = [
 #: bump when the serialised trace layout changes incompatibly
 DEVICE_TRACE_SCHEMA = 1
 
-#: Perfetto process id for the per-SM tracks (host spans use 2, the
-#: kernel-launch timeline uses 1 — see ``repro.obs.export``)
+#: Perfetto process id for the per-SM and counter tracks (pipeline
+#: spans use 2 — see ``repro.obs.export``)
 DEVICE_SM_PID = 3
 
 #: worker-id namespace stride per device ordinal when traces from a
@@ -495,9 +495,10 @@ class DeviceTrace:
         """Per-SM tracks plus counter tracks in Chrome trace format.
 
         Slices (``ph: "X"``) land on one thread per SM; counter events
-        (``ph: "C"``) track the chunk-pool occupancy at each record and
-        the per-SM scratchpad high-water at each block start/end.
-        Timestamps are microseconds on the simulated clock.
+        (``ph: "C"``) track the per-SM scratchpad high-water at each
+        block start/end, and the chunk-pool occupancy and cumulative
+        global traffic at each record's end.  Timestamps are
+        microseconds on the simulated clock.
         """
         scale = 1.0 / (self.clock_ghz * 1e3)  # cycles -> us
 
@@ -542,7 +543,13 @@ class DeviceTrace:
                     "args": {"sort_index": sm + 1},
                 }
             )
+        bytes_read = bytes_written = 0
         for rec in self.records:
+            bytes_read += rec.counters.get("global_bytes_read", 0)
+            bytes_written += rec.counters.get("global_bytes_written", 0)
+            for ev in rec.blocks:
+                bytes_read += ev.counters.get("global_bytes_read", 0)
+                bytes_written += ev.counters.get("global_bytes_written", 0)
             if rec.kind == "launch":
                 for ev in rec.blocks:
                     if ev.sm < 0:
@@ -607,6 +614,20 @@ class DeviceTrace:
                             "used_bytes": rec.pool_used_bytes,
                             "free_bytes": rec.pool_capacity_bytes
                             - rec.pool_used_bytes,
+                        },
+                    }
+                )
+            if bytes_read or bytes_written:
+                events.append(
+                    {
+                        "name": "global traffic (cumulative)",
+                        "ph": "C",
+                        "ts": us(rec.start_cycle + rec.cycles),
+                        "pid": pid,
+                        "tid": 0,
+                        "args": {
+                            "bytes_read": bytes_read,
+                            "bytes_written": bytes_written,
                         },
                     }
                 )

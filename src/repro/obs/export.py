@@ -1,20 +1,24 @@
 """Exposition-format exports of the unified observability data:
 Perfetto / chrome://tracing JSON plus Prometheus text-format helpers.
 
-One payload merges two process rows:
+Every Perfetto payload is built from the same two sources, the span
+tree and the device trace:
 
-* **pid 1 — simulated device**: the per-stage kernel timeline of
-  :class:`~repro.bench.trace.TraceRecorder` (one thread row per stage,
-  instant events on tid 0);
-* **pid 2 — pipeline spans**: the driver's nested host-side span tree
+* **pid 2 — pipeline spans**: the driver's nested span tree
   (:mod:`repro.obs.span`) as ``X`` events on a single track — Perfetto
   nests contained slices automatically — plus span events (restarts,
-  aborts, degradation) as instant events.
+  aborts, degradation) as instant events;
+* **pid 3 — simulated device**: :class:`~repro.obs.device.DeviceTrace`
+  as one thread row per SM plus counter tracks (scratchpad bytes,
+  chunk-pool occupancy, cumulative global traffic).
+
+The routing audit adds pid 5.  The multi-device SUMMA view puts each
+device's spans and SMs on process rows of their own, through the same
+span walker (:func:`_span_tree_events`) and the same device export.
 
 :func:`validate_perfetto` is the schema check used by the tests and CI:
 it verifies the JSON object model and that ``X`` slices on one
-``(pid, tid)`` row are either disjoint or properly nested — the exact
-property the old zero-duration clamp in ``to_chrome_trace`` violated.
+``(pid, tid)`` row are either disjoint or properly nested.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from pathlib import Path
 from .span import Span
 
 __all__ = [
-    "span_events",
     "perfetto_payload",
     "summa_perfetto_payload",
     "write_perfetto",
@@ -190,9 +193,7 @@ def parse_prometheus_text(text: str) -> dict:
         "exemplars": exemplars,
     }
 
-DEVICE_PID = 1
 SPAN_PID = 2
-REQUEST_PID = 4
 ROUTING_PID = 5
 #: multi-device SUMMA exports: device ``d``'s span subtree lands on pid
 #: ``SUMMA_SPAN_PID_BASE + d`` and its per-SM tracks on
@@ -210,35 +211,42 @@ _META_NAMES = {
 }
 
 
-def span_events(
-    root: Span, clock_ghz: float, *, pid: int = SPAN_PID, tid: int = 1
-) -> list[dict]:
-    """Chrome-trace events for one span tree (plus name metadata)."""
+def _span_tree_events(
+    root: Span,
+    clock_ghz: float,
+    pid: int,
+    tid: int,
+    *,
+    offset: float = 0.0,
+    stop=None,
+    mirror: bool = False,
+) -> tuple[list[dict], list[Span]]:
+    """``X`` slices and ``i`` span events for one span tree, one row.
+
+    ``offset`` shifts every stamp in presentation floats only — the
+    tree stays on its own clock so the bitwise reconcile checks keep
+    holding on the original data.  A span for which ``stop(span)`` is
+    true is neither emitted nor descended into; it is returned in the
+    second list for the caller to place on its own rows.  Children are
+    visited first to last, or last to first with ``mirror`` (the SUMMA
+    node narrative's order, kept so its exports stay byte-stable).
+    """
     us = 1e6 / (clock_ghz * 1e9)
-    events: list[dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": tid,
-            "args": {"name": "pipeline spans"},
-        },
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": tid,
-            "args": {"name": "host pipeline"},
-        },
-    ]
-    for span in root.walk():
+    events: list[dict] = []
+    stopped: list[Span] = []
+    pending = [root]
+    while pending:
+        span = pending.pop()
+        if stop is not None and stop(span):
+            stopped.append(span)
+            continue
         end = span.end_cycle if span.end_cycle is not None else span.start_cycle
         events.append(
             {
                 "name": span.name,
                 "cat": "span",
                 "ph": "X",
-                "ts": span.start_cycle * us,
+                "ts": (span.start_cycle + offset) * us,
                 "dur": (end - span.start_cycle) * us,
                 "pid": pid,
                 "tid": tid,
@@ -251,14 +259,35 @@ def span_events(
                     "name": ev.label,
                     "cat": "span-event",
                     "ph": "i",
-                    "ts": ev.cycle * us,
+                    "ts": (ev.cycle + offset) * us,
                     "pid": pid,
                     "tid": tid,
                     "s": "t",
                     "args": {"detail": ev.detail},
                 }
             )
-    return events
+        pending.extend(span.children if mirror else reversed(span.children))
+    return events, stopped
+
+
+def _process_row(pid: int, tid: int, process: str, thread: str) -> list[dict]:
+    """``M`` records naming one process and one of its thread rows."""
+    return [
+        {
+            "name": "process_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": tid,
+            "args": {"name": process},
+        },
+        {
+            "name": "thread_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": tid,
+            "args": {"name": thread},
+        },
+    ]
 
 
 def routing_events(
@@ -329,33 +358,20 @@ def routing_events(
 def perfetto_payload(
     *,
     spans: Span | None = None,
-    trace=None,
     device=None,
-    request=None,
     routing: dict | None = None,
     clock_ghz: float | None = None,
 ) -> dict:
-    """Combined Perfetto JSON object for spans, kernel and device traces.
+    """Combined Perfetto JSON object for a span tree and a device trace.
 
-    ``device`` is a :class:`~repro.obs.device.DeviceTrace`; it adds a
-    third process row (pid 3) with one thread per SM plus counter
-    tracks (scratchpad bytes, chunk-pool occupancy).  ``request`` is a
-    :class:`~repro.obs.trace.RequestTrace` (pid 4, wall-clock request
-    timeline) and ``routing`` a selector dispatch event
+    ``device`` is a :class:`~repro.obs.device.DeviceTrace` (pid 3: one
+    thread per SM plus counter tracks), ``spans`` the pipeline span
+    tree (pid 2) and ``routing`` a selector dispatch event
     (``result.routing_audit``, pid 5).
     """
-    if (
-        spans is None and trace is None and device is None
-        and request is None and routing is None
-    ):
-        raise ValueError(
-            "need at least one of spans, trace, device, request or routing"
-        )
+    if spans is None and device is None and routing is None:
+        raise ValueError("need at least one of spans, device or routing")
     events: list[dict] = []
-    if trace is not None:
-        events.extend(trace.to_events(pid=DEVICE_PID))
-        if clock_ghz is None:
-            clock_ghz = trace.clock_ghz
     if device is not None:
         events.extend(device.to_perfetto_events())
         if clock_ghz is None:
@@ -363,54 +379,15 @@ def perfetto_payload(
     if spans is not None:
         if clock_ghz is None:
             raise ValueError("clock_ghz is required to export spans alone")
-        events.extend(span_events(spans, clock_ghz))
-    if request is not None:
-        events.extend(request.perfetto_events(pid=REQUEST_PID))
+        events.extend(
+            _process_row(SPAN_PID, 1, "pipeline spans", "host pipeline")
+        )
+        events.extend(_span_tree_events(spans, clock_ghz, SPAN_PID, 1)[0])
     if routing is not None:
         if clock_ghz is None:
             raise ValueError("clock_ghz is required to export routing audits")
         events.extend(routing_events(routing, clock_ghz))
     return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def _subtree_events(
-    span: Span, offset: float, us: float, pid: int, tid: int
-) -> list[dict]:
-    """X/i events for one grafted span subtree shifted by ``offset``.
-
-    The shift happens here, in presentation floats only — the span tree
-    itself stays on the device-local clock so the bitwise reconcile
-    checks keep holding on the original data.
-    """
-    events: list[dict] = []
-    for s in span.walk():
-        end = s.end_cycle if s.end_cycle is not None else s.start_cycle
-        events.append(
-            {
-                "name": s.name,
-                "cat": "span",
-                "ph": "X",
-                "ts": (s.start_cycle + offset) * us,
-                "dur": (end - s.start_cycle) * us,
-                "pid": pid,
-                "tid": tid,
-                "args": {k: s.attrs[k] for k in sorted(s.attrs)},
-            }
-        )
-        for ev in s.events:
-            events.append(
-                {
-                    "name": ev.label,
-                    "cat": "span-event",
-                    "ph": "i",
-                    "ts": (ev.cycle + offset) * us,
-                    "pid": pid,
-                    "tid": tid,
-                    "s": "t",
-                    "args": {"detail": ev.detail},
-                }
-            )
-    return events
 
 
 def summa_perfetto_payload(result) -> dict:
@@ -427,47 +404,19 @@ def summa_perfetto_payload(result) -> dict:
     ``start_cycle_on_node`` placement attr recorded by ``summa_spgemm``.
     """
     clock_ghz = result.clock_ghz
-    us = 1e6 / (clock_ghz * 1e9)
     g = result.grid
-    events: list[dict] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": SPAN_PID,
-            "tid": 1,
-            "args": {"name": "SUMMA node"},
-        },
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": SPAN_PID,
-            "tid": 1,
-            "args": {"name": "node timeline"},
-        },
-    ]
-    # node narrative: walk the tree but stop at grafted device subtrees
-    # (they carry a start_cycle_on_node placement attr)
-    pending = [result.spans]
-    grafted: list[Span] = []
-    while pending:
-        span = pending.pop()
-        if "start_cycle_on_node" in span.attrs:
-            grafted.append(span)
-            continue
-        end = span.end_cycle if span.end_cycle is not None else span.start_cycle
-        events.append(
-            {
-                "name": span.name,
-                "cat": "span",
-                "ph": "X",
-                "ts": span.start_cycle * us,
-                "dur": (end - span.start_cycle) * us,
-                "pid": SPAN_PID,
-                "tid": 1,
-                "args": {k: span.attrs[k] for k in sorted(span.attrs)},
-            }
-        )
-        pending.extend(span.children)
+    events = _process_row(SPAN_PID, 1, "SUMMA node", "node timeline")
+    # node narrative: grafted device subtrees (they carry a
+    # start_cycle_on_node placement attr) go on their own process rows
+    narrative, grafted = _span_tree_events(
+        result.spans,
+        clock_ghz,
+        SPAN_PID,
+        1,
+        stop=lambda span: "start_cycle_on_node" in span.attrs,
+        mirror=True,
+    )
+    events.extend(narrative)
 
     named_pids: set[int] = set()
     for sub in sorted(
@@ -508,7 +457,9 @@ def summa_perfetto_payload(result) -> dict:
             }
         )
         offset = sub.attrs["start_cycle_on_node"] - sub.start_cycle
-        events.extend(_subtree_events(sub, offset, us, pid, k + 1))
+        events.extend(
+            _span_tree_events(sub, clock_ghz, pid, k + 1, offset=offset)[0]
+        )
 
     # per-device SM tracks, when every tile carried a device trace
     traces = [run.result.device_trace for run in result.tile_runs.values()]

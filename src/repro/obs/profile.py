@@ -45,8 +45,8 @@ def profile_run(
 ) -> "ProfileReport":
     """Run ``A @ B`` with full instrumentation and wrap the result."""
     opts = options or DEFAULT_OPTIONS
-    if not opts.collect_trace:
-        opts = dataclasses.replace(opts, collect_trace=True)
+    if not opts.device_trace:
+        opts = dataclasses.replace(opts, device_trace=True)
     result = ac_spgemm(a, b, opts)
     return ProfileReport(result=result, options=opts, matrix_name=matrix_name)
 
@@ -126,11 +126,11 @@ class ProfileReport:
     # -- file exports -------------------------------------------------
 
     def trace_payload(self) -> dict:
-        """Merged Perfetto JSON object (device timeline + span tree,
-        plus per-SM tracks when the device trace was collected)."""
+        """Merged Perfetto JSON object: the device trace's per-SM and
+        counter tracks (pid 3) plus the pipeline span tree (pid 2) —
+        the same payload as ``repro analyze --perfetto-out``."""
         return perfetto_payload(
             spans=self.result.spans,
-            trace=self.result.trace,
             device=self.result.device_trace,
             clock_ghz=self.result.clock_ghz,
         )

@@ -440,48 +440,6 @@ class RequestTrace:
                 "spans": [s.to_dict() for s in self.spans],
             }
 
-    def perfetto_events(self, *, pid: int = 4) -> list[dict]:
-        """Wall-clock request-trace track for the Perfetto payload."""
-        events: list[dict] = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 1,
-                "args": {"name": "request trace"},
-            },
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 1,
-                "args": {"name": f"trace {self.trace_id[:8]}"},
-            },
-        ]
-        with self._lock:
-            base = self.root.t_start or 0.0
-            for s in self.spans:
-                if s.t_start is None:
-                    continue
-                start = max(0.0, (s.t_start - base)) * 1e6
-                end = max(0.0, ((s.t_end or s.t_start) - base)) * 1e6
-                events.append(
-                    {
-                        "name": s.name,
-                        "cat": "request",
-                        "ph": "X",
-                        "ts": start,
-                        "dur": max(0.0, end - start),
-                        "pid": pid,
-                        "tid": 1,
-                        "args": {
-                            "span_id": s.span_id,
-                            **{k: s.attrs[k] for k in sorted(s.attrs)},
-                        },
-                    }
-                )
-        return events
-
 
 class TraceStore:
     """Bounded LRU store of finalized request traces (serve-side)."""

@@ -19,7 +19,9 @@ the request lifecycle end to end and guarantees the daemon's contract:
 ``error``
     The request itself was invalid (unparseable matrix, unknown name,
     an inline matrix declaring more than :data:`MAX_INLINE_DIM` rows or
-    columns); deterministic (HTTP 400/404/413).
+    columns, or whose squared product would expand more than
+    :data:`MAX_INLINE_PRODUCTS` intermediate products); deterministic
+    (HTTP 400/404/413).
 
 Hardening layers, outermost first:
 
@@ -59,6 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..baselines.util import row_temp_counts
 from ..bench.harness import CACHE_VERSION
 from ..core import DEFAULT_OPTIONS, AcSpgemmOptions, ac_spgemm
 from ..obs.flight import get_flight_recorder, install_flight_recorder
@@ -89,6 +92,12 @@ _DTYPES = {"float32": np.float32, "float64": np.float64}
 #: declare; ``row_ptr`` is sized from the declared rows before a single
 #: entry is read, so the bound is checked before anything is built
 MAX_INLINE_DIM = 1 << 22
+
+#: largest number of intermediate products the squared product of an
+#: inline matrix may expand; a few KiB of COO holding one dense row and
+#: one dense column would otherwise ask for ~k^2 products, and the
+#: executor finishes a job even after its client's deadline expired
+MAX_INLINE_PRODUCTS = 1 << 22
 
 _BREAKER_CLOSED = 0
 _BREAKER_HALF_OPEN = 1
@@ -132,6 +141,26 @@ def _check_inline_dims(rows: int, cols: int) -> None:
         raise PayloadTooLarge(
             f"inline matrix declares {rows}x{cols}; rows and cols may not "
             f"exceed {MAX_INLINE_DIM}",
+            stage="serve",
+        )
+
+
+def _check_inline_products(m) -> None:
+    """Bound the squared product before anything is queued or cached.
+
+    ``A @ A`` expands ``row_temp_counts(A, A).sum()`` products; for the
+    ``A @ A.T`` of a non-square matrix that sum is A's squared column
+    counts, so the transpose is never built here.
+    """
+    if m.is_square:
+        products = int(row_temp_counts(m, m).sum())
+    else:
+        col_counts = np.bincount(m.col_idx, minlength=m.cols)
+        products = int(col_counts @ col_counts)
+    if products > MAX_INLINE_PRODUCTS:
+        raise PayloadTooLarge(
+            f"inline {m.rows}x{m.cols} matrix expands {products} "
+            f"intermediate products; at most {MAX_INLINE_PRODUCTS} allowed",
             stage="serve",
         )
 
@@ -304,7 +333,8 @@ class ServeCore:
         Raises ``LookupError`` for unknown identifiers (HTTP 404),
         ``ValueError`` / typed I-O errors for malformed inline matrices
         (HTTP 400) and :class:`PayloadTooLarge` for inline matrices
-        declaring more than :data:`MAX_INLINE_DIM` rows or columns
+        declaring more than :data:`MAX_INLINE_DIM` rows or columns or
+        expanding more than :data:`MAX_INLINE_PRODUCTS` products
         (HTTP 413).
         """
         from ..campaign.plan import matrix_fingerprint
@@ -345,6 +375,7 @@ class ServeCore:
                 ).to_csr()
             except KeyError as exc:  # a 400, not the 404 LookupError means
                 raise ValueError(f"coo payload missing field {exc}") from None
+            _check_inline_products(m)
             fp = self._register_matrix(f"inline-{matrix_fingerprint(m)}", m)
             return f"inline-{fp}", m, fp
         if "mtx" in payload:
@@ -363,6 +394,7 @@ class ServeCore:
                 m = read_matrix_market(path, strict=True)
             finally:
                 Path(path).unlink(missing_ok=True)
+            _check_inline_products(m)
             fp = self._register_matrix(f"inline-{matrix_fingerprint(m)}", m)
             return f"inline-{fp}", m, fp
         raise ValueError(

@@ -212,3 +212,19 @@ class TestHotspotBench:
         assert spent <= hot["total_host_seconds"] + 1e-6
         # measured in its own untimed pass; any real run allocates
         assert hot["peak_heap_mib"] > 0
+        assert hot["total_iqr_seconds"] >= 0.0
+        assert all(r["iqr_seconds"] >= 0.0 for r in hot["top_spans"])
+
+    def test_wallclock_reports_median_and_spread(self):
+        from repro.bench.wallclock import run_wallclock
+
+        payload = run_wallclock(smoke=True, repeats=3)
+        assert payload["repeats"] == 3 and payload["all_identical"]
+        for row in payload["cases"]:
+            assert set(row["seconds"]) == set(row["iqr_seconds"]) == {
+                "reference", "batched"
+            }
+            assert all(v >= 0.0 for v in row["iqr_seconds"].values())
+            assert row["speedup"]["batched"] == (
+                row["seconds"]["reference"] / row["seconds"]["batched"]
+            )

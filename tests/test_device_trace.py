@@ -325,10 +325,9 @@ class TestAnalyze:
 class TestPerfettoExport:
     def test_device_tracks_validate(self, rng):
         a, b = _pair(rng)
-        res = ac_spgemm(a, b, _opts(collect_trace=True))
+        res = ac_spgemm(a, b, _opts())
         payload = perfetto_payload(
             spans=res.spans,
-            trace=res.trace,
             device=res.device_trace,
             clock_ghz=res.clock_ghz,
         )
@@ -339,22 +338,23 @@ class TestPerfettoExport:
         sms = {e["tid"] for e in dev if e["ph"] == "X"}
         assert sms and all(tid >= 1 for tid in sms)
 
-    def test_counter_tracks_without_device_trace(self, rng):
-        """Satellite: pool/traffic counters ride the plain kernel trace."""
+    def test_counter_tracks_from_device_trace(self, rng):
+        """Pool occupancy and cumulative global traffic ride the device
+        trace; the last traffic sample is the run's total."""
         a, b = _pair(rng)
-        res = ac_spgemm(
-            a, b,
-            AcSpgemmOptions(device=SMALL_DEVICE, collect_trace=True),
-        )
-        payload = perfetto_payload(
-            spans=res.spans, trace=res.trace, clock_ghz=res.clock_ghz
-        )
-        validate_perfetto(payload)
-        names = {
-            e["name"] for e in payload["traceEvents"] if e["ph"] == "C"
+        res = ac_spgemm(a, b, _opts(pool_growth_factor=1.5))
+        events = res.device_trace.to_perfetto_events()
+        validate_perfetto({"traceEvents": events})
+        counters = [e for e in events if e["ph"] == "C"]
+        assert "chunk pool occupancy" in {e["name"] for e in counters}
+        traffic = [
+            e for e in counters if e["name"] == "global traffic (cumulative)"
+        ]
+        assert traffic == sorted(traffic, key=lambda e: e["ts"])
+        assert traffic[-1]["args"] == {
+            "bytes_read": res.counters.global_bytes_read,
+            "bytes_written": res.counters.global_bytes_written,
         }
-        assert "chunk pool occupancy" in names
-        assert "global traffic (cumulative)" in names
 
     def test_validator_rejects_bad_counter(self):
         bad = {

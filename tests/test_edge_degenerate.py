@@ -51,7 +51,7 @@ class TestDegeneratePipeline:
     def test_all_engines(self, label, a, b, engine):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = ac_spgemm(a, b, _opts(engine=engine, collect_trace=True))
+            res = ac_spgemm(a, b, _opts(engine=engine, device_trace=True))
         assert res.matrix.shape == (a.rows, b.cols)
         assert res.matrix.nnz == 0
         ref = spgemm_reference(a, b)
@@ -66,7 +66,7 @@ class TestDegeneratePipeline:
     def test_profile_and_exports(self, label, a, b, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = profile_run(a, b, _opts(collect_trace=True), matrix_name=label)
+            rep = profile_run(a, b, _opts(), matrix_name=label)
             text = rep.text()
             payload = rep.trace_payload()
             doc = rep.metrics_doc()

@@ -163,6 +163,37 @@ class TestServeCoreOutcomes:
         finally:
             core.close()
 
+    def test_inline_product_blowup_is_413(self):
+        """One dense row plus one dense column is a few KiB of COO but
+        ~k^2 intermediate products; it is rejected before anything is
+        queued, cached or registered."""
+        from repro.serve.core import MAX_INLINE_PRODUCTS
+
+        k = 2100
+        assert k * k > MAX_INLINE_PRODUCTS
+        idx = np.arange(k)
+        zeros = np.zeros(k, dtype=np.int64)
+        coo = {
+            "rows": k, "cols": k,
+            "row_idx": np.concatenate([zeros, idx[1:]]).tolist(),
+            "col_idx": np.concatenate([idx, zeros[1:]]).tolist(),
+            "values": [1.0] * (2 * k - 1),
+        }
+        assert len(json.dumps(coo)) < 64 * 1024
+        calls = []
+        core = _core(multiply=lambda a, b, options: calls.append(a))
+        try:
+            body = core.handle({"coo": coo})
+            assert (body["outcome"], body["status"]) == ("error", 413)
+            assert body["reason"].startswith("PayloadTooLarge")
+            stats = core.stats()
+            assert stats["queue_depth"] == 0 and stats["executed"] == 0
+            assert stats["cache_entries"] == 0
+            assert not core._matrices
+        finally:
+            core.close()
+        assert calls == []
+
     def test_default_core_runs_batched_in_process(self):
         """The shipped defaults execute on ``batched`` in this process:
         no child process and no shared-memory segment."""

@@ -1,110 +1,130 @@
-"""Tests for the execution tracer (the artifact's Debug mode)."""
+"""Tests for the execution timeline (the artifact's Debug mode).
+
+The timeline is the device trace (:class:`repro.obs.device.DeviceTrace`)
+plus the pipeline span tree; ``repro profile`` renders both as one
+Perfetto file.
+"""
 
 import json
 
-import numpy as np
 import pytest
 
 from repro import AcSpgemmOptions, ac_spgemm
-from repro.bench import TraceRecorder
 from repro.gpu import SMALL_DEVICE
 from repro.gpu.scheduler import schedule_blocks
 from repro.matrices import random_uniform
+from repro.obs import DeviceTrace, profile_run
+from repro.obs.device import BlockMeta
 from tests.conftest import random_csr
+
+
+def _restart_opts(**kw) -> AcSpgemmOptions:
+    """A pool small enough to restart in ESC and in the MM merge."""
+    return AcSpgemmOptions(
+        device=SMALL_DEVICE,
+        chunk_pool_bytes=20000,
+        pool_growth_factor=2.0,
+        device_trace=True,
+        **kw,
+    )
+
+
+def _launch(trace, stage, cycles, *, start):
+    trace.record_launch(
+        stage,
+        round_index=0,
+        start_cycle=start,
+        timing=schedule_blocks(cycles, trace.num_sms, record_placements=True),
+        launch_overhead=0.0,
+        workers=[
+            BlockMeta(worker_id=i, row_lo=i, row_hi=i, cycles=c)
+            for i, c in enumerate(cycles)
+        ],
+    )
 
 
 class TestRecorder:
     def test_clock_advances(self):
-        t = TraceRecorder()
-        t.record_kernel("ESC", schedule_blocks([10.0, 20.0], 2), [10.0, 20.0])
-        t.record_span("CC", 5.0)
-        assert t.total_cycles() == 25.0
-        assert len(t.kernels) == 2
-        assert t.kernels[1].start_cycle == 20.0
+        t = DeviceTrace(clock_ghz=1.0, num_sms=2)
+        _launch(t, "ESC", [10.0, 20.0], start=0.0)
+        rec = t.records[0]
+        assert rec.cycles == 20.0
+        t.record_device_wide("CC", "scan", start_cycle=rec.cycles, cycles=5.0)
+        assert [r.start_cycle for r in t.records] == [0.0, 20.0]
+        assert sum(r.cycles for r in t.records) == 25.0
 
     def test_block_statistics(self):
-        t = TraceRecorder()
-        t.record_kernel("ESC", schedule_blocks([1.0, 3.0, 2.0], 2), [1.0, 3.0, 2.0])
-        k = t.kernels[0]
-        assert (k.min_block_cycles, k.max_block_cycles) == (1.0, 3.0)
-        assert k.mean_block_cycles == pytest.approx(2.0)
+        t = DeviceTrace(clock_ghz=1.0, num_sms=2)
+        _launch(t, "ESC", [1.0, 3.0, 2.0], start=100.0)
+        rec = t.records[0]
+        assert [ev.cycles for ev in rec.blocks] == [1.0, 3.0, 2.0]
+        assert [ev.sm for ev in rec.blocks] == [0, 1, 0]
+        assert rec.blocks[2].start_cycle == 101.0
+        assert t.per_sm_busy(rec) == list(rec.sm_busy) == [3.0, 3.0]
 
     def test_stage_totals(self):
-        t = TraceRecorder()
-        t.record_span("GLB", 5.0)
-        t.record_span("ESC", 7.0)
-        t.record_span("ESC", 3.0)
-        assert t.stage_totals() == {"GLB": 5.0, "ESC": 10.0}
+        t = DeviceTrace(clock_ghz=1.0, num_sms=2)
+        t.record_device_wide("GLB", "glb", start_cycle=0.0, cycles=5.0)
+        t.record_device_wide("ESC", "a", start_cycle=5.0, cycles=7.0)
+        t.record_device_wide("ESC", "b", start_cycle=12.0, cycles=3.0)
+        assert t.stage_cycle_totals() == {"GLB": 5.0, "ESC": 10.0}
 
     def test_points(self):
-        t = TraceRecorder()
-        t.record_span("ESC", 4.0)
-        t.record_point("restart", detail="grown")
-        assert t.points[0].cycle == 4.0
+        t = DeviceTrace(clock_ghz=1.0, num_sms=2)
+        t.record_device_wide("ESC", "esc", start_cycle=0.0, cycles=4.0)
+        t.record_host(
+            "ESC", "restart", start_cycle=4.0, cycles=2.0,
+            counters={"host_round_trips": 1},
+        )
+        host = t.records[-1]
+        assert (host.kind, host.label, host.start_cycle) == (
+            "host", "restart", 4.0
+        )
+        assert t.counter_totals().host_round_trips == 1
 
     def test_summary_mentions_everything(self):
-        t = TraceRecorder()
-        t.record_span("GLB", 100.0)
-        t.record_point("restart")
-        s = t.summary()
-        assert "GLB" in s and "restart" in s
+        a = random_uniform(300, 300, 6, seed=1)
+        rep = profile_run(a, a, _restart_opts())
+        s = rep.text()
+        assert "GLB" in s and f"restarts={rep.result.restarts}" in s
+        assert "esc.restart" in s
 
 
 class TestChromeExport:
     def test_valid_json_with_events(self, tmp_path):
-        t = TraceRecorder()
-        t.record_kernel("ESC", schedule_blocks([10.0], 2), [10.0])
-        t.record_point("restart")
-        p = t.to_chrome_trace(tmp_path / "trace.json")
+        a = random_uniform(300, 300, 6, seed=1)
+        rep = profile_run(a, a, _restart_opts())
+        p = rep.write_trace(tmp_path / "trace.json")
         data = json.loads(p.read_text())
         names = [e["name"] for e in data["traceEvents"]]
-        assert "ESC#0" in names and "restart" in names
+        assert "ESC r0 w0" in names and "restart" in names
         complete = [e for e in data["traceEvents"] if e["ph"] == "X"]
         assert complete and all("dur" in e for e in complete)
 
-    def test_zero_duration_clamp_never_overlaps(self):
-        """Back-to-back zero-cycle kernels on one stage row must not
-        overlap after the minimum-visible-duration widening (the old
-        unconditional ``max(dur, 1e-3)`` clamp produced corrupt nested
-        slices)."""
-        from repro.obs import validate_perfetto
-
-        t = TraceRecorder()
-        t.record_span("ESC", 0.0)
-        t.record_span("ESC", 0.0)
-        t.record_span("ESC", 10.0)
-        events = t.to_events()
-        validate_perfetto({"traceEvents": events})
-        xs = sorted(
-            (e for e in events if e["ph"] == "X"), key=lambda e: e["ts"]
+    def test_thread_and_process_metadata(self, rng):
+        a = random_csr(rng, 60, 60, 0.1)
+        rep = profile_run(
+            a, a,
+            AcSpgemmOptions(device=SMALL_DEVICE,
+                            chunk_pool_lower_bound_bytes=1 << 20),
         )
-        for prev, nxt in zip(xs, xs[1:]):
-            assert prev["ts"] + prev["dur"] <= nxt["ts"] + 1e-12
-
-    def test_zero_duration_widened_when_room(self):
-        t = TraceRecorder()
-        t.record_span("ESC", 0.0)
-        t.record_span("GLB", 1e6)  # advances the clock between ESC slices
-        t.record_span("ESC", 5.0)
-        first = [e for e in t.to_events() if e["ph"] == "X"][0]
-        assert first["name"] == "ESC#0"
-        assert first["dur"] == TraceRecorder.MIN_VISIBLE_DUR_US
-
-    def test_thread_and_process_metadata(self):
-        t = TraceRecorder()
-        t.record_span("GLB", 5.0)
-        t.record_span("ESC", 5.0)
-        t.record_point("restart")
-        events = t.to_events()
+        events = rep.trace_payload()["traceEvents"]
         meta = [e for e in events if e["ph"] == "M"]
-        by_name = {(e["name"], e["tid"]): e["args"]["name"] for e in meta}
-        assert by_name[("process_name", 0)] == "simulated device"
-        assert by_name[("thread_name", 0)] == "host events"
-        assert by_name[("thread_name", 1)] == "stage GLB"
-        assert by_name[("thread_name", 2)] == "stage ESC"
-        # every X/i event lands on a named row
-        named_tids = {tid for (name, tid) in by_name if name == "thread_name"}
-        assert {e["tid"] for e in events if e["ph"] != "M"} <= named_tids
+        procs = {
+            e["pid"]: e["args"]["name"]
+            for e in meta if e["name"] == "process_name"
+        }
+        assert procs == {2: "pipeline spans", 3: "simulated device (per-SM)"}
+        threads = {
+            (e["pid"], e["tid"]): e["args"]["name"]
+            for e in meta if e["name"] == "thread_name"
+        }
+        assert threads[(2, 1)] == "host pipeline"
+        assert threads[(3, 1)] == "SM 0"
+        # every slice and instant event lands on a named row
+        assert {
+            (e["pid"], e["tid"]) for e in events if e["ph"] in ("X", "i")
+        } <= set(threads)
 
 
 class TestPipelineIntegration:
@@ -113,15 +133,18 @@ class TestPipelineIntegration:
         opts = AcSpgemmOptions(
             device=SMALL_DEVICE,
             chunk_pool_lower_bound_bytes=1 << 20,
-            collect_trace=True,
+            device_trace=True,
         )
         res = ac_spgemm(a, a, opts)
-        assert res.trace is not None
-        assert res.trace.total_cycles() == pytest.approx(res.total_cycles)
-        # per-stage totals match the result's stage accounting
-        totals = res.trace.stage_totals()
+        assert res.device_trace is not None
+        last = res.device_trace.records[-1]
+        assert last.start_cycle + last.cycles == pytest.approx(
+            res.total_cycles
+        )
+        # per-stage totals match the result's stage accounting exactly
+        totals = res.device_trace.stage_cycle_totals()
         for stage, cycles in res.stage_cycles.items():
-            assert totals.get(stage, 0.0) == pytest.approx(cycles), stage
+            assert totals.get(stage, 0.0) == cycles, stage
 
     def test_trace_off_by_default(self, rng):
         a = random_csr(rng, 30, 30, 0.1)
@@ -129,14 +152,16 @@ class TestPipelineIntegration:
             a, a, AcSpgemmOptions(device=SMALL_DEVICE,
                                   chunk_pool_lower_bound_bytes=1 << 20)
         )
-        assert res.trace is None
+        assert res.device_trace is None
 
     def test_restart_events_recorded(self):
         a = random_uniform(300, 300, 6, seed=1)
-        opts = AcSpgemmOptions(
-            chunk_pool_bytes=20000, pool_growth_factor=2.0, collect_trace=True
-        )
-        res = ac_spgemm(a, a, opts)
+        res = ac_spgemm(a, a, _restart_opts())
         assert res.restarts > 0
-        restart_points = [p for p in res.trace.points if p.label == "restart"]
-        assert len(restart_points) == res.restarts
+        restarts = [
+            r for r in res.device_trace.records
+            if (r.kind, r.label) == ("host", "restart")
+        ]
+        assert len(restarts) == res.restarts
+        # merge restarts are round trips too, not only ESC's
+        assert {r.stage for r in restarts} > {"ESC"}
