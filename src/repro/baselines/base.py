@@ -24,6 +24,7 @@ import numpy as np
 from ..gpu.config import DeviceConfig, TITAN_XP
 from ..gpu.cost import CostConstants, CostMeter, DEFAULT_COSTS
 from ..gpu.counters import TrafficCounters
+from ..sparse.coo import row_major_order
 from ..sparse.csr import CSRMatrix
 
 __all__ = [
@@ -145,29 +146,25 @@ def expand_products(
     if a.nnz == 0 or b.nnz == 0:
         empty = np.zeros(0, dtype=_INDEX_DTYPE)
         return empty, empty.copy(), np.zeros(0, dtype=dtype)
-    b_lengths = b.row_lengths()
-    expand_counts = b_lengths[a.col_idx]
-    total = int(expand_counts.sum())
+    expand_counts = b.row_lengths()[a.col_idx]
+    # products before each A entry; differenced at A's row pointers it
+    # gives the products of each row
+    run_starts = np.zeros(a.nnz + 1, dtype=_INDEX_DTYPE)
+    np.cumsum(expand_counts, out=run_starts[1:])
+    total = int(run_starts[-1])
     if total == 0:
         empty = np.zeros(0, dtype=_INDEX_DTYPE)
         return empty, empty.copy(), np.zeros(0, dtype=dtype)
 
-    a_rows = np.repeat(np.arange(a.rows, dtype=_INDEX_DTYPE), a.row_lengths())
-    rows = np.repeat(a_rows, expand_counts)
-    a_vals = np.repeat(a.values.astype(dtype, copy=False), expand_counts)
-
-    # B element index of each product: per A-entry a run
-    # [b_ptr[k], b_ptr[k] + len) — built with the cumsum-offset trick.
-    starts = b.row_ptr[a.col_idx]
-    offsets = np.arange(total, dtype=_INDEX_DTYPE)
-    entry_of_product = np.repeat(
-        np.arange(a.nnz, dtype=_INDEX_DTYPE), expand_counts
+    rows = np.repeat(
+        np.arange(a.rows, dtype=_INDEX_DTYPE),
+        run_starts[a.row_ptr[1:]] - run_starts[a.row_ptr[:-1]],
     )
-    run_starts = np.concatenate(
-        [[0], np.cumsum(expand_counts)[:-1]]
-    ).astype(_INDEX_DTYPE)
-    within = offsets - run_starts[entry_of_product]
-    b_elem = starts[entry_of_product] + within
+    a_vals = np.repeat(a.values.astype(dtype, copy=False), expand_counts)
+    # B element index of each product: per A entry a run
+    # [b_ptr[k], b_ptr[k] + len), as a repeated offset plus the product id
+    b_elem = np.repeat(b.row_ptr[a.col_idx] - run_starts[:-1], expand_counts)
+    b_elem += np.arange(total, dtype=_INDEX_DTYPE)
 
     cols = b.col_idx[b_elem]
     vals = a_vals * b.values[b_elem].astype(dtype, copy=False)
@@ -190,27 +187,32 @@ def accumulate_products(
     behaviour of sort/merge-based algorithms.  With a seed, products are
     permuted within their group before summation, modelling the
     scheduler-dependent insertion order of hash-based algorithms.
+
+    The order is one stable sort of packed ``row * n_cols + col`` keys
+    (:func:`~repro.sparse.coo.row_major_order`). A seed draws one
+    priority per product, ``default_rng(seed).random(n)``, and orders
+    each group of two or more products by it (ties in input order); a
+    single product needs no reordering. Pairs do: IEEE addition of two
+    NaNs keeps the first operand's payload, so even a two-product sum
+    depends on the order.
     """
-    dtype = vals.dtype
-    if rows.shape[0] == 0:
-        return CSRMatrix.empty(n_rows, n_cols, dtype=dtype)
-    if shuffle_seed is None:
-        order = np.lexsort((cols, rows))
-    else:
-        rng = np.random.default_rng(shuffle_seed)
-        priority = rng.random(rows.shape[0])
-        order = np.lexsort((priority, cols, rows))
-    r = rows[order]
-    c = cols[order]
-    v = vals[order]
-    new_group = np.empty(r.shape[0], dtype=bool)
+    n = rows.shape[0]
+    if n == 0:
+        return CSRMatrix.empty(n_rows, n_cols, dtype=vals.dtype)
+    order, keys = row_major_order(rows, cols, n_rows, n_cols)
+    new_group = np.empty(n, dtype=bool)
     new_group[0] = True
-    np.not_equal(r[1:], r[:-1], out=new_group[1:])
-    np.logical_or(new_group[1:], c[1:] != c[:-1], out=new_group[1:])
-    start_idx = np.nonzero(new_group)[0]
-    out_vals = np.add.reduceat(v, start_idx)
-    out_rows = r[start_idx]
-    out_cols = c[start_idx]
+    np.not_equal(keys[1:], keys[:-1], out=new_group[1:])
+    if shuffle_seed is not None:
+        _shuffle_groups(order, keys, new_group, shuffle_seed)
+    start_idx = np.flatnonzero(new_group)
+    del new_group
+    out_vals = np.add.reduceat(vals[order], start_idx)
+    # drop each product-sized array once consumed (bounds the peak heap)
+    del order
+    out_keys = keys[start_idx]
+    del keys, start_idx
+    out_rows, out_cols = np.divmod(out_keys, n_cols)
     row_counts = np.bincount(out_rows, minlength=n_rows)
     row_ptr = np.zeros(n_rows + 1, dtype=_INDEX_DTYPE)
     np.cumsum(row_counts, out=row_ptr[1:])
@@ -221,3 +223,19 @@ def accumulate_products(
         col_idx=out_cols,
         values=out_vals,
     )
+
+
+def _shuffle_groups(
+    order: np.ndarray, keys: np.ndarray, new_group: np.ndarray, seed: int
+) -> None:
+    """Reorder ``order`` in place: within each group of two or more
+    sorted products, by one seeded priority per product (ties in input
+    order)."""
+    priority = np.random.default_rng(seed).random(order.shape[0])
+    # sorted positions in a group of two or more: the position continues
+    # its group, or the next position continues it
+    shared = ~new_group
+    shared[:-1] |= shared[1:]
+    pos = np.flatnonzero(shared)
+    sub = order[pos]
+    order[pos] = sub[np.lexsort((priority[sub], keys[pos]))]

@@ -47,7 +47,7 @@ class CusparseLike(SpGEMMAlgorithm):
             shuffle_seed=None if seed is None else seed + 1,
         )
         in_scratch = c.row_lengths()[: a.rows] <= self.primary_table_entries
-        temp_local = int(in_scratch[rows].sum()) if temp else 0
+        temp_local = int(per_row[in_scratch].sum())
         temp_global = temp - temp_local
 
         def hash_phase() -> None:

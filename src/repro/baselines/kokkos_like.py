@@ -57,7 +57,7 @@ class KokkosLike(SpGEMMAlgorithm):
             shuffle_seed=None if seed is None else seed + 2,
         )
         in_first = c.row_lengths()[: a.rows] <= self.first_level_entries
-        temp_first = int(in_first[rows].sum()) if temp else 0
+        temp_first = int(per_row[in_first].sum())
         temp_second = temp - temp_first
         # first-level tables are sized per row bin; initialising them
         # costs one scratchpad sweep of the table per processed row

@@ -70,11 +70,7 @@ class NsparseHash(SpGEMMAlgorithm):
         # rows whose distinct-column count exceeds the largest
         # scratchpad table are processed through the global hash
         in_scratch = c.row_lengths()[: a.rows] <= self.max_table_entries
-        row_of_product = rows
-        local_product = (
-            in_scratch[row_of_product] if temp else np.zeros(0, dtype=bool)
-        )
-        temp_local = int(local_product.sum())
+        temp_local = int(per_row[in_scratch].sum())
         temp_global = temp - temp_local
         # per-row hash tables are sized to the bin; the smallest bin
         # still allocates (and clears) a 256-slot table, so very short

@@ -18,6 +18,7 @@ import numpy as np
 
 from ..gpu.cost import CostMeter
 from .base import SpGEMMAlgorithm, accumulate_products, expand_products
+from .util import row_temp_counts
 
 __all__ = ["RMerge"]
 
@@ -60,10 +61,7 @@ class RMerge(SpGEMMAlgorithm):
         # leave lanes idle, so the charged work is per warp *slot*, not
         # per element — the under-utilisation that costs RMerge its lead
         # on irregular sparse matrices.
-        per_row_temp = np.zeros(a.rows, dtype=np.int64)
-        if temp:
-            a_rows_of_products = rows
-            np.add.at(per_row_temp, a_rows_of_products, 1)
+        per_row_temp = row_temp_counts(a, b)
         ways = a_lengths
         active = ways > 0
         warp_groups = np.ceil(ways[active] / self.merge_width)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coo import COOMatrix
+from .coo import COOMatrix, row_major_order
 from .csr import CSRMatrix
 
 __all__ = [
@@ -51,16 +51,14 @@ def sort_row_entries(m: CSRMatrix) -> CSRMatrix:
     Entries produced by our algorithms are already sorted; this is the
     canonicalisation step for externally supplied matrices.
     """
-    col_idx = m.col_idx.copy()
-    values = m.values.copy()
     row_ids = np.repeat(np.arange(m.rows, dtype=_INDEX_DTYPE), m.row_lengths())
-    order = np.lexsort((col_idx, row_ids))
+    order, _ = row_major_order(row_ids, m.col_idx, m.rows, m.cols)
     return CSRMatrix(
         rows=m.rows,
         cols=m.cols,
         row_ptr=m.row_ptr.copy(),
-        col_idx=col_idx[order],
-        values=values[order],
+        col_idx=m.col_idx[order],
+        values=m.values[order],
     )
 
 

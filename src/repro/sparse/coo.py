@@ -14,9 +14,42 @@ import numpy as np
 
 from .csr import CSRMatrix
 
-__all__ = ["COOMatrix"]
+__all__ = ["COOMatrix", "row_major_order"]
 
 _INDEX_DTYPE = np.int64
+#: one past the largest packed key ``row * n_cols + col`` int64 can hold
+_KEY_LIMIT = 2**63
+
+
+def row_major_order(
+    rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stable row-major order of ``(row, col)`` coordinate pairs.
+
+    Packs every pair into one int64 key ``row * n_cols + col``, which is
+    injective for in-range ids, and sorts the keys with one stable
+    ``argsort``. That is the permutation of a two-key ``np.lexsort`` by
+    row, then column, at a fraction of its cost. Returns
+    ``(order, keys)`` with ``keys`` the packed keys in sorted order;
+    ``np.divmod(keys, n_cols)`` recovers the pairs.
+
+    Raises :class:`ValueError` when an id lies outside the shape or
+    ``n_rows * n_cols`` does not fit in int64.
+    """
+    if int(n_rows) * int(n_cols) > _KEY_LIMIT:
+        raise ValueError(
+            f"shape ({n_rows}, {n_cols}) overflows a packed int64 (row, col) key"
+        )
+    if rows.shape[0] and (
+        rows.min() < 0 or rows.max() >= n_rows
+        or cols.min() < 0 or cols.max() >= n_cols
+    ):
+        raise ValueError(f"(row, col) ids outside the shape ({n_rows}, {n_cols})")
+    key = rows.astype(_INDEX_DTYPE)
+    key *= n_cols
+    key += cols
+    order = np.argsort(key, kind="stable")
+    return order, key[order]
 
 
 @dataclass
@@ -72,22 +105,21 @@ class COOMatrix:
         """
         if self.nnz == 0:
             return CSRMatrix.empty(self.rows, self.cols, dtype=self.values.dtype)
-        order = np.lexsort((self.col_idx, self.row_idx))
-        r = self.row_idx[order]
-        c = self.col_idx[order]
+        order, keys = row_major_order(
+            self.row_idx, self.col_idx, self.rows, self.cols
+        )
         v = self.values[order]
         if sum_duplicates:
             # boundaries where (row, col) changes
-            new_group = np.empty(r.shape[0], dtype=bool)
+            new_group = np.empty(keys.shape[0], dtype=bool)
             new_group[0] = True
-            np.not_equal(r[1:], r[:-1], out=new_group[1:])
-            np.logical_or(new_group[1:], c[1:] != c[:-1], out=new_group[1:])
+            np.not_equal(keys[1:], keys[:-1], out=new_group[1:])
             group_id = np.cumsum(new_group) - 1
             n_groups = int(group_id[-1]) + 1
             out_v = np.zeros(n_groups, dtype=v.dtype)
             np.add.at(out_v, group_id, v)
-            first = np.nonzero(new_group)[0]
-            r, c, v = r[first], c[first], out_v
+            keys, v = keys[new_group], out_v
+        r, c = np.divmod(keys, self.cols)
         row_counts = np.bincount(r, minlength=self.rows)
         row_ptr = np.zeros(self.rows + 1, dtype=_INDEX_DTYPE)
         np.cumsum(row_counts, out=row_ptr[1:])
