@@ -54,7 +54,7 @@ from ..baselines.util import row_temp_counts
 from ..core.acspgemm import AcSpgemmResult, MemoryReport
 from ..core.options import AcSpgemmOptions, DEFAULT_OPTIONS
 from ..gpu.counters import TrafficCounters
-from ..gpu.memory import Scratchpad
+from ..gpu.memory import layout_high_water
 from ..gpu.scheduler import schedule_blocks
 from ..obs.device import BlockMeta, DeviceTrace
 from ..obs.span import SpanRecorder
@@ -128,20 +128,6 @@ def _pow2_ceil(x: np.ndarray) -> np.ndarray:
     return (1 << np.ceil(np.log2(np.maximum(x, 1))).astype(np.int64)).astype(
         np.int64
     )
-
-
-def _scratch_high_water(cfg, name: str, n_bytes: np.ndarray) -> np.ndarray:
-    """Per-block high water of one fresh scratchpad allocation.
-
-    The first block whose ``n_bytes`` exceed the device's per-block
-    scratchpad raises :class:`~repro.gpu.memory.ScratchpadOverflow`
-    through :meth:`Scratchpad.alloc` itself, so the error is the one a
-    per-block allocation would raise.
-    """
-    over = np.flatnonzero(n_bytes > cfg.scratchpad_bytes)
-    if over.size:
-        Scratchpad.for_device(cfg).alloc(name, int(n_bytes[over[0]]))
-    return n_bytes
 
 
 class _SimulatedHashEngine(Backend):
@@ -423,7 +409,7 @@ class NsparseHashBackend(_SimulatedHashEngine):
             bm = self._block_meter(opts, len(blk))
             if size:  # scratchpad bin: 4-byte keys
                 table = blk.n_rows * size
-                high_water = _scratch_high_water(cfg, "tables", table * 4)
+                high_water = layout_high_water(cfg, {"tables": table * 4})
                 bm.global_read(2 * blk.n_rows, 4)  # row list + pointer pairs
                 bm.global_read(blk.a_len, 4)
                 bm.global_read(blk.temps, 4, coalesced=False)  # gather B cols
@@ -459,7 +445,7 @@ class NsparseHashBackend(_SimulatedHashEngine):
             bm.global_read(blk.temps, eb, coalesced=False)
             if size:  # scratchpad bin
                 table = blk.n_rows * size
-                high_water = _scratch_high_water(cfg, "tables", table * eb)
+                high_water = layout_high_water(cfg, {"tables": table * eb})
                 bm.scratchpad(table)  # table init
                 bm.hash_probe(blk.temps, in_scratchpad=True)
                 bm.hash_collision((collide * blk.temps).astype(np.int64))
@@ -561,7 +547,7 @@ class DeveciHashmapBackend(_SimulatedHashEngine):
             l2_temp = np.add.reduceat(np.where(spilled, temps, 0), starts)
             l1_temp = blocks.temps - l2_temp
             used = np.minimum(l1, 2 * blocks.temps)
-            high_water = _scratch_high_water(cfg, "l1", used * entry_bytes)
+            high_water = layout_high_water(cfg, {"l1": used * entry_bytes})
             bm = self._block_meter(opts, len(blocks))
             bm.global_read(2, 4)  # block descriptor
             bm.global_read(blocks.a_len, in_bytes)

@@ -17,8 +17,9 @@ That makes the *host execution strategy* pluggable:
     ``searchsorted``, the per-block stable LSD radix sorts replaced by a
     single composite-key ``np.argsort(kind="stable")`` over
     ``(block_id << key_bits) | key``, segment-boundary flags for
-    compaction and ``np.add.reduceat`` for accumulation.  Charges the
-    identical per-block :class:`~repro.gpu.cost.CostMeter` numbers.
+    compaction and ``np.add.reduceat`` for accumulation.  Prices each
+    slab on a :class:`~repro.gpu.cost.BlockArrayMeter`, one row per
+    block, to the reference's per-block numbers bit for bit.
 
 Both engines produce bit-identical results and identical simulated
 statistics; they differ only in host wall-clock time (see

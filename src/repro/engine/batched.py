@@ -20,10 +20,13 @@ most :data:`SLAB_ELEMENTS` uncommitted products per slab):
   folds each run independently of surrounding data, so per-run sums are
   bit-identical to the per-block path.
 
-Cost fidelity: every :class:`~repro.gpu.cost.CostMeter` charge of the
-reference per-block code is replayed per block from the batch's scalar
-per-segment sizes, and real per-block :class:`~repro.gpu.memory.Scratchpad`
-objects enforce the same on-chip layouts.  Pool allocations run through
+Cost fidelity: ESC and the output copy price a slab's blocks on one
+:class:`~repro.gpu.cost.BlockArrayMeter` (a row per block), adding the
+reference's per-block charges in its call order, and one
+:func:`~repro.gpu.memory.layout_high_water` call checks the slab's
+scratchpad layouts.  The merges keep a
+scalar :class:`~repro.gpu.cost.CostMeter` per worker, because the
+shared merge helpers charge one.  Pool allocations run through
 the optimistic record / serial replay machinery (:mod:`repro.engine.replay`)
 so restart behaviour, chunk offsets and shared-row attribution are
 exactly the reference's.
@@ -31,26 +34,22 @@ exactly the reference's.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.chunks import Chunk, RowChunkTracker
+from ..core.chunks import Chunk
 from ..core.long_rows import long_row_mask
-from ..core.merge import gather_row_segments
-from ..gpu.cost import CostMeter
-from ..gpu.memory import Scratchpad
-from ..gpu.radix import bits_required, fast_stable_sort
+from ..core.merge import MERGE_BLOCK_SEQ_BASE, gather_row_segments
+from ..gpu.cost import BlockArrayMeter, CostMeter
+from ..gpu.memory import layout_high_water
+from ..gpu.radix import bits_required, bits_required_array, fast_stable_sort
 from ..resilience.errors import SanitizerError
 from ..sparse.csr import CSRMatrix
 from .base import EngineContext, RoundOutcome
 from .reference import ReferenceEngine
-from .replay import (
-    AllocationRecord,
-    OptimisticRun,
-    replay_and_commit,
-    snapshot_counters,
-)
+from .replay import AllocationRecord, OptimisticRun, replay_and_commit
 
 __all__ = ["BatchedEngine"]
 
@@ -185,15 +184,10 @@ class _EscState:
     """Per-block lockstep state of one batched ESC round."""
 
     blk: object
-    meter: CostMeter
-    scratch: Scratchpad
-    n: int  # A-entries of the block
-    ent0: int  # offset of the block's entries in the round arrays
-    g0: int  # offset of the block's prefix segment in G
-    uoff: int  # offset of the block's row dictionary in the round arrays
-    base: int  # products of preceding blocks (G offset)
+    k: int  # the block's index in the slab (its BlockArrayMeter row)
     total: int  # total products of this block
     c: int  # products consumed so far (== wd.consumed_total)
+    sort_log: list
     records: list = field(default_factory=list)
     carried_rows: np.ndarray | None = None
     carried_cols: np.ndarray | None = None
@@ -206,6 +200,15 @@ class _EscState:
 
 def _esc_on_success(blk, cycles: float) -> None:
     blk.total_cycles += cycles
+
+
+def _esc_restore(blk) -> dict:
+    """The restart state a failing allocation rolls ``blk`` back to."""
+    return {
+        "committed": blk.committed,
+        "n_long_emitted": blk.n_long_emitted,
+        "esc_iterations": blk.esc_iterations,
+    }
 
 
 def _esc_on_fail(blk, rec: AllocationRecord, cycles: float) -> None:
@@ -225,20 +228,17 @@ _ESC_SCRATCH_LAYOUT = frozenset(
 )
 
 
-def _esc_finish(st: _EscState, sanitize: bool = False) -> None:
+def _esc_finish(st: _EscState, layout: dict, sanitize: bool = False) -> None:
     """Block drained: same final state the reference run() sets."""
     st.blk.committed = st.c
     st.blk.done = True
-    if sanitize:
-        names = set(st.scratch.allocations)
-        if names != _ESC_SCRATCH_LAYOUT:
-            raise SanitizerError(
-                f"batched ESC scratchpad layout diverged at retirement: "
-                f"{sorted(names)} != {sorted(_ESC_SCRATCH_LAYOUT)}",
-                stage="ESC",
-                block_id=st.blk.block_id,
-            )
-        st.scratch.reset()
+    if sanitize and set(layout) != _ESC_SCRATCH_LAYOUT:
+        raise SanitizerError(
+            f"batched ESC scratchpad layout diverged at retirement: "
+            f"{sorted(layout)} != {sorted(_ESC_SCRATCH_LAYOUT)}",
+            stage="ESC",
+            block_id=st.blk.block_id,
+        )
 
 
 #: elements one slab may hold: the uncommitted products an ESC slab
@@ -375,131 +375,119 @@ def _esc_optimistic_batch(
     np.multiply(exp_vals, b.values[b_elem], out=exp_vals)
     del prev, lo, take, b_elem
 
-    # ---- per-block setup charges, long rows, WD placement -------------
-    states: list[_EscState] = []
-    runs: list[OptimisticRun] = []
+    # ---- setup charges, one BlockArrayMeter row per block, and the
+    # six-array scratchpad layout, checked for the whole slab at once --
+    itemsize = dtype.itemsize
+    bm = BlockArrayMeter(cfg, n_pending, opts.costs)
+    bm.global_read(n_ent, opts.col_index_bytes + itemsize)
+    bm.global_read(n_ent, 4)
+    bm.alu(2 * n_ent)  # local row dictionary
+    bm.global_read(n_ent, 8, coalesced=False)
+    worst_bits = bits_required_array(np.maximum(n_ent - 1, 0)) + bits_required(
+        max(0, b.cols - 1)
+    )
+    layout = {
+        "A_cols": 4 * n_ent,
+        "A_vals": itemsize * n_ent,
+        "A_rows": 4 * n_ent,
+        "WDState": 4 * (n_ent + 1),
+        "ESC_keys": epb * np.where(worst_bits <= 32, 4, 8),
+        "ESC_vals": epb * itemsize,
+    }
+    high_water = layout_high_water(cfg, layout).tolist()
+    # pointer chunks are written before WDState and the ESC arrays exist
+    a_high = (layout["A_cols"] + layout["A_vals"] + layout["A_rows"]).tolist()
+
     empty_i = np.zeros(0, dtype=np.int64)
     empty_v = np.zeros(0, dtype=dtype)
-    for k, blk in enumerate(pending):
-        blk.attempts += 1
-        meter = CostMeter(config=cfg, constants=opts.costs)
-        if opts.device_trace:
-            meter.sort_log = []
-        scratch = Scratchpad.for_device(cfg)
-        n = int(n_ent[k])
-        ent0 = int(ent_off[k])
-        meter.global_read(n, opts.col_index_bytes + dtype.itemsize)
-        meter.global_read(n, 4)
-        scratch.alloc_array("A_cols", n, 4)
-        scratch.alloc_array("A_vals", n, dtype.itemsize)
-        scratch.alloc_array("A_rows", n, 4)
-        meter.alu(2 * n)  # local row dictionary
-        meter.global_read(n, 8, coalesced=False)
-
-        st = _EscState(
+    states = [
+        _EscState(
             blk=blk,
-            meter=meter,
-            scratch=scratch,
-            n=n,
-            ent0=ent0,
-            g0=int(g_off[k]),
-            uoff=int(uniq_off[k]),
-            base=int(base[k]),
-            total=int(totals[k]),
+            k=k,
+            total=total,
             c=blk.committed,
-            exp_pos=int(exp_off[k]),
+            sort_log=[],
+            exp_pos=e0,
             carried_rows=empty_i,
             carried_cols=empty_i,
             carried_vals=empty_v,
         )
-        run = OptimisticRun(
-            worker=blk,
-            meter=meter,
-            records=st.records,
-            on_success=_esc_on_success,
-            on_fail=_esc_on_fail,
-            scratchpad=scratch,
+        for k, (blk, total, e0) in enumerate(
+            zip(pending, totals.tolist(), exp_off.tolist())
         )
+    ]
+    for blk in pending:
+        blk.attempts += 1
 
-        # Write Long Rows (§3.4): pointer chunks, in entry order
-        if opts.enable_long_row_handling:
-            long_entries = np.nonzero(long_mask_cat[ent0 : ent0 + n])[0]
-            for j, e in enumerate(long_entries.tolist()):
-                if j < blk.n_long_emitted:
-                    continue  # already emitted before a restart
-                row = int(a_rows_cat[ent0 + e])
+    # ---- Write Long Rows (§3.4): pointer chunks in entry order, one
+    # pass per j over every block's j-th long entry ---------------------
+    if opts.enable_long_row_handling:
+        long_at = np.flatnonzero(long_mask_cat)
+        owner = np.searchsorted(ent_off, long_at, side="right") - 1
+        rank = np.arange(long_at.shape[0]) - np.searchsorted(owner, owner)
+        emitted = np.fromiter(
+            (blk.n_long_emitted for blk in pending), np.int64, n_pending
+        )
+        fresh = rank >= emitted[owner]  # the rest went out before a restart
+        ptr_bytes = ectx.pool.data_bytes(0, 0)
+        for j in np.unique(rank[fresh]).tolist():
+            pick = fresh & (rank == j)
+            sel = long_at[pick]
+            ks = owner[pick]
+            for k, row, b_row, factor, b_length, (cyc, ctr) in zip(
+                ks.tolist(),
+                a_rows_cat[sel].tolist(),
+                a_cols_cat[sel].tolist(),
+                a_vals_cat[sel].tolist(),
+                b_len_cat[sel].tolist(),
+                bm.snapshot(ks),
+            ):
+                blk = pending[k]
                 chunk = Chunk(
                     order_key=blk._next_chunk_key(),
                     kind="pointer",
                     first_row=row,
                     last_row=row,
-                    b_row=int(a_cols_cat[ent0 + e]),
-                    factor=float(a_vals_cat[ent0 + e]),
-                    b_length=int(b_len_cat[ent0 + e]),
+                    b_row=b_row,
+                    factor=factor,
+                    b_length=b_length,
                 )
-                rec = AllocationRecord(
-                    chunk=chunk,
-                    nbytes=ectx.pool.data_bytes(0, 0),
-                    pre_cycles=meter.cycles,
-                    pre_counters=snapshot_counters(meter.counters),
-                    commit=("insert", [row], [chunk.b_length]),
-                    restore={
-                        "committed": blk.committed,
-                        "n_long_emitted": blk.n_long_emitted,
-                        "esc_iterations": blk.esc_iterations,
-                    },
-                    pre_scratch_high=scratch.high_water,
-                    pre_sort_len=len(meter.sort_log or ()),
+                states[k].records.append(
+                    AllocationRecord(
+                        chunk=chunk,
+                        nbytes=ptr_bytes,
+                        pre_cycles=cyc,
+                        pre_counters=ctr,
+                        commit=("insert", [row], [b_length]),
+                        restore=_esc_restore(blk),
+                        pre_scratch_high=a_high[k],
+                    )
                 )
-                meter.atomic(1)  # pool bump allocation
-                meter.global_write(1, ectx.pool.data_bytes(0, 0))
-                meter.atomic(2)  # tracker insert (one row)
                 blk.n_long_emitted += 1
-                st.records.append(rec)
+            on = np.zeros(n_pending, dtype=np.int64)
+            on[ks] = 1
+            bm.atomic(on)  # pool bump allocation
+            bm.global_write(on, ptr_bytes)
+            bm.atomic(2 * on)  # tracker insert (one row)
 
-        # LocalWorkDistribution: placement + optional restart drop
-        scratch.alloc_array("WDState", n + 1, 4)
-        meter.scan(n)  # place_work's inclusive prefix sum
-        if blk.committed:
-            meter.scratchpad(n)  # restart_from
-
-        worst_bits = bits_required(max(0, n - 1)) + bits_required(
-            max(0, b.cols - 1)
-        )
-        key_bytes = 4 if worst_bits <= 32 else 8
-        scratch.alloc_array("ESC_keys", epb, key_bytes)
-        scratch.alloc_array("ESC_vals", epb, dtype.itemsize)
-
-        states.append(st)
-        runs.append(run)
+    # LocalWorkDistribution: placement + optional restart drop
+    bm.scan(n_ent)  # place_work's inclusive prefix sum
+    bm.scratchpad(np.where(c0s > 0, n_ent, 0))  # restart_from
 
     # ---- lockstep ESC iterations --------------------------------------
-    # the per-block charges below are hand-inlined CostMeter sequences:
-    # each `cyc +=` mirrors one method-internal addition in call order,
-    # so float accumulation is bit-identical to the reference's
-    costs = opts.costs
-    lanes = costs.scratchpad_lanes
-    alanes = costs.alu_lanes
-    bpc = costs.bytes_per_cycle
-    tx_bytes = cfg.global_transaction_bytes
-    rbp = costs.radix_bits_per_pass
-    rpa = costs.radix_pass_alu_per_element
-    rps = costs.radix_pass_scratch_per_element
-    hdr_tx = -(-32 // tx_bytes)
-    hdr_cyc = (hdr_tx * tx_bytes) / bpc
-    ac = costs.atomic_cycles
     active = list(states)
     while active:
         runnable: list[_EscState] = []
         for st in active:
             st.taken = min(epb - st.carried_rows.shape[0], st.total - st.c)
             if st.taken == 0 and st.carried_rows.shape[0] == 0:
-                _esc_finish(st, opts.sanitize)  # drained, nothing held locally
+                _esc_finish(st, layout, opts.sanitize)  # drained, nothing held
             else:
                 st.blk.esc_iterations += 1
                 runnable.append(st)
         if not runnable:
             break
+        ks = np.fromiter((st.k for st in runnable), np.int64, len(runnable))
 
         # precomputed expansion windows: each block's consumption is the
         # next window of the round arrays (charges are batched below)
@@ -559,7 +547,7 @@ def _esc_optimistic_batch(
             cmin = np.zeros(len(runnable), dtype=np.int64)
             cmax = np.full(len(runnable), b.cols - 1, dtype=np.int64)
             rmin_list = [0] * len(runnable)
-            rmax_list = [max(0, st.n - 1) for st in runnable]
+            rmax_list = np.maximum(n_ent[ks] - 1, 0).tolist()
         cmin_list = cmin.tolist()
         col_bits_list = [bits_required(d) for d in (cmax - cmin).tolist()]
         row_bits_list = [
@@ -620,79 +608,39 @@ def _esc_optimistic_batch(
             )
         if any(cmin_list):
             comp_cols_all += np.repeat(cmin, comp_counts)
-        # ---- the iteration's per-block charges, vectorised -------------
-        # Each elementwise addition below mirrors one CostMeter-internal
-        # addition in reference call order (receive, minmax scans, radix
-        # sort, compaction), so per-meter float accumulation stays
-        # bit-identical: IEEE-754 ops are elementwise deterministic, and
-        # no meter is read between receive and the emission loop.
-        nb = len(runnable)
-        t_arr = np.fromiter((st.taken for st in runnable), np.int64, nb)
-        n_arr = np.fromiter((st.n for st in runnable), np.int64, nb)
-        cyc0 = np.fromiter(
-            (st.meter.cycles for st in runnable), np.float64, nb
-        )
-        t2 = 2 * t_arr
-        cyc_arr = cyc0 + epb / lanes  # clear(Offsets)
-        cyc_arr += (2 * n_arr) / lanes  # state reads
-        cyc_arr += t2 / lanes  # inclusive max scan
-        cyc_arr += t2 / alanes
-        cyc_arr += t2 / lanes  # layout exchange
-        cyc_arr += t2 / alanes
-        cyc_arr += n_arr / lanes  # state decrement
-        payload = t_arr * elem_bytes
-        tx = -(-payload // tx_bytes)
-        cyc_arr += (tx * tx_bytes) / bpc  # read B columns/values
-        cyc_arr += t2 / alanes  # flops
-        took = t_arr > 0
-        # receive_work is skipped entirely when nothing was taken
-        cyc_arr = np.where(took, cyc_arr, cyc0)
-        s2 = 2 * seg_sizes
+        # ---- the iteration's charges in reference call order (receive,
+        # expansion, min/max scans, radix sort, compaction); a block that
+        # sits out an iteration gets zero counts, which charge nothing --
+        t_full = np.zeros(n_pending, dtype=np.int64)
+        t_full[ks] = [st.taken for st in runnable]
+        s_full = np.zeros(n_pending, dtype=np.int64)
+        s_full[ks] = seg_sizes
+        kb_full = np.zeros(n_pending, dtype=np.int64)
+        kb_full[ks] = key_bits_list
+        took = t_full > 0  # receive_work charges nothing when nothing is taken
+        bm.scratchpad(np.where(took, epb, 0))  # clear(Offsets)
+        bm.scratchpad(np.where(took, 2 * n_ent, 0))  # state reads
+        bm.scan(t_full)  # inclusive max scan
+        bm.scratchpad(2 * t_full)  # layout exchange
+        bm.alu(2 * t_full)
+        bm.scratchpad(np.where(took, n_ent, 0))  # state decrement
+        bm.global_read(t_full, elem_bytes)  # B columns/values
+        bm.flops(2 * t_full)
         if opts.enable_bit_reduction:
-            sc = s2 / lanes
-            sa = s2 / alanes
-            cyc_arr += sc  # minmax scan over columns
-            cyc_arr += sa
-            cyc_arr += sc  # minmax scan over rows
-            cyc_arr += sa
-        kb_arr = np.asarray(key_bits_list, dtype=np.int64)
-        passes = np.maximum(1, -(-kb_arr // rbp))
-        pe = passes * seg_sizes
-        pa = (pe * rpa).astype(np.int64)
-        ps = (pe * rps).astype(np.int64)
-        cyc_arr += pa / alanes  # radix rank arithmetic
-        cyc_arr += ps / lanes  # radix scatter round trips
-        cyc_arr += s2 / alanes  # compaction neighbour compares
-        cyc_arr += s2 / lanes  # Algorithm 3's single scan
-        cyc_arr += s2 / alanes
-        spa = ps + s2
-        if opts.enable_bit_reduction:
-            spa += 2 * s2
-        spa += np.where(took, epb + 3 * n_arr + 4 * t_arr, 0)
-        cyc_l = cyc_arr.tolist()
-        spa_l = spa.tolist()
-        gtx_l = tx.tolist()  # zero wherever nothing was taken
-        gbr_l = payload.tolist()
-        fl_l = t2.tolist()
-        p_l = passes.tolist()
-        trace_sorts = opts.device_trace
-        for i, st in enumerate(runnable):
-            st.meter.cycles = cyc_l[i]
-            k = st.meter.counters
-            k.scratchpad_accesses += spa_l[i]
-            k.global_transactions += gtx_l[i]
-            k.global_bytes_read += gbr_l[i]
-            k.flops += fl_l[i]
-            k.sorted_elements += seg_sizes_list[i]
-            k.sort_passes += p_l[i]
-            if trace_sorts:
-                # mirrors CostMeter.radix_sort's log entry for the
-                # reference's (n_batch, row_bits + col_bits) sort
-                st.meter.sort_log.append((seg_sizes_list[i], key_bits_list[i]))
+            bm.scan(s_full)  # min/max over columns
+            bm.scan(s_full)  # min/max over rows
+        bm.radix_sort(s_full, kb_full)
+        bm.alu(2 * s_full)  # compaction neighbour compares
+        bm.scan(s_full)  # Algorithm 3's single scan
+        if opts.device_trace:
+            # CostMeter.radix_sort's log entry for the reference's
+            # (n_batch, row_bits + col_bits) sort
+            for st, n_sorted, kb in zip(runnable, seg_sizes_list, key_bits_list):
+                st.sort_log.append((n_sorted, kb))
 
         # ---- batch the per-block emission bookkeeping ------------------
         # global row id of every compacted entry
-        uoffs = np.fromiter((st.uoff for st in runnable), np.int64, len(runnable))
+        uoffs = uniq_off[ks]
         glob_rows_all = uniq_rows_cat[
             comp_rows_all + np.repeat(uoffs, comp_counts)
         ]
@@ -715,22 +663,24 @@ def _esc_optimistic_batch(
         keep_cand_list = (comp_off[1:] - last_start).tolist()
         # commit point if the last row is kept: its first original product
         last_local = comp_rows_all[comp_off[1:] - 1]
-        g0s = np.fromiter((st.g0 for st in runnable), np.int64, len(runnable))
-        bases = np.fromiter((st.base for st in runnable), np.int64, len(runnable))
-        orig_list = (G[g0s + fe_local_cat[uoffs + last_local]] - bases).tolist()
+        first = G[g_off[ks] + fe_local_cat[uoffs + last_local]]
+        orig_list = (first - base[ks]).tolist()
         comp_off_list = comp_off.tolist()
 
         # ---- per-block keep-last-row decision and chunk emission -------
         keep_elems = cfg.keep_elements
         enable_keep = opts.enable_keep_last_row
-        itemsize = dtype.itemsize
         col_bytes = opts.col_index_bytes
+        # every block's state just before its pool allocation, and the
+        # emission's counts (zero for blocks that write nothing)
+        pre = bm.snapshot(ks)
+        w_full = np.zeros(n_pending, dtype=np.int64)
+        rows_full = np.zeros(n_pending, dtype=np.int64)
         next_active: list[_EscState] = []
         for i, st in enumerate(runnable):
             lo_c, hi_c = comp_off_list[i], comp_off_list[i + 1]
             comp_n = hi_c - lo_c
             blk = st.blk
-            meter = st.meter
             wd_empty = st.c == st.total
             keep_n = 0
             if not wd_empty and enable_keep and comp_n:
@@ -756,41 +706,24 @@ def _esc_optimistic_batch(
                     cols=comp_cols_all[lo_c : lo_c + write_n],
                     vals=comp_vals[lo_c : lo_c + write_n],
                 )
-                nbytes = ectx.pool.data_bytes(write_n, itemsize, col_bytes)
-                rec = AllocationRecord(
-                    chunk=chunk,
-                    nbytes=nbytes,
-                    pre_cycles=meter.cycles,
-                    pre_counters=snapshot_counters(meter.counters),
-                    commit=("insert", rows_u, counts_u),
-                    restore={
-                        "committed": blk.committed,
-                        "n_long_emitted": blk.n_long_emitted,
-                        "esc_iterations": blk.esc_iterations,
-                    },
-                    pre_scratch_high=st.scratch.high_water,
-                    pre_sort_len=len(meter.sort_log or ()),
+                cyc, ctr = pre[i]
+                st.records.append(
+                    AllocationRecord(
+                        chunk=chunk,
+                        nbytes=ectx.pool.data_bytes(write_n, itemsize, col_bytes),
+                        pre_cycles=cyc,
+                        pre_counters=ctr,
+                        commit=("insert", rows_u, counts_u),
+                        restore=_esc_restore(blk),
+                        pre_scratch_high=high_water[st.k],
+                        pre_sort_len=len(st.sort_log),
+                    )
                 )
-                k = meter.counters
-                w2 = 2 * write_n
-                payload = write_n * elem_bytes
-                tx = -(-payload // tx_bytes)
-                nr2 = 2 * len(rows_u)
-                cyc = meter.cycles
-                cyc += 1 * ac  # pool bump allocation
-                cyc += w2 / lanes  # stage the chunk in scratchpad
-                cyc += (tx * tx_bytes) / bpc  # write the chunk payload
-                cyc += hdr_cyc  # header
-                cyc += nr2 * ac  # tracker inserts
-                meter.cycles = cyc
-                k.atomic_ops += 1 + nr2
-                k.scratchpad_accesses += w2
-                k.global_transactions += tx + hdr_tx
-                k.global_bytes_written += payload + 32
-                st.records.append(rec)
+                w_full[st.k] = write_n
+                rows_full[st.k] = len(rows_u)
                 blk.committed = commit_point
             elif wd_empty and comp_n == 0:
-                _esc_finish(st, opts.sanitize)
+                _esc_finish(st, layout, opts.sanitize)
                 continue
 
             if keep_n:
@@ -803,12 +736,32 @@ def _esc_optimistic_batch(
                 st.carried_vals = empty_v
 
             if wd_empty and st.carried_rows.shape[0] == 0:
-                _esc_finish(st, opts.sanitize)
+                _esc_finish(st, layout, opts.sanitize)
             else:
                 next_active.append(st)
         active = next_active
 
-    return runs
+        # ---- emission charges, vectorised over the writing blocks -----
+        on = w_full > 0
+        bm.atomic(on)  # pool bump allocation
+        bm.scratchpad(2 * w_full)  # stage the chunk in scratchpad
+        bm.global_write(w_full, elem_bytes)  # the chunk payload
+        bm.global_write(on, 32)  # header
+        bm.atomic(2 * rows_full)  # tracker inserts: two atomics per row
+
+    return [
+        OptimisticRun(
+            worker=st.blk,
+            cycles=cyc,
+            counters=ctr,
+            records=st.records,
+            on_success=_esc_on_success,
+            on_fail=_esc_on_fail,
+            sort_log=st.sort_log,
+            scratch_high_water=high_water[st.k],
+        )
+        for st, (cyc, ctr) in zip(states, bm.snapshot(slice(None)))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -916,8 +869,6 @@ def _multi_merge_optimistic_batch(
         comp_rows = comp_rows_all[lo_c:hi_c]
         meter.alu(m - comp_n)  # the merge's re-combining additions
         rows_global = np.asarray(w.rows, dtype=np.int64)[comp_rows]
-        from ..core.merge import MERGE_BLOCK_SEQ_BASE
-
         chunk = Chunk(
             order_key=(MERGE_BLOCK_SEQ_BASE + w.block_index, 0),
             kind="data",
@@ -933,7 +884,7 @@ def _multi_merge_optimistic_batch(
             chunk=chunk,
             nbytes=nbytes,
             pre_cycles=meter.cycles,
-            pre_counters=snapshot_counters(meter.counters),
+            pre_counters=copy(meter.counters),
             commit=("replace", list(w.rows), [int(c) for c in counts]),
             pre_sort_len=len(meter.sort_log or ()),
         )
@@ -942,7 +893,15 @@ def _multi_merge_optimistic_batch(
         meter.global_write(comp_n, opts.element_bytes)
         meter.global_write(1, 32)
         meter.atomic(len(w.rows))  # per-row count/list swap
-        runs.append(OptimisticRun(worker=w, meter=meter, records=[rec]))
+        runs.append(
+            OptimisticRun(
+                worker=w,
+                cycles=meter.cycles,
+                counters=meter.counters,
+                records=[rec],
+                sort_log=meter.sort_log or (),
+            )
+        )
     return runs
 
 
@@ -1161,7 +1120,7 @@ def _iterative_merge_optimistic_batch(
                 chunk=chunk,
                 nbytes=nbytes,
                 pre_cycles=meter.cycles,
-                pre_counters=snapshot_counters(meter.counters),
+                pre_counters=copy(meter.counters),
                 commit=("none", (), ()),
                 restore={
                     "cursors": list(w._cursors),
@@ -1191,9 +1150,11 @@ def _iterative_merge_optimistic_batch(
     return [
         OptimisticRun(
             worker=st.w,
-            meter=st.meter,
+            cycles=st.meter.cycles,
+            counters=st.meter.counters,
             records=st.records,
             on_fail=_iter_merge_on_fail,
+            sort_log=st.meter.sort_log or (),
             final_commit=st.final_commit,
         )
         for st in states
@@ -1232,7 +1193,7 @@ def _copy_chunks_batched(
         for ch in lst:
             okeys.append(cindex[id(ch)] * n_rows + row)
     owned_keys = np.sort(np.asarray(okeys, dtype=np.int64))
-    copied_per_chunk = [0] * n_chunks
+    copied = np.zeros(n_chunks, dtype=np.int64)
 
     # ---- pointer chunks: single-row slice copies ----------------------
     for ci, chunk in enumerate(chunks):
@@ -1255,7 +1216,7 @@ def _copy_chunks_batched(
             written[dest] = True
         col_idx[dest] = b.col_idx[lo : lo + m]
         values[dest] = chunk.factor * b.values[lo : lo + m]
-        copied_per_chunk[ci] = m
+        copied[ci] = m
 
     # ---- data chunks: coalesced slice copies over the live runs, one
     # slab of consecutive chunks at a time (the per-element index arrays
@@ -1356,50 +1317,21 @@ def _copy_chunks_batched(
                 col_idx[d0:de] = ch.cols[s0 : s0 + ln]
                 values[d0:de] = ch.vals[s0 : s0 + ln]
 
-        copied_data = np.bincount(
-            di_l, weights=cnt_l, minlength=len(dchunks)
-        ).astype(np.int64)
-        for di, cp in zip(data_ci[c0:c1], copied_data.tolist()):
-            copied_per_chunk[di] = cp
+        copied[slab_ci] = np.bincount(di_l, weights=cnt_l, minlength=len(dchunks))
 
-    # ---- per-chunk charges: cycles/counters depend only on the copied
-    # count, so identical counts share one freshly charged meter --------
-    elem_bytes = opts.element_bytes
-    block_cycles: list[float] = []
-    charge_cache: dict[int, tuple[float, int, int, int]] = {}
-    sum_read = sum_written = sum_tx = 0
-    for cp in copied_per_chunk:
-        if not cp:
-            block_cycles.append(0.0)
-            continue
-        ent = charge_cache.get(cp)
-        if ent is None:
-            meter = CostMeter(config=opts.device, constants=opts.costs)
-            meter.global_read(cp, elem_bytes)
-            meter.global_write(cp, elem_bytes)
-            k = meter.counters
-            ent = (
-                meter.cycles,
-                k.global_bytes_read,
-                k.global_bytes_written,
-                k.global_transactions,
-            )
-            charge_cache[cp] = ent
-        block_cycles.append(ent[0])
-        sum_read += ent[1]
-        sum_written += ent[2]
-        sum_tx += ent[3]
-    sink = counter_sink.counters
-    sink.global_bytes_read += sum_read
-    sink.global_bytes_written += sum_written
-    sink.global_transactions += sum_tx
+    # ---- per-chunk charges: one block per chunk; a chunk that copies
+    # nothing charges nothing ------------------------------------------
+    bm = BlockArrayMeter(opts.device, n_chunks, opts.costs)
+    bm.global_read(copied, opts.element_bytes)
+    bm.global_write(copied, opts.element_bytes)
+    counter_sink.counters.merge(bm.totals())
 
     if check and not written.all():
         missing = int((~written).sum())
         raise AssertionError(f"{missing} output entries were never written")
-    if sum(copied_per_chunk) != nnz:
+    if int(copied.sum()) != nnz:
         raise AssertionError(
-            f"chunk copy covered {sum(copied_per_chunk)} of {nnz} entries"
+            f"chunk copy covered {int(copied.sum())} of {nnz} entries"
         )
 
     c = CSRMatrix(
@@ -1409,7 +1341,7 @@ def _copy_chunks_batched(
         col_idx=col_idx,
         values=values,
     )
-    return c, block_cycles
+    return c, bm.cycles.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,10 @@ the replay adds it to the committing block's cycles and counters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..core.chunks import Chunk, ChunkPool, RowChunkTracker
-from ..gpu.cost import CostConstants, CostMeter
+from ..gpu.cost import CostConstants
 from ..gpu.counters import TrafficCounters
 from .base import RoundOutcome
 
@@ -42,9 +42,10 @@ __all__ = ["AllocationRecord", "OptimisticRun", "replay_and_commit"]
 class AllocationRecord:
     """One pool allocation attempted by an optimistically executed block.
 
-    ``pre_cycles`` / ``pre_counters`` snapshot the block's meter just
-    before the allocation (what the reference block would report when
-    this allocation raises), ``restore`` the worker state to roll back
+    ``pre_cycles`` / ``pre_counters`` are value copies of the block's
+    charges just before the allocation (what the reference block would
+    report when this allocation raises; the replay owns the copy),
+    ``restore`` the worker state to roll back
     to, and ``commit`` the tracker mutation to apply on success:
     ``("insert", rows, counts)`` links the chunk into each covered
     row's list, ``("replace", rows, counts)`` swaps merged rows over,
@@ -69,40 +70,30 @@ class AllocationRecord:
 
 @dataclass
 class OptimisticRun:
-    """One block's optimistic execution: its meter, its allocation
-    records in emission order, and how to finalise it."""
+    """One block's optimistic execution: its final charges, its
+    allocation records in emission order, and how to finalise it.
+
+    ``cycles`` and ``counters`` are the block's totals had every record
+    committed (the replay owns ``counters`` and adds the shared-row
+    atomics to it); ``sort_log`` lists the block's radix sorts as
+    ``(n_elements, key_bits)`` (empty unless the device is traced) and
+    ``scratch_high_water`` its peak scratchpad bytes.
+    """
 
     worker: object
-    meter: CostMeter
+    cycles: float
+    counters: TrafficCounters
     records: list[AllocationRecord]
     #: applied on success with the final outcome cycles
     on_success: Callable[[object, float], None] | None = None
     #: applied on failure with the failing record and truncated cycles
     on_fail: Callable[[object, AllocationRecord, float], None] | None = None
-    #: the block's scratchpad, when the stage uses one (device trace)
-    scratchpad: object | None = None
+    sort_log: Sequence[tuple[int, int]] = ()
+    scratch_high_water: int = 0
     #: tracker mutation applied once all records committed — the
     #: reference executes it at the same point of the serial order (a
     #: retiring worker's last act, before the next block allocates)
     final_commit: Callable[[], None] | None = None
-
-
-def snapshot_counters(c: TrafficCounters) -> TrafficCounters:
-    """A value copy of a counter set (hot path: avoid dataclasses.replace)."""
-    return TrafficCounters(
-        c.global_bytes_read,
-        c.global_bytes_written,
-        c.global_transactions,
-        c.scratchpad_accesses,
-        c.atomic_ops,
-        c.sorted_elements,
-        c.sort_passes,
-        c.flops,
-        c.kernel_launches,
-        c.host_round_trips,
-        c.hash_probes,
-        c.hash_collisions,
-    )
 
 
 def replay_and_commit(
@@ -147,13 +138,12 @@ def replay_and_commit(
             # "none": pool registration only (final_commit owns the swap)
 
         correction = extra_shared * constants.atomic_cycles
-        sort_log = run.meter.sort_log
         if failed is None:
             if run.final_commit is not None:
                 run.final_commit()
-            counters = snapshot_counters(run.meter.counters)
+            counters = run.counters
             counters.atomic_ops += extra_shared
-            cycles = run.meter.cycles + correction
+            cycles = run.cycles + correction
             if run.on_success is not None:
                 run.on_success(run.worker, cycles)
             outcomes.append(
@@ -161,14 +151,12 @@ def replay_and_commit(
                     cycles,
                     True,
                     counters,
-                    scratch_high_water=(
-                        run.scratchpad.high_water if run.scratchpad is not None else 0
-                    ),
-                    sort_log=tuple(sort_log) if sort_log is not None else (),
+                    scratch_high_water=run.scratch_high_water,
+                    sort_log=tuple(run.sort_log),
                 )
             )
         else:
-            counters = snapshot_counters(failed.pre_counters)
+            counters = failed.pre_counters
             counters.atomic_ops += extra_shared
             cycles = failed.pre_cycles + correction
             if run.on_fail is not None:
@@ -181,11 +169,7 @@ def replay_and_commit(
                     False,
                     counters,
                     scratch_high_water=failed.pre_scratch_high,
-                    sort_log=(
-                        tuple(sort_log[: failed.pre_sort_len])
-                        if sort_log is not None
-                        else ()
-                    ),
+                    sort_log=tuple(run.sort_log[: failed.pre_sort_len]),
                 )
             )
     return outcomes

@@ -357,6 +357,13 @@ class BlockArrayMeter:
             **{name: int(v.sum()) for name, v in self.counters.items()}
         )
 
+    def snapshot(self, idx) -> list[tuple[float, TrafficCounters]]:
+        """Value copies ``(cycles, counters)`` of blocks ``idx``, in order
+        (what copying each block's :class:`CostMeter` state would give)."""
+        columns = [self.counters[name][idx].tolist() for name in _COUNTER_FIELDS]
+        counters = (TrafficCounters(*row) for row in zip(*columns))
+        return list(zip(self.cycles[idx].tolist(), counters))
+
     def snapshots(self) -> list[dict[str, int]]:
         """Per-block counter dicts, as ``TrafficCounters.snapshot()``."""
         columns = [self.counters[name].tolist() for name in _COUNTER_FIELDS]

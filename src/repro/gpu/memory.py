@@ -11,10 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..resilience.errors import ReproError
 from .config import DeviceConfig
 
-__all__ = ["ScratchpadOverflow", "Scratchpad", "DeviceAllocationTracker"]
+__all__ = [
+    "ScratchpadOverflow",
+    "Scratchpad",
+    "DeviceAllocationTracker",
+    "layout_high_water",
+]
 
 
 class ScratchpadOverflow(ReproError, MemoryError):
@@ -89,6 +96,28 @@ class Scratchpad:
     def reset(self) -> None:
         """Drop every allocation (block retirement)."""
         self.allocations.clear()
+
+
+def layout_high_water(config: DeviceConfig, layout: dict) -> np.ndarray:
+    """Per-block high water of a named scratchpad layout, checked at once.
+
+    ``layout`` maps allocation names, in allocation order, to per-block
+    byte counts (arrays; scalars broadcast).  Every block allocates the
+    whole layout on a fresh scratchpad and frees nothing before it
+    retires, so its high water is the layout's total.  Sizes are
+    non-negative, so a block overflows at some allocation iff that
+    total exceeds the capacity: the first such block replays its
+    allocations on one real :class:`Scratchpad`, which raises the
+    :class:`ScratchpadOverflow` a per-block scratchpad would raise.
+    """
+    sizes = [np.asarray(v, dtype=np.int64) for v in layout.values()]
+    total = sum(sizes[1:], sizes[0])
+    over = np.flatnonzero(total > config.scratchpad_bytes)
+    if over.size:
+        pad = Scratchpad.for_device(config)
+        for name, n_bytes in zip(layout, sizes):
+            pad.alloc(name, int(np.broadcast_to(n_bytes, total.shape)[over[0]]))
+    return total
 
 
 @dataclass

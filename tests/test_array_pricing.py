@@ -26,12 +26,12 @@ from hypothesis import strategies as st
 
 from repro import AcSpgemmOptions, CSRMatrix
 from repro.backends import collect_features, get_backend, run_backend
-from repro.backends.hash_engines import _row_block_starts, _scratch_high_water
+from repro.backends.hash_engines import _row_block_starts
 from repro.baselines.util import row_temp_counts
 from repro.campaign.plan import tiny_entries
 from repro.gpu import SMALL_DEVICE, TITAN_XP, CostMeter, ScratchpadOverflow
 from repro.gpu.cost import BlockArrayMeter
-from repro.gpu.memory import Scratchpad
+from repro.gpu.memory import Scratchpad, layout_high_water
 from repro.gpu.radix import bits_required, bits_required_array
 from repro.matrices import generators as g
 from repro.sparse.stats import squared_operands
@@ -260,17 +260,45 @@ def test_row_block_starts_matches_greedy_loop(temps, cap):
     assert _row_block_starts(arr, cap).tolist() == _row_block_starts_loop(arr, cap)
 
 
+#: the batched ESC engine's scratchpad layout, in allocation order
+ESC_LAYOUT = ("A_cols", "A_vals", "A_rows", "WDState", "ESC_keys", "ESC_vals")
+
+
 def test_scratch_check_raises_like_scratchpad_alloc():
     cap = TITAN_XP.scratchpad_bytes
     ok = np.array([0, 128, cap], dtype=np.int64)
-    np.testing.assert_array_equal(_scratch_high_water(TITAN_XP, "tables", ok), ok)
+    np.testing.assert_array_equal(layout_high_water(TITAN_XP, {"tables": ok}), ok)
     with pytest.raises(ScratchpadOverflow) as direct:
         Scratchpad.for_device(TITAN_XP).alloc("tables", cap + 8)
     with pytest.raises(ScratchpadOverflow) as vectorised:
-        _scratch_high_water(
-            TITAN_XP, "tables", np.array([64, cap + 8, cap + 16], dtype=np.int64)
+        layout_high_water(
+            TITAN_XP, {"tables": np.array([64, cap + 8, cap + 16], dtype=np.int64)}
         )
     assert str(vectorised.value) == str(direct.value)
+
+    # the six-name ESC layout over three blocks: block 0 fits, block 1
+    # overflows at the 4th, 5th or 6th allocation and block 2 at the
+    # first; block 1 raises the text of one-by-one alloc_array calls
+    for failing in (3, 4, 5):
+        blocks = [[64] * 6, [cap // 8] * 3 + [256] * 3, [cap + 4] + [4] * 5]
+        blocks[1][failing] = cap // 2 + cap // 4
+        layout = {
+            name: np.array([blk[i] for blk in blocks], dtype=np.int64)
+            for i, name in enumerate(ESC_LAYOUT)
+        }
+        pad = Scratchpad.for_device(TITAN_XP)
+        with pytest.raises(ScratchpadOverflow) as sequential:
+            for name, n_bytes in zip(ESC_LAYOUT, blocks[1]):
+                pad.alloc_array(name, n_bytes // 4, 4)
+        assert f"{ESC_LAYOUT[failing]!r} needs" in str(sequential.value)
+        assert "existing: {'A_cols'" in str(sequential.value)
+        with pytest.raises(ScratchpadOverflow) as vectorised:
+            layout_high_water(TITAN_XP, layout)
+        assert str(vectorised.value) == str(sequential.value)
+
+    # a fitting layout's high water is its total; scalar sizes broadcast
+    fits = {"A_cols": np.array([8, 16], dtype=np.int64), "ESC_vals": 100}
+    np.testing.assert_array_equal(layout_high_water(TITAN_XP, fits), [108, 116])
 
 
 # ---------------------------------------------------------------------------

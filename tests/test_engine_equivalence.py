@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import AcSpgemmOptions, ac_spgemm
+from repro import AcSpgemmOptions, FaultPlan, ac_spgemm
+from repro.core.chunks import ChunkPool
 from repro.engine import batched
 from repro.matrices import generators as g
 from repro.sparse.stats import count_intermediate_products, squared_operands
@@ -166,3 +167,44 @@ def test_restart_across_slab_boundary(monkeypatch, split):
     slab_of = {bid: i for i, slab in enumerate(log[0]) for bid in slab}
     retried = {bid for slab in log[1] for bid in slab}
     assert len({slab_of[bid] for bid in retried}) > 1
+
+
+@pytest.mark.parametrize("split", ["block-per-slab", "mid"])
+def test_pointer_chunk_pool_fault_across_slabs(monkeypatch, split):
+    """A pool fault on a long row's pointer chunk, with slabs and the
+    device trace: the failed attempt reports the scratchpad high water
+    of the A arrays alone (the reference allocates WDState and the ESC
+    arrays only after writing the long rows)."""
+    mtx = g.long_row_matrix(400, 3.0, n_long_rows=3, long_row_len=300, seed=17)
+    a, b = squared_operands(mtx)
+    # the default threshold is a block's ESC capacity (2048 products):
+    # lower it so the ~300-entry rows become pointer chunks
+    kw = dict(long_row_threshold=256, device_trace=True)
+    # every pool admission, and whether it is a pointer chunk's (the
+    # only allocation without payload); holding the pools keeps runs apart
+    seen: list[tuple[ChunkPool, bool]] = []
+    admit = ChunkPool.admission_ok
+
+    def spy(pool, nbytes):
+        seen.append((pool, nbytes == pool.data_bytes(0, 0)))
+        return admit(pool, nbytes)
+
+    monkeypatch.setattr(ChunkPool, "admission_ok", spy)
+    ac_spgemm(a, b, AcSpgemmOptions(engine="reference", **kw))
+    pointers = [i + 1 for i, (_, ptr) in enumerate(seen) if ptr]
+    assert len(pointers) > 1
+    # the second pointer chunk: a restart that must skip the first
+    # when it belongs to the same block
+    at = pointers[1]
+    seen.clear()
+
+    budget = 1 if split == "block-per-slab" else _mid_budget(a, b)
+    log = _log_slabs(monkeypatch, budget)
+    res = _run_all(a, b, fault_plan=FaultPlan.pool_exhaust_at(at), **kw)
+    assert res.restarts > 0
+    assert len(log[0]) > 1
+    runs: dict[int, list[bool]] = {}
+    for pool, ptr in seen:
+        runs.setdefault(id(pool), []).append(ptr)
+    assert len(runs) == 2
+    assert all(flags[at - 1] for flags in runs.values()), "fault on a pointer"
