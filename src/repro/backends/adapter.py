@@ -1,10 +1,10 @@
-"""Adapter presenting registered backends through the common
-``SpGEMMAlgorithm`` interface, so the bench harness and the campaign
-runner treat a backend exactly like a baseline.
+"""Adapter presenting registered backends (``ac-spgemm`` included)
+through the common ``SpGEMMAlgorithm`` interface, so the bench harness
+and the campaign runner treat a backend exactly like a baseline.
 
-Mirrors :class:`repro.baselines.acspgemm_adapter.AcSpgemm`: the full
-:class:`~repro.core.acspgemm.AcSpgemmResult` rides along on the run as
-``ac_result``, and the selector's routing outcome as ``dispatched_to``.
+The full :class:`~repro.core.acspgemm.AcSpgemmResult` rides along on
+the run as ``ac_result``, and the selector's routing outcome as
+``dispatched_to``.
 """
 
 from __future__ import annotations
@@ -65,15 +65,3 @@ class BackendAlgorithm(SpGEMMAlgorithm):
 
     def _execute(self, *args, **kwargs):  # pragma: no cover - not used
         raise NotImplementedError("BackendAlgorithm overrides multiply")
-
-
-def _backend_factory(backend_name: str):
-    """An ``ALL_ALGORITHMS``-compatible constructor for one backend."""
-
-    def factory(device=TITAN_XP, costs=DEFAULT_COSTS, options=None):
-        return BackendAlgorithm(
-            backend_name, device=device, costs=costs, options=options
-        )
-
-    factory.name = backend_name
-    return factory

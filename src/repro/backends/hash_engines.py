@@ -50,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..baselines.base import accumulate_products, expand_products
-from ..baselines.util import row_temp_counts
 from ..core.acspgemm import AcSpgemmResult, MemoryReport
 from ..core.options import AcSpgemmOptions, DEFAULT_OPTIONS
 from ..gpu.counters import TrafficCounters
@@ -58,6 +57,7 @@ from ..gpu.memory import layout_high_water
 from ..gpu.scheduler import schedule_blocks
 from ..obs.device import BlockMeta, DeviceTrace
 from ..obs.span import SpanRecorder
+from ..sparse import row_temp_counts
 from ..sparse.validate import validate_csr
 from .base import Backend
 from .registry import register_backend

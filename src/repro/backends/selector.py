@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..baselines.util import row_temp_counts
 from ..core.estimate_sampling import sampled_output_estimate
 from ..core.options import AcSpgemmOptions, DEFAULT_OPTIONS
 from ..gpu.counters import TrafficCounters
@@ -24,6 +23,7 @@ from ..obs.device import DeviceTrace
 from ..obs.flight import get_flight_recorder
 from ..obs.span import SpanRecorder
 from ..obs.trace import current_trace_attrs, trace_note
+from ..sparse import row_temp_counts
 from .base import Backend
 from .registry import get_backend, register_backend
 

@@ -2,7 +2,6 @@
 reimplemented on the shared simulated device for apples-to-apples
 comparison with AC-SpGEMM."""
 
-from .acspgemm_adapter import AcSpgemm
 from .balanced_hash import BalancedHash
 from .base import (
     SpGEMMAlgorithm,
@@ -18,13 +17,11 @@ from .hybrid import HybridAdaptive
 from .kokkos_like import KokkosLike
 from .mkl_like import MklLikeCPU
 from .nsparse import NsparseHash
-from .registry import ALL_ALGORITHMS, GPU_ALGORITHMS, make_algorithm, make_lineup
+from .registry import GPU_ALGORITHMS, make_algorithm, make_lineup
 from .rmerge import RMerge
-from .util import row_temp_counts
 
 __all__ = [
     "ALL_ALGORITHMS",
-    "AcSpgemm",
     "BalancedHash",
     "BhSparse",
     "CusparseLike",
@@ -42,5 +39,12 @@ __all__ = [
     "expand_products",
     "make_algorithm",
     "make_lineup",
-    "row_temp_counts",
 ]
+
+
+def __getattr__(name: str):
+    if name == "ALL_ALGORITHMS":  # lists the backends, so resolved on use
+        from .registry import ALL_ALGORITHMS
+
+        return ALL_ALGORITHMS
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..gpu.cost import CostMeter
+from ..sparse import row_temp_counts
 from .base import SpGEMMAlgorithm, accumulate_products, expand_products
-from .util import row_temp_counts
 
 __all__ = ["BhSparse"]
 

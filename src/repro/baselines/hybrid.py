@@ -25,7 +25,6 @@ import numpy as np
 
 from ..gpu.cost import CostMeter
 from ..sparse.csr import CSRMatrix
-from .acspgemm_adapter import AcSpgemm
 from .base import SpGEMMAlgorithm, SpGEMMRun
 from .nsparse import NsparseHash
 
@@ -51,9 +50,12 @@ class HybridAdaptive(SpGEMMAlgorithm):
     def __init__(self, device=None, costs=None):
         from ..gpu.config import TITAN_XP
         from ..gpu.cost import DEFAULT_COSTS
+        from .registry import make_algorithm
 
         super().__init__(device or TITAN_XP, costs or DEFAULT_COSTS)
-        self._ac = AcSpgemm(device=self.device, costs=self.costs)
+        self._ac = make_algorithm(
+            "ac-spgemm", device=self.device, costs=self.costs
+        )
         self._hash = NsparseHash(device=self.device, costs=self.costs)
 
     # -- dispatch heuristic ----------------------------------------------

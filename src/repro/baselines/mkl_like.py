@@ -19,9 +19,8 @@ import numpy as np
 
 from ..gpu.cost import CostMeter
 from ..gpu.scheduler import schedule_blocks
-from ..sparse.ops import spgemm_reference
+from ..sparse.ops import row_temp_counts, spgemm_reference
 from .base import SpGEMMAlgorithm
-from .util import row_temp_counts
 
 __all__ = ["MklLikeCPU"]
 

@@ -1,16 +1,19 @@
-"""Algorithm registry: name -> constructor, as used by the benches.
+"""Algorithm registry: name -> line-up entry, as used by the benches.
 
 ``GPU_ALGORITHMS`` is the evaluation line-up of the paper's figures
-(AC-SpGEMM, cuSPARSE, bhSparse, RMerge, nsparse, Kokkos);
-``ALL_ALGORITHMS`` adds the CUSP-style global ESC and the CPU reference.
+(AC-SpGEMM, cuSPARSE, bhSparse, RMerge, nsparse, Kokkos).
+``ALL_ALGORITHMS`` is every name :func:`make_algorithm` builds: the
+fixed-function baselines of ``BASELINES`` plus the engines registered
+in :mod:`repro.backends` (``ac-spgemm`` among them).
 """
 
 from __future__ import annotations
 
-from ..backends.adapter import _backend_factory
+from ..backends.adapter import BackendAlgorithm
+from ..backends.registry import available_backends, is_backend
+from ..core.options import AcSpgemmOptions
 from ..gpu.config import DeviceConfig, TITAN_XP
 from ..gpu.cost import CostConstants, DEFAULT_COSTS
-from .acspgemm_adapter import AcSpgemm
 from .balanced_hash import BalancedHash
 from .base import SpGEMMAlgorithm
 from .bhsparse import BhSparse
@@ -25,53 +28,59 @@ from .rmerge import RMerge
 
 __all__ = [
     "GPU_ALGORITHMS",
-    "BACKEND_ALGORITHMS",
+    "BASELINES",
     "ALL_ALGORITHMS",
     "make_algorithm",
     "make_lineup",
 ]
 
-GPU_ALGORITHMS: dict[str, type[SpGEMMAlgorithm]] = {
-    AcSpgemm.name: AcSpgemm,
-    CusparseLike.name: CusparseLike,
-    BhSparse.name: BhSparse,
-    RMerge.name: RMerge,
-    NsparseHash.name: NsparseHash,
-    KokkosLike.name: KokkosLike,
+GPU_ALGORITHMS: tuple[str, ...] = (
+    "ac-spgemm", "cusparse", "bhsparse", "rmerge", "nsparse", "kokkos",
+)
+
+#: fixed-function cost models: they take no pipeline options
+BASELINES: dict[str, type[SpGEMMAlgorithm]] = {
+    cls.name: cls
+    for cls in (
+        CusparseLike, BhSparse, RMerge, NsparseHash, KokkosLike, EscGlobal,
+        BalancedHash, GustavsonCPU, MklLikeCPU, HybridAdaptive,
+    )
 }
 
-#: first-class engines from ``repro.backends`` exposed as algorithms
-#: (``ac-spgemm`` stays the dedicated adapter above); kept out of
-#: ``GPU_ALGORITHMS`` so the paper's figure line-up is unchanged
-BACKEND_ALGORITHMS: dict[str, object] = {
-    name: _backend_factory(name)
-    for name in ("adaptive", "hash-spgemm", "hashmap-spgemm")
-}
 
-ALL_ALGORITHMS: dict[str, type[SpGEMMAlgorithm]] = {
-    **GPU_ALGORITHMS,
-    EscGlobal.name: EscGlobal,
-    BalancedHash.name: BalancedHash,
-    GustavsonCPU.name: GustavsonCPU,
-    MklLikeCPU.name: MklLikeCPU,
-    HybridAdaptive.name: HybridAdaptive,
-    **BACKEND_ALGORITHMS,
-}
+def __getattr__(name: str):
+    # ``ALL_ALGORITHMS`` is resolved on use: listing the backends loads
+    # their engine modules, which importing this module must not do
+    if name == "ALL_ALGORITHMS":
+        return tuple(BASELINES) + available_backends()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def make_algorithm(
     name: str,
     device: DeviceConfig = TITAN_XP,
     costs: CostConstants = DEFAULT_COSTS,
+    options: AcSpgemmOptions | None = None,
 ) -> SpGEMMAlgorithm:
-    """Instantiate a registered algorithm by name."""
-    try:
-        cls = ALL_ALGORITHMS[name]
-    except KeyError:
+    """Instantiate a registered algorithm by name.
+
+    A registered backend runs with ``options`` (the defaults for this
+    device and cost model when None); a fixed-function baseline takes
+    none and raises ``ValueError`` when given some.
+    """
+    cls = BASELINES.get(name)
+    if cls is not None:
+        if options is not None:
+            raise ValueError(
+                f"options only apply to a registered backend, not {name!r}"
+            )
+        return cls(device=device, costs=costs)
+    if not is_backend(name):
         raise KeyError(
-            f"unknown algorithm {name!r}; available: {sorted(ALL_ALGORITHMS)}"
-        ) from None
-    return cls(device=device, costs=costs)
+            f"unknown algorithm {name!r}; available: "
+            f"{sorted(tuple(BASELINES) + available_backends())}"
+        )
+    return BackendAlgorithm(name, device=device, costs=costs, options=options)
 
 
 def make_lineup(
@@ -81,5 +90,5 @@ def make_lineup(
 ) -> list[SpGEMMAlgorithm]:
     """The paper's evaluation line-up (or a named subset)."""
     if names is None:
-        names = list(GPU_ALGORITHMS)
+        names = GPU_ALGORITHMS
     return [make_algorithm(n, device=device, costs=costs) for n in names]

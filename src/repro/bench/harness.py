@@ -231,7 +231,8 @@ class ResultCache:
         """Return the memoised record, executing the cell on a miss.
 
         ``options`` (an :class:`~repro.core.options.AcSpgemmOptions`)
-        customises the AC-SpGEMM pipeline for this cell; it becomes part
+        customises the pipeline of a registered-backend cell (a
+        fixed-function baseline raises ``ValueError``); it becomes part
         of the cache key.
         """
         k = self.key(case.name, algorithm, np.dtype(dtype).name, options)
@@ -239,22 +240,7 @@ class ResultCache:
             return RunRecord.from_json(self._data[k])
         alg: str | SpGEMMAlgorithm = algorithm
         if options is not None:
-            from ..backends.adapter import BackendAlgorithm
-            from ..baselines.acspgemm_adapter import AcSpgemm
-            from ..baselines.registry import BACKEND_ALGORITHMS
-
-            if algorithm in BACKEND_ALGORITHMS:
-                alg = BackendAlgorithm(algorithm, options=options)
-            else:
-                base = make_algorithm(algorithm)
-                if not isinstance(base, AcSpgemm):
-                    raise ValueError(
-                        f"options only apply to ac-spgemm or a registered "
-                        f"backend, not {algorithm!r}"
-                    )
-                alg = AcSpgemm(
-                    device=base.device, costs=base.costs, options=options
-                )
+            alg = make_algorithm(algorithm, options=options)
         rec = run_case(case, alg, dtype, verify=verify)
         self._data[k] = rec.to_json()
         return rec

@@ -19,7 +19,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ..baselines.registry import BACKEND_ALGORITHMS, GPU_ALGORITHMS
+from ..backends.registry import is_backend
+from ..baselines.registry import GPU_ALGORITHMS
 from ..bench.harness import CACHE_VERSION
 from ..core.options import DEFAULT_OPTIONS, AcSpgemmOptions
 from ..matrices import generators as g
@@ -36,6 +37,7 @@ __all__ = [
     "enumerate_cells",
     "matrix_fingerprint",
     "cell_key",
+    "cell_options",
     "tiny_entries",
 ]
 
@@ -90,8 +92,11 @@ class CampaignConfig:
             raise CampaignError(
                 f"unknown suite {self.suite!r}; expected one of {SUITES}"
             )
-        known = set(GPU_ALGORITHMS) | set(BACKEND_ALGORITHMS)
-        unknown = set(self.algorithms) - known
+        unknown = {
+            name
+            for name in self.algorithms
+            if name not in GPU_ALGORITHMS and not is_backend(name)
+        }
         if unknown:
             raise CampaignError(f"unknown algorithms {sorted(unknown)}")
         bad = set(self.dtypes) - {"float32", "float64"}
@@ -103,7 +108,7 @@ class CampaignConfig:
             raise CampaignError("retries must be non-negative")
 
     def options(self):
-        """The :class:`AcSpgemmOptions` for AC-SpGEMM cells.
+        """The :class:`AcSpgemmOptions` for registered-backend cells.
 
         ``None`` when every knob is at its default, mirroring the bench
         harness convention (default runs share default cache keys).
@@ -205,6 +210,16 @@ def matrix_fingerprint(matrix) -> str:
     h.update(np.ascontiguousarray(matrix.col_idx).tobytes())
     h.update(np.ascontiguousarray(matrix.values).tobytes())
     return h.hexdigest()[:16]
+
+
+def cell_options(algorithm: str, options):
+    """The pipeline options a cell of ``algorithm`` runs with.
+
+    A registered backend (``ac-spgemm`` included) takes the campaign's
+    ``options``; a fixed-function baseline always runs stock (None).
+    The worker runs a cell, and the sweep cache keys it, with these.
+    """
+    return options if options is not None and is_backend(algorithm) else None
 
 
 def cell_key(

@@ -33,6 +33,7 @@ from .plan import (
     CampaignError,
     CellSpec,
     cell_key,
+    cell_options,
     config_entries,
     enumerate_cells,
     matrix_fingerprint,
@@ -230,9 +231,9 @@ class CampaignRunner:
             for cell in self.cells:
                 if cell.id in completed:
                     continue
-                opts = options if cell.algorithm == "ac-spgemm" else None
                 k = ResultCache.key(
-                    cell.matrix, cell.algorithm, cell.dtype, opts
+                    cell.matrix, cell.algorithm, cell.dtype,
+                    cell_options(cell.algorithm, options),
                 )
                 rec = cache._data.get(k)
                 if rec is None:
@@ -417,8 +418,10 @@ class CampaignRunner:
             line = completed[cell.id]
             if line.get("record") is None:
                 continue
-            opts = options if cell.algorithm == "ac-spgemm" else None
-            k = ResultCache.key(cell.matrix, cell.algorithm, cell.dtype, opts)
+            k = ResultCache.key(
+                cell.matrix, cell.algorithm, cell.dtype,
+                cell_options(cell.algorithm, options),
+            )
             if cache._data.get(k) != line["record"]:
                 cache._data[k] = line["record"]
                 dirty = True

@@ -38,6 +38,7 @@ import time
 import traceback
 from contextlib import nullcontext
 
+from ..baselines.registry import make_algorithm
 from ..bench.harness import MatrixCase, run_case
 from ..obs.trace import (
     RequestTrace,
@@ -51,6 +52,7 @@ from .plan import (
     CampaignConfig,
     CellSpec,
     cell_key,
+    cell_options,
     config_entries,
     enumerate_cells,
     matrix_fingerprint,
@@ -92,27 +94,12 @@ DEFAULT_STARVE_TIMEOUT = 60.0
 
 
 def _algorithm_for(cell: CellSpec, options):
-    """Resolve the cell's algorithm, honouring non-default options.
-
-    Mirrors :meth:`ResultCache.get_or_run`: pipeline options apply to
-    AC-SpGEMM and to the ``repro.backends`` engines (which run the same
-    pipeline options); the fixed-function baselines always run stock.
-    """
-    from ..baselines.registry import BACKEND_ALGORITHMS
-
-    if options is None or (
-        cell.algorithm != "ac-spgemm" and cell.algorithm not in BACKEND_ALGORITHMS
-    ):
+    """The cell's algorithm: a registered backend built with the
+    campaign's pipeline options, anything else by its plain name."""
+    opts = cell_options(cell.algorithm, options)
+    if opts is None:
         return cell.algorithm
-    if cell.algorithm in BACKEND_ALGORITHMS:
-        from ..backends.adapter import BackendAlgorithm
-
-        return BackendAlgorithm(cell.algorithm, options=options)
-    from ..baselines.acspgemm_adapter import AcSpgemm
-    from ..baselines.registry import make_algorithm
-
-    base = make_algorithm(cell.algorithm)
-    return AcSpgemm(device=base.device, costs=base.costs, options=options)
+    return make_algorithm(cell.algorithm, options=opts)
 
 
 def _raise_cell_deadline(signum, frame):

@@ -30,8 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .backends import available_backends
 from .baselines import GPU_ALGORITHMS, make_algorithm
-from .core import DEFAULT_OPTIONS, AcSpgemmOptions, ac_spgemm
+from .core import DEFAULT_OPTIONS, AcSpgemmOptions
 from .engine import ENGINES
 from .resilience import ReproError
 from .sparse import (
@@ -68,10 +69,17 @@ HOST_ENGINES = tuple(ENGINES)
 #: every ``--engine`` default, and the host engine under a backend
 DEFAULT_ENGINE = DEFAULT_OPTIONS.engine
 
-#: registered ``repro.backends`` engines selectable via ``--engine``
-BACKEND_ENGINES = ("adaptive", "hash-spgemm", "hashmap-spgemm")
+#: the backend a host-engine name selects: ``--engine reference``
+#: runs AC-SpGEMM stepped by the reference engine
+HOST_BACKEND = "ac-spgemm"
 
-ENGINE_CHOICES = HOST_ENGINES + BACKEND_ENGINES
+
+def _backend_and_host(engine: str) -> tuple[str, str]:
+    """The registered backend an ``--engine`` name runs, and the host
+    engine stepping its pipeline."""
+    if engine in HOST_ENGINES:
+        return HOST_BACKEND, engine
+    return engine, DEFAULT_ENGINE
 
 
 def _workers_arg(value: str):
@@ -97,21 +105,18 @@ def _run_one(
     fallback: bool = False,
     estimator: str = "uniform",
 ) -> dict:
+    from .backends import run_backend
+
     a, b = squared_operands(matrix)
-    use_backend = engine in BACKEND_ENGINES
+    backend, host = _backend_and_host(engine)
     opts = AcSpgemmOptions(
         value_dtype=dtype,
-        engine=DEFAULT_ENGINE if use_backend else engine,
+        engine=host,
         estimator=estimator,
         sanitize=sanitize,
         on_failure="fallback" if fallback else "raise",
     )
-    if use_backend:
-        from .backends import run_backend
-
-        result = run_backend(engine, a, b, opts)
-    else:
-        result = ac_spgemm(a, b, opts)
+    result = run_backend(backend, a, b, opts)
     temp = count_intermediate_products(a, b)
     verified = ""
     if verify:
@@ -160,7 +165,7 @@ def cmd_single(args) -> int:
         sanitize=args.sanitize, fallback=args.fallback,
         estimator=args.estimator,
     )
-    label = args.engine if args.engine in BACKEND_ENGINES else "AC-SpGEMM"
+    label = "AC-SpGEMM" if args.engine in HOST_ENGINES else args.engine
     print(f"{label} on {args.matrix} "
           f"({'single' if args.float else 'double'} precision):")
     _print_row(row)
@@ -264,30 +269,25 @@ def cmd_profile(args) -> int:
 
 def cmd_analyze(args) -> int:
     """Device-trace analysis: paper-figure reports from one traced run."""
+    from .backends import run_backend
     from .obs.analyze import analyze_result
     from .obs.export import perfetto_payload, write_perfetto
 
     name, matrix = _load_profile_matrix(args.matrix)
     a, b = squared_operands(matrix)
-    use_backend = args.engine in BACKEND_ENGINES
+    backend, host = _backend_and_host(args.engine)
     opts = AcSpgemmOptions(
         value_dtype=np.float32 if args.float else np.float64,
-        engine=DEFAULT_ENGINE if use_backend else args.engine,
+        engine=host,
         estimator=args.estimator,
         sanitize=args.sanitize,
         on_failure="fallback" if args.fallback else "raise",
         device_trace=True,
     )
-    if use_backend:
-        from .backends import run_backend
-
-        result = run_backend(args.engine, a, b, opts)
-        label = args.engine
-        if result.dispatched_to:
-            label = f"{args.engine}->{result.dispatched_to}"
-    else:
-        result = ac_spgemm(a, b, opts)
-        label = ""
+    result = run_backend(backend, a, b, opts)
+    label = "" if args.engine in HOST_ENGINES else args.engine
+    if result.dispatched_to:
+        label = f"{args.engine}->{result.dispatched_to}"
     report = analyze_result(result, opts, matrix_name=name, engine=label)
     print(report.text())
     if args.json_out:
@@ -494,7 +494,9 @@ def cmd_compare(args) -> int:
     dtype = np.float32 if args.float else np.float64
     print(f"{args.matrix}: nnz={matrix.nnz}, temp={temp}")
     results = {}
-    lineup = list(GPU_ALGORITHMS) + list(BACKEND_ENGINES)
+    lineup = GPU_ALGORITHMS + tuple(
+        n for n in available_backends() if n not in GPU_ALGORITHMS
+    )
     for name in lineup:
         run = make_algorithm(name).multiply(a, b, dtype=dtype)
         results[name] = run
@@ -514,6 +516,10 @@ def main(argv=None) -> int:
         prog="repro", description="AC-SpGEMM reproduction runner"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # --engine: a host engine, or any other registered backend
+    engine_choices = HOST_ENGINES + tuple(
+        n for n in available_backends() if n != HOST_BACKEND
+    )
 
     p = sub.add_parser("single", help="run AC-SpGEMM on one matrix file")
     p.add_argument("matrix")
@@ -521,7 +527,7 @@ def main(argv=None) -> int:
                    help="confirm against the CPU reference (artifact A.6)")
     p.add_argument("--float", action="store_true", help="single precision")
     p.add_argument("--engine", default=DEFAULT_ENGINE,
-                   choices=ENGINE_CHOICES,
+                   choices=engine_choices,
                    help="host execution engine, or a registered backend "
                         "('adaptive' routes each multiply per its structure)")
     p.add_argument("--estimator", default="uniform",
@@ -539,7 +545,7 @@ def main(argv=None) -> int:
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--float", action="store_true")
-    p.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINE_CHOICES)
+    p.add_argument("--engine", default=DEFAULT_ENGINE, choices=engine_choices)
     p.add_argument("--estimator", default="uniform",
                    choices=("uniform", "sampling"))
     p.add_argument("--sanitize", action="store_true")
@@ -551,7 +557,7 @@ def main(argv=None) -> int:
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--float", action="store_true")
-    p.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINE_CHOICES)
+    p.add_argument("--engine", default=DEFAULT_ENGINE, choices=engine_choices)
     p.add_argument("--estimator", default="uniform",
                    choices=("uniform", "sampling"))
     p.add_argument("--sanitize", action="store_true")
@@ -585,7 +591,7 @@ def main(argv=None) -> int:
     p.add_argument("matrix",
                    help="matrix file path, or suite:NAME for a suite entry")
     p.add_argument("--float", action="store_true", help="single precision")
-    p.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINE_CHOICES)
+    p.add_argument("--engine", default=DEFAULT_ENGINE, choices=engine_choices)
     p.add_argument("--estimator", default="uniform",
                    choices=("uniform", "sampling"))
     p.add_argument("--sanitize", action="store_true")
@@ -613,7 +619,7 @@ def main(argv=None) -> int:
     p.add_argument("--devices", type=int, default=4,
                    help="simulated devices P (perfect square; 1, 4, 9, ...)")
     p.add_argument("--backend", default="adaptive",
-                   choices=("ac-spgemm",) + BACKEND_ENGINES,
+                   choices=available_backends(),
                    help="registered backend executing each local tile "
                         "multiply ('adaptive' routes per tile)")
     p.add_argument("--engine", default=DEFAULT_ENGINE, choices=HOST_ENGINES,
@@ -656,7 +662,8 @@ def main(argv=None) -> int:
     p.add_argument("--engine", default=DEFAULT_ENGINE, choices=HOST_ENGINES)
     p.add_argument("--estimator", default="uniform",
                    choices=("uniform", "sampling"),
-                   help="chunk-pool size estimator for AC-SpGEMM cells")
+                   help="chunk-pool size estimator for registered-backend "
+                        "cells (ac-spgemm, adaptive, hash engines)")
     p.add_argument("--sanitize", action="store_true")
     p.add_argument("--fallback", action="store_true",
                    help="degrade failing cells to global ESC instead of "
@@ -689,7 +696,7 @@ def main(argv=None) -> int:
     p.add_argument("--engine", default=DEFAULT_ENGINE, choices=HOST_ENGINES,
                    help="primary execution engine (identical results)")
     p.add_argument("--backend", default="ac-spgemm",
-                   choices=("ac-spgemm",) + BACKEND_ENGINES,
+                   choices=available_backends(),
                    help="registered backend serving primary multiplies "
                         "('adaptive' routes each request per its structure)")
     p.add_argument("--executors", type=int, default=2,

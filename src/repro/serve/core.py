@@ -57,13 +57,14 @@ import time
 from collections import OrderedDict, deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from ..baselines.util import row_temp_counts
+from ..backends import run_backend
 from ..bench.harness import CACHE_VERSION
-from ..core import DEFAULT_OPTIONS, AcSpgemmOptions, ac_spgemm
+from ..core import DEFAULT_OPTIONS, AcSpgemmOptions
 from ..obs.flight import get_flight_recorder, install_flight_recorder
 from ..obs.metrics import DEFAULT_LATENCY_BUCKETS_MS, MetricsRegistry
 from ..obs.trace import (
@@ -81,7 +82,12 @@ from ..resilience.errors import (
     ServerOverloaded,
 )
 from ..resilience.faults import FaultPlan
-from ..sparse import COOMatrix, read_matrix_market, squared_operands
+from ..sparse import (
+    COOMatrix,
+    read_matrix_market,
+    row_temp_counts,
+    squared_operands,
+)
 from ..sparse.io import read_matrix_market_header
 
 __all__ = ["ServeConfig", "ServeCore"]
@@ -243,27 +249,16 @@ class _Breaker:
 class ServeCore:
     """Request lifecycle owner of the serve daemon (HTTP-free).
 
-    ``multiply`` is injectable for tests (defaults to
-    :func:`repro.core.ac_spgemm`); it must accept ``(a, b, options)``
-    and return an ``AcSpgemmResult``.  ``clock`` feeds the breaker.
+    ``multiply`` is injectable for tests (defaults to the configured
+    backend through :func:`repro.backends.run_backend`); it must accept
+    ``(a, b, options)`` and return an ``AcSpgemmResult``.  ``clock``
+    feeds the breaker.
     """
 
     def __init__(self, config: ServeConfig | None = None, *,
                  multiply=None, clock=time.monotonic):
         self.config = config or ServeConfig()
-        if multiply is not None:
-            self._multiply = multiply
-        elif self.config.backend != "ac-spgemm":
-            from ..backends import run_backend
-
-            backend_name = self.config.backend
-
-            def _backend_multiply(a, b, options):
-                return run_backend(backend_name, a, b, options)
-
-            self._multiply = _backend_multiply
-        else:
-            self._multiply = ac_spgemm
+        self._multiply = multiply or partial(run_backend, self.config.backend)
         self._selections: dict[str, int] = {}
         self._lock = threading.RLock()
         self.metrics = MetricsRegistry(const_labels={"service": "repro-serve"})

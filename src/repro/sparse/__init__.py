@@ -25,6 +25,7 @@ from .ops import (
     diagonal,
     hadamard,
     mask_by_pattern,
+    row_temp_counts,
     scale,
     spgemm_dense_check,
     spgemm_reference,
@@ -65,6 +66,7 @@ __all__ = [
     "product_stats",
     "prune_explicit_zeros",
     "read_matrix_market",
+    "row_temp_counts",
     "save_binary",
     "scale",
     "sort_row_entries",

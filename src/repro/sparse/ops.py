@@ -23,6 +23,7 @@ __all__ = [
     "mask_by_pattern",
     "diagonal",
     "count_intermediate_products",
+    "row_temp_counts",
     "symbolic_nnz",
 ]
 
@@ -229,10 +230,20 @@ def count_intermediate_products(a: CSRMatrix, b: CSRMatrix) -> int:
     defines FLOPs = 2 * temp for GFLOPS reporting.
     """
     _check_compatible(a, b)
-    if a.nnz == 0:
-        return 0
-    b_lengths = b.row_lengths()
-    return int(b_lengths[a.col_idx].sum())
+    return int(row_temp_counts(a, b).sum())
+
+
+def row_temp_counts(a: CSRMatrix, b: CSRMatrix) -> np.ndarray:
+    """Temporary products generated per row of A (the quantity every
+    inspection-based approach bins rows by).
+
+    Each row's sum of B row lengths over its columns, as a difference
+    of one cumulative sum at A's row pointers (exact in int64).
+    """
+    expand = b.row_lengths()[a.col_idx]
+    csum = np.zeros(len(expand) + 1, dtype=np.int64)
+    np.cumsum(expand, dtype=np.int64, out=csum[1:])
+    return csum[a.row_ptr[1:]] - csum[a.row_ptr[:-1]]
 
 
 def symbolic_nnz(a: CSRMatrix, b: CSRMatrix) -> int:

@@ -27,13 +27,13 @@ from hypothesis import strategies as st
 from repro import AcSpgemmOptions, CSRMatrix
 from repro.backends import collect_features, get_backend, run_backend
 from repro.backends.hash_engines import _row_block_starts
-from repro.baselines.util import row_temp_counts
 from repro.campaign.plan import tiny_entries
 from repro.gpu import SMALL_DEVICE, TITAN_XP, CostMeter, ScratchpadOverflow
 from repro.gpu.cost import BlockArrayMeter
 from repro.gpu.memory import Scratchpad, layout_high_water
 from repro.gpu.radix import bits_required, bits_required_array
 from repro.matrices import generators as g
+from repro.sparse import row_temp_counts
 from repro.sparse.stats import squared_operands
 
 SETTINGS = settings(

@@ -476,14 +476,21 @@ class TestDispatchThreading:
 
     def test_worker_applies_options_to_backend_cells(self):
         from repro.backends.adapter import BackendAlgorithm
+        from repro.baselines import make_algorithm
         from repro.campaign.plan import CellSpec
         from repro.campaign.worker import _algorithm_for
         from repro.core.options import AcSpgemmOptions as Opts
 
-        cell = CellSpec(index=0, matrix="m", algorithm="adaptive", dtype="float64")
         opts = Opts(estimator="sampling")
-        alg = _algorithm_for(cell, opts)
-        assert isinstance(alg, BackendAlgorithm)
-        assert alg.options_for(np.float64).estimator == "sampling"
-        # no options: the plain name goes through the registry
-        assert _algorithm_for(cell, None) == "adaptive"
+        for name in ("ac-spgemm", "adaptive"):
+            alg = make_algorithm(name, options=opts)
+            assert isinstance(alg, BackendAlgorithm)
+            assert alg.options_for(np.float64).estimator == "sampling"
+            cell = CellSpec(index=0, matrix="m", algorithm=name, dtype="float64")
+            built = _algorithm_for(cell, opts)
+            assert built.options_for(np.float64).estimator == "sampling"
+            # no options: the plain name goes through the registry
+            assert _algorithm_for(cell, None) == name
+        # a fixed-function baseline runs stock under any campaign options
+        cell = CellSpec(index=0, matrix="m", algorithm="cusparse", dtype="float64")
+        assert _algorithm_for(cell, opts) == "cusparse"

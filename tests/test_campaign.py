@@ -200,6 +200,38 @@ class TestExecution:
         folded = ResultCache(cache.path)
         assert len(folded) == 12
 
+    def test_backend_cells_cache_under_campaign_options(self, tmp_path):
+        """Backend cells run with the campaign's options, so the sweep
+        cache keys them with those options too: a non-default campaign
+        must never hand its records to a default one."""
+        algs = ("ac-spgemm", "adaptive")
+        cache_path = tmp_path / "cache.json"
+        sampling = CampaignConfig(
+            suite="tiny", algorithms=algs, estimator="sampling"
+        )
+        CampaignRunner(tmp_path / "smp", sampling, cache_path=cache_path).run()
+        default_keys = {
+            ResultCache.key(e.name, "adaptive", "float64")
+            for e in tiny_entries()
+        }
+        assert not default_keys & set(ResultCache(cache_path)._data)
+
+        default = CampaignConfig(suite="tiny", algorithms=algs)
+        warm = CampaignRunner(
+            tmp_path / "dflt", default, cache_path=cache_path
+        ).run()
+        assert warm.stats["seeded"] == 0
+        cold = CampaignRunner(tmp_path / "cold", default).run()
+
+        def longrow(result):
+            (rec,) = [
+                r for r in result.records()
+                if (r.matrix, r.algorithm) == ("tiny-longrow", "adaptive")
+            ]
+            return rec.to_json()
+
+        assert longrow(warm) == longrow(cold)
+
     def test_campaign_records_helper(self, tmp_path):
         recs = campaign_records(tmp_path, TINY2)
         assert len(recs) == 12

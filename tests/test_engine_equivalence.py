@@ -80,12 +80,41 @@ def test_dense_rows(rng):
     _run_all(a, a)
 
 
+def _pointer_admissions(monkeypatch) -> list[tuple[ChunkPool, bool]]:
+    """Spy on every pool admission: the pool, and whether it is a
+    pointer chunk's (the only allocation without payload)."""
+    seen: list[tuple[ChunkPool, bool]] = []
+    admit = ChunkPool.admission_ok
+
+    def spy(pool, nbytes):
+        seen.append((pool, nbytes == pool.data_bytes(0, 0)))
+        return admit(pool, nbytes)
+
+    monkeypatch.setattr(ChunkPool, "admission_ok", spy)
+    return seen
+
+
+#: the default long-row threshold is a block's ESC capacity (2048
+#: products); this one turns the ~300-entry rows into pointer chunks
+POINTER_THRESHOLD = 256
+
+
 def test_long_skewed_rows():
     mtx = g.long_row_matrix(
         400, 3.0, n_long_rows=3, long_row_len=300, seed=12
     )
     a, b = squared_operands(mtx)
     _run_all(a, b)
+
+
+def test_long_skewed_rows_as_pointer_chunks(monkeypatch):
+    mtx = g.long_row_matrix(
+        400, 3.0, n_long_rows=3, long_row_len=300, seed=12
+    )
+    a, b = squared_operands(mtx)
+    seen = _pointer_admissions(monkeypatch)
+    _run_all(a, b, long_row_threshold=POINTER_THRESHOLD)
+    assert any(ptr for _, ptr in seen), "case must admit a pointer chunk"
 
 
 def test_power_law_float32():
@@ -152,6 +181,18 @@ def test_slab_boundaries_long_rows(monkeypatch):
     assert len(log[0]) > 1
 
 
+def test_slab_boundaries_long_rows_as_pointer_chunks(monkeypatch):
+    mtx = g.long_row_matrix(400, 3.0, n_long_rows=3, long_row_len=300, seed=17)
+    a, b = squared_operands(mtx)
+    seen = _pointer_admissions(monkeypatch)
+    log = _log_slabs(monkeypatch, _mid_budget(a, b))
+    _run_all(
+        a, b, long_row_threshold=POINTER_THRESHOLD, device_trace=True
+    )
+    assert len(log[0]) > 1
+    assert any(ptr for _, ptr in seen), "case must admit a pointer chunk"
+
+
 @pytest.mark.parametrize("split", ["block-per-slab", "mid"])
 def test_restart_across_slab_boundary(monkeypatch, split):
     a, b = squared_operands(g.random_uniform(400, 400, 10.0, seed=14))
@@ -177,19 +218,9 @@ def test_pointer_chunk_pool_fault_across_slabs(monkeypatch, split):
     arrays only after writing the long rows)."""
     mtx = g.long_row_matrix(400, 3.0, n_long_rows=3, long_row_len=300, seed=17)
     a, b = squared_operands(mtx)
-    # the default threshold is a block's ESC capacity (2048 products):
-    # lower it so the ~300-entry rows become pointer chunks
-    kw = dict(long_row_threshold=256, device_trace=True)
-    # every pool admission, and whether it is a pointer chunk's (the
-    # only allocation without payload); holding the pools keeps runs apart
-    seen: list[tuple[ChunkPool, bool]] = []
-    admit = ChunkPool.admission_ok
-
-    def spy(pool, nbytes):
-        seen.append((pool, nbytes == pool.data_bytes(0, 0)))
-        return admit(pool, nbytes)
-
-    monkeypatch.setattr(ChunkPool, "admission_ok", spy)
+    kw = dict(long_row_threshold=POINTER_THRESHOLD, device_trace=True)
+    # holding the pools keeps runs apart
+    seen = _pointer_admissions(monkeypatch)
     ac_spgemm(a, b, AcSpgemmOptions(engine="reference", **kw))
     pointers = [i + 1 for i, (_, ptr) in enumerate(seen) if ptr]
     assert len(pointers) > 1

@@ -1,11 +1,11 @@
 """Remaining unit coverage: block context, long-row policy, CPU
-baseline clock, merge order keys, AC adapter."""
+baseline clock, merge order keys, ``ac-spgemm`` as a line-up entry."""
 
 import numpy as np
 import pytest
 
 from repro import AcSpgemmOptions
-from repro.baselines import AcSpgemm, GustavsonCPU
+from repro.baselines import GustavsonCPU, make_algorithm
 from repro.core import long_row_mask
 from repro.core.merge import MERGE_BLOCK_SEQ_BASE, MultiMergeBlock
 from repro.core.merge_path import PathMergeBlock
@@ -78,14 +78,16 @@ class TestCpuBaseline:
 
 
 class TestAcAdapter:
+    """``ac-spgemm`` built by the registry's one constructor."""
+
     def test_options_dtype_propagates(self):
-        adapter = AcSpgemm()
+        adapter = make_algorithm("ac-spgemm")
         opts = adapter.options_for(np.float32)
         assert opts.value_dtype == np.float32
 
     def test_run_carries_full_result(self):
         a = random_uniform(300, 300, 4, seed=1)
-        run = AcSpgemm().multiply(a, a)
+        run = make_algorithm("ac-spgemm").multiply(a, a)
         assert hasattr(run, "ac_result")
         assert run.ac_result.matrix is run.matrix
         assert set(run.stage_cycles) == {
@@ -99,8 +101,12 @@ class TestAcAdapter:
             chunk_pool_lower_bound_bytes=1 << 20,
             enable_long_row_handling=False,
         )
-        adapter = AcSpgemm(device=SMALL_DEVICE, options=base)
+        adapter = make_algorithm("ac-spgemm", device=SMALL_DEVICE, options=base)
         opts = adapter.options_for(np.float64)
         assert not opts.enable_long_row_handling
         run = adapter.multiply(a, a)
         assert run.matrix.nnz > 0
+
+    def test_options_rejected_by_fixed_function_baseline(self):
+        with pytest.raises(ValueError, match="registered backend"):
+            make_algorithm("cusparse", options=AcSpgemmOptions())
