@@ -2,8 +2,9 @@
 
 The paper's evaluation is a ~1800-matrix sweep of six algorithms in two
 precisions; this package turns that cross product into a *campaign*: a
-plan of content-addressed cells, executed by N worker processes, each
-checkpointing finished cells to its own JSONL shard.  A killed campaign
+plan of content-addressed cells, executed by N workers (the coordinator
+and N−1 spawned processes), each checkpointing finished cells to its own
+JSONL shard.  A killed campaign
 resumes from the checkpoints, and the merged artifact is byte-identical
 no matter how many workers (or how many interruptions) produced it.
 

@@ -7,13 +7,12 @@ is accounted for).  Running the same plan again — after a crash, a
 ``SIGKILL``, or with a different worker count — resumes from the
 checkpoints and converges on a byte-identical artifact.
 
-Execution modes:
-
-* ``workers == 1`` — inline, in-process (no spawn overhead; this is
-  also the mode the determinism tests compare everything against);
-* ``workers >= 2`` — N worker processes (``spawn`` start method, so
-  every worker re-derives its matrices from seeds in a fresh
-  interpreter) pulling cells from a shared queue.
+Execution: the coordinator (the process calling :meth:`run`) is
+worker 0 and runs the cell loop itself.  ``workers == N`` spawns N−1
+more worker processes (``spawn`` start method) on the same queue; they
+map the coordinator's matrices from shared memory and start taking
+cells as soon as they have booted.  ``workers == 1`` spawns nothing and
+exports nothing: the same loop runs over an in-process queue.
 
 A shared :class:`~repro.bench.harness.ResultCache` can seed the
 campaign (cells already swept by the figure benches are imported as
@@ -22,11 +21,12 @@ cache hits) and receives every fresh record back on completion.
 
 from __future__ import annotations
 
+import queue
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..bench.harness import MatrixCase, ResultCache, RunRecord
+from ..bench.harness import ResultCache, RunRecord
 from ..obs.metrics import MetricsRegistry
 from .plan import (
     CampaignConfig,
@@ -43,13 +43,15 @@ from .store import (
     ShardWriter,
     load_completed,
     merged_artifact_bytes,
+    shard_dir,
     write_atomic,
 )
-from .worker import campaign_trace_meta, execute_cell, worker_main
+from .worker import campaign_trace_meta, worker_main
 
 __all__ = ["CampaignResult", "CampaignRunner", "campaign_records"]
 
-_POLL_SECONDS = 0.25
+#: longest wait for a worker exit between two progress reports
+_PROGRESS_SECONDS = 0.25
 
 
 @dataclass
@@ -155,16 +157,14 @@ class CampaignRunner:
         Builds each matrix once (construction only — operands and
         product statistics stay lazy, so a fully resumed campaign
         never pays for them).  The built matrices are retained on the
-        runner: sharded execution places them in shared memory so the
-        worker processes map them instead of rebuilding per worker.
+        runner with their fingerprints: the coordinator's cell loop runs
+        on them and the spawned workers map them from shared memory.
         """
-        fps = {}
-        self._built: dict[str, object] = {}
+        self._built: dict[str, tuple] = {}
         for entry in config_entries(self.config):
             m = entry.build()
-            self._built[entry.name] = m
-            fps[entry.name] = matrix_fingerprint(m)
-        return fps
+            self._built[entry.name] = (m, matrix_fingerprint(m))
+        return {name: fp for name, (_, fp) in self._built.items()}
 
     def _export_operands(self, remaining: list[CellSpec]):
         """Place the matrices the remaining cells touch in shared memory.
@@ -172,7 +172,9 @@ class CampaignRunner:
         Returns ``(metas, handles)``: the picklable per-matrix
         attachment descriptors (with the already-computed fingerprint,
         so workers skip both the rebuild and the re-hash) and the owner
-        handles to release once the workers are done.
+        handles to release once the workers are done.  Each exported
+        matrix in ``_built`` is swapped for a zero-copy view of its
+        segment, so the coordinator holds one copy, not two.
         """
         from ..engine.shm import SharedCSR
 
@@ -180,12 +182,10 @@ class CampaignRunner:
         metas: dict[str, dict] = {}
         handles = []
         for name in sorted({c.matrix for c in remaining}):
-            matrix = self._built.get(name)
-            fp = self._last_fps.get(name)
-            if matrix is None or fp is None:
-                continue
+            matrix, fp = self._built[name]
             h = SharedCSR.export(matrix, name=order[name])
             handles.append(h)
+            self._built[name] = (h.matrix(), fp)
             metas[name] = {"shm": h.meta(), "fingerprint": fp}
         return metas, handles
 
@@ -213,7 +213,14 @@ class CampaignRunner:
 
         return sweep_segments(self._segment_names().values())
 
-    # -- cache seeding ------------------------------------------------
+    # -- the shared sweep cache ---------------------------------------
+
+    def _cache_key(self, cell: CellSpec, options) -> str:
+        """The sweep-cache key of ``cell`` under the campaign options."""
+        return ResultCache.key(
+            cell.matrix, cell.algorithm, cell.dtype,
+            cell_options(cell.algorithm, options),
+        )
 
     def _seed_from_cache(
         self,
@@ -231,11 +238,7 @@ class CampaignRunner:
             for cell in self.cells:
                 if cell.id in completed:
                     continue
-                k = ResultCache.key(
-                    cell.matrix, cell.algorithm, cell.dtype,
-                    cell_options(cell.algorithm, options),
-                )
-                rec = cache._data.get(k)
+                rec = cache._data.get(self._cache_key(cell, options))
                 if rec is None:
                     continue
                 # indistinguishable from a fresh first-attempt success:
@@ -263,103 +266,111 @@ class CampaignRunner:
 
     # -- execution ----------------------------------------------------
 
-    def _run_inline(self, remaining: list[CellSpec]) -> None:
-        entries = {e.name: e for e in config_entries(self.config)}
-        cases: dict[str, MatrixCase] = {}
-        fps: dict[str, str] = {}
-        writer = ShardWriter(self.directory, 0)
-        try:
-            for i, cell in enumerate(remaining):
-                case = cases.get(cell.matrix)
-                if case is None:
-                    entry = entries[cell.matrix]
-                    case = MatrixCase(
-                        entry.name, entry.build(), family=entry.family
-                    )
-                    cases[cell.matrix] = case
-                    fps[cell.matrix] = matrix_fingerprint(case.matrix)
-                line = execute_cell(
-                    case,
-                    cell,
-                    self.config,
-                    key=cell_key(cell, fps[cell.matrix], self.config),
-                    worker=0,
-                    cell_timeout=self.cell_timeout,
-                    trace_meta=campaign_trace_meta(self.config),
-                )
-                writer.append(line)
-                if self.throttle:
-                    time.sleep(self.throttle)
-                if self.progress is not None:
-                    self.progress(i + 1, len(remaining))
-        finally:
-            writer.close()
+    def _run_cells(self, remaining: list[CellSpec], progress) -> None:
+        """Run ``remaining`` with the coordinator as worker 0.
 
-    def _run_processes(self, remaining: list[CellSpec]) -> None:
-        import multiprocessing as mp
-
-        ctx = mp.get_context("spawn")
+        Spawns ``min(workers, len(remaining)) - 1`` workers, then runs
+        :func:`worker_main` here until it reads its sentinel, then waits
+        for the spawned workers, waking when one exits.  ``SIGTERM``
+        during the loop drains: the in-flight cell finishes, the spawned
+        workers are terminated (they drain too) and joined, and the
+        campaign stops with a resumable :class:`CampaignError`.
+        """
         n = min(self.workers, len(remaining))
-        work = ctx.Queue()
-        for cell in remaining:
-            work.put(cell.index)
-        for _ in range(n):
-            work.put(None)
-        operand_metas, operand_handles = self._export_operands(remaining)
-        procs = [
-            ctx.Process(
-                target=worker_main,
-                args=(
-                    str(self.directory),
-                    w,
-                    self.config.to_json(),
-                    work,
-                    self.throttle,
-                    operand_metas,
-                    self.cell_timeout,
-                ),
-                kwargs={"trace_meta": campaign_trace_meta(self.config)},
-            )
-            for w in range(n)
-        ]
-        for p in procs:
-            p.start()
+        procs, handles = [], []
+        if n > 1:
+            import multiprocessing as mp
+
+            ctx = mp.get_context("spawn")
+        work = ctx.Queue() if n > 1 else queue.Queue()
+        for index in [c.index for c in remaining] + [None] * n:
+            work.put(index)
+        trace_meta = campaign_trace_meta(self.config)
         try:
-            while any(p.is_alive() for p in procs):
-                time.sleep(_POLL_SECONDS)
-                if self.progress is not None:
-                    done = sum(
-                        path.read_text(encoding="utf-8").count("\n")
-                        for path in (self.directory / "shards").glob(
-                            "*.jsonl"
-                        )
-                    )
-                    self.progress(done, len(self.cells))
-            for p in procs:
-                p.join()
+            if n > 1:
+                metas, handles = self._export_operands(remaining)
+            for w in range(1, n):
+                p = ctx.Process(
+                    target=worker_main,
+                    args=(
+                        str(self.directory), w, self.config.to_json(), work,
+                        self.throttle, metas, self.cell_timeout,
+                    ),
+                    kwargs={"trace_meta": trace_meta},
+                )
+                p.start()
+                procs.append(p)
+            drained = worker_main(
+                str(self.directory), 0, self.config.to_json(), work,
+                self.throttle, cell_timeout=self.cell_timeout,
+                trace_meta=trace_meta, built=self._built, on_cell=progress,
+            )
+            if drained:
+                for p in procs:
+                    p.terminate()
+            self._await(procs, progress)
         except BaseException:
-            # SIGTERM asks workers to drain: the in-flight cell is
+            # the spawned workers drain on SIGTERM: the in-flight cell is
             # finished and fsynced, so give them a bounded grace period
             # before propagating
             for p in procs:
-                if p.is_alive():
-                    p.terminate()
+                p.terminate()
             for p in procs:
                 p.join(timeout=10)
             raise
         finally:
-            # the owner unlinks unconditionally, and the sweep also
-            # reclaims segments a previous SIGKILLed invocation leaked
-            # for matrices this one never re-exported
-            for h in operand_handles:
+            # drop the views of the segments before the mappings close;
+            # the sweep unlinks unconditionally, also reclaiming segments
+            # a previous SIGKILLed invocation leaked for matrices this
+            # one never re-exported
+            self._built.clear()
+            for h in handles:
                 h.close()
-            self._sweep_segments()
+            if n > 1:
+                self._sweep_segments()
         bad = [p.exitcode for p in procs if p.exitcode != 0]
-        if bad:
-            raise CampaignError(
+        if drained or bad:
+            why = "campaign drained on SIGTERM" if drained else (
                 f"{len(bad)} campaign workers exited abnormally "
-                f"(exit codes {bad}); rerun to resume from checkpoints"
+                f"(exit codes {bad})"
             )
+            raise CampaignError(f"{why}; rerun to resume from checkpoints")
+
+    @staticmethod
+    def _await(procs, progress) -> None:
+        """Join the spawned workers, waking as soon as one exits."""
+        from multiprocessing.connection import wait
+
+        alive = procs
+        while alive:
+            wait([p.sentinel for p in alive], timeout=_PROGRESS_SECONDS)
+            alive = [p for p in alive if p.exitcode is None]
+            if progress is not None:
+                progress()
+        for p in procs:
+            p.join()
+
+    def _progress(self, done: int):
+        """Report ``done`` (the resumed and seeded cells) plus each cell
+        line appended to a shard from now on; ``None`` if unobserved."""
+        if self.progress is None:
+            return None
+        shards = shard_dir(self.directory)
+        offsets = {p: p.stat().st_size for p in shards.glob("*.jsonl")}
+
+        def report() -> None:
+            nonlocal done
+            for path in sorted(shards.glob("*.jsonl")):
+                with open(path, "rb") as fh:
+                    fh.seek(offsets.get(path, 0))
+                    tail = fh.read()
+                whole = tail[: tail.rfind(b"\n") + 1]  # a line may be mid-write
+                offsets[path] = offsets.get(path, 0) + len(whole)
+                # a cell line has one top-level "id" key, a diagnostic none
+                done += whole.count(b'"id": ')
+            self.progress(done, len(self.cells))
+
+        return report
 
     # -- the whole dance ----------------------------------------------
 
@@ -369,7 +380,6 @@ class CampaignRunner:
         self.directory.mkdir(parents=True, exist_ok=True)
         self._pin_plan()
         fps = self._fingerprints()
-        self._last_fps = fps
         expected_keys = {
             c.id: cell_key(c, fps[c.matrix], self.config) for c in self.cells
         }
@@ -378,10 +388,7 @@ class CampaignRunner:
         seeded = self._seed_from_cache(expected_keys, completed)
         remaining = [c for c in self.cells if c.id not in completed]
         if remaining:
-            if self.workers == 1:
-                self._run_inline(remaining)
-            else:
-                self._run_processes(remaining)
+            self._run_cells(remaining, self._progress(len(completed)))
             completed = load_completed(self.directory, expected_keys)
         executed = len(completed) - resumed - seeded
         wall = time.monotonic() - t_start
@@ -418,10 +425,7 @@ class CampaignRunner:
             line = completed[cell.id]
             if line.get("record") is None:
                 continue
-            k = ResultCache.key(
-                cell.matrix, cell.algorithm, cell.dtype,
-                cell_options(cell.algorithm, options),
-            )
+            k = self._cache_key(cell, options)
             if cache._data.get(k) != line["record"]:
                 cache._data[k] = line["record"]
                 dirty = True

@@ -1,12 +1,13 @@
 """Campaign worker: executes cells pulled from a shared queue.
 
-Each worker process rebuilds its matrices from the (deterministic,
-seeded) generators, runs one cell at a time through the bench harness,
-and checkpoints every outcome — success or exhausted retry budget —
-to its own JSONL shard.  Failed cells are *recorded*, never dropped:
-the merged artifact carries their error context so a campaign over an
-adversarial collection still yields one complete, deterministic
-document.
+One loop, :func:`worker_main`, serves every worker count: the
+coordinator runs it as worker 0 over the matrices it built, each
+spawned worker over the coordinator's shared-memory operands.  It runs
+one cell at a time through the bench harness and checkpoints every
+outcome — success or exhausted retry budget — to its own JSONL shard.
+Failed cells are *recorded*, never dropped: the merged artifact
+carries their error context so a campaign over an adversarial
+collection still yields one complete, deterministic document.
 
 Liveness is observable and termination is graceful:
 
@@ -19,8 +20,9 @@ Liveness is observable and termination is graceful:
   and are therefore invisible to the resume/merge machinery.
 * ``SIGTERM`` drains: the in-flight cell finishes and is fsynced to the
   shard, shared-memory mappings are closed, a ``sigterm-drain``
-  diagnostic is recorded, and the worker exits 0.  (``SIGKILL`` safety
-  — torn final line, shard resume — is covered separately.)
+  diagnostic is recorded, and the loop returns ``True`` (a spawned
+  worker exits 0; the coordinator stops the campaign).  (``SIGKILL``
+  safety — torn final line, shard resume — is covered separately.)
 * An optional per-cell wallclock timeout raises typed
   :class:`~repro.resilience.errors.DeadlineExceeded` inside the attempt
   loop, counting against the existing retry budget like any other
@@ -65,7 +67,7 @@ __all__ = ["campaign_trace_meta", "execute_cell", "worker_main"]
 def campaign_trace_meta(config: CampaignConfig) -> dict:
     """The campaign's trace hand-off pair, derived from the plan alone.
 
-    Every worker (and the inline runner) derives the same
+    Every worker (the coordinator included) derives the same
     ``{"trace_id", "parent_id"}`` from the canonical config JSON, so a
     cell's trace ids are identical no matter which worker executes it —
     the same worker-independence rule as the checkpoint ``key``.
@@ -79,8 +81,6 @@ def campaign_trace_meta(config: CampaignConfig) -> dict:
         "trace_id": trace_id,
         "parent_id": derive_span_id(trace_id, "", "campaign", 0),
     }
-
-_DTYPES = {"float32": "float32", "float64": "float64"}
 
 #: queue poll interval: bounds both SIGTERM-drain latency and the
 #: resolution of the starvation clock
@@ -142,7 +142,7 @@ def execute_cell(
     import numpy as np
 
     run = runner if runner is not None else run_case
-    dtype = np.dtype(_DTYPES[cell.dtype])
+    dtype = np.dtype(cell.dtype)  # validated by CampaignConfig
     options = config.options()
     trace = None
     if trace_meta is not None:
@@ -246,32 +246,37 @@ def worker_main(
     cell_timeout: float | None = None,
     starve_timeout: float = DEFAULT_STARVE_TIMEOUT,
     trace_meta: dict | None = None,
-) -> None:
-    """Entry point of one campaign worker process.
+    built: dict | None = None,
+    on_cell=None,
+) -> bool:
+    """The campaign's cell loop; returns whether ``SIGTERM`` drained it.
 
     Pulls cell indices from ``work_queue`` until it sees ``None``.
-    ``operands`` maps matrix names to shared-memory attachment
-    descriptors (plus the parent-computed fingerprint): the runner
-    builds every matrix exactly once and the workers map it zero-copy.
-    Matrices absent from ``operands`` are rebuilt from the deterministic
-    seeded generators, on demand and memoised per worker.  ``throttle``
-    is a runtime test hook (a sleep after each cell so kill/resume tests
-    can interrupt a campaign deterministically); it never enters the
-    plan or artifact.
+    ``built`` maps matrix names to ``(matrix, fingerprint)`` pairs the
+    caller already holds (the coordinator's own matrices); ``operands``
+    maps them to shared-memory attachment descriptors plus the
+    coordinator-computed fingerprint, which a spawned worker maps
+    zero-copy.  Matrices in neither are rebuilt from the deterministic
+    seeded generators, on demand and memoised per worker.  ``on_cell``
+    is called after each checkpoint.  ``throttle`` is a runtime test
+    hook (a sleep after each cell so kill/resume tests can interrupt a
+    campaign deterministically); it never enters the plan or artifact.
 
+    The ``SIGTERM`` drain handler is installed only while the loop runs.
     See the module docstring for starvation, SIGTERM-drain and
     per-cell-timeout semantics.
     """
     config = CampaignConfig.from_json(config_json)
     cells = enumerate_cells(config)
     entries = {e.name: e for e in config_entries(config)}
-    cases: dict[str, MatrixCase] = {}
-    fingerprints: dict[str, str] = {}
+    built = built or {}
+    cases: dict[str, tuple[MatrixCase, str]] = {}  # with the fingerprint
     mappings = []  # SharedCSR handles kept alive while their views are
     writer = ShardWriter(directory, worker)
     draining = threading.Event()
+    prev_term = None
     if threading.current_thread() is threading.main_thread():
-        signal.signal(signal.SIGTERM, lambda s, f: draining.set())
+        prev_term = signal.signal(signal.SIGTERM, lambda s, f: draining.set())
     idle_since: float | None = None
     last_beat = 0.0
     try:
@@ -292,65 +297,51 @@ def worker_main(
                         stage="campaign",
                         block_id=worker,
                     )
-                    writer.append(
-                        {
-                            "kind": "diagnostic",
-                            "event": "starved",
-                            "worker": worker,
-                            "waited_s": round(waited, 3),
-                            "error": err.context(),
-                        }
-                    )
+                    writer.append({
+                        "kind": "diagnostic", "event": "starved",
+                        "worker": worker, "waited_s": round(waited, 3),
+                        "error": err.context(),
+                    })
                     break
                 if now - last_beat >= _HEARTBEAT_SECONDS:
                     last_beat = now
-                    writer.append(
-                        {
-                            "kind": "heartbeat",
-                            "worker": worker,
-                            "waited_s": round(waited, 3),
-                        }
-                    )
+                    writer.append({
+                        "kind": "heartbeat", "worker": worker,
+                        "waited_s": round(waited, 3),
+                    })
                 continue
             idle_since = None
             if index is None:
                 break
             cell = cells[index]
-            case = cases.get(cell.matrix)
-            if case is None:
+            if cell.matrix not in cases:
+                entry = entries[cell.matrix]
                 placed = (operands or {}).get(cell.matrix)
-                if placed is not None:
+                if cell.matrix in built:
+                    matrix, fp = built[cell.matrix]
+                elif placed is not None:
                     from ..engine.shm import SharedCSR
 
-                    handle = SharedCSR.attach(placed["shm"])
-                    mappings.append(handle)
-                    entry = entries[cell.matrix]
-                    case = MatrixCase(
-                        cell.matrix, handle.matrix(), family=entry.family
-                    )
-                    fingerprints[cell.matrix] = placed["fingerprint"]
+                    mappings.append(SharedCSR.attach(placed["shm"]))
+                    matrix, fp = mappings[-1].matrix(), placed["fingerprint"]
                 else:
-                    entry = entries[cell.matrix]
-                    case = MatrixCase(
-                        entry.name, entry.build(), family=entry.family
-                    )
-                    fingerprints[cell.matrix] = matrix_fingerprint(
-                        case.matrix
-                    )
-                cases[cell.matrix] = case
+                    matrix = entry.build()
+                    fp = matrix_fingerprint(matrix)
+                case = MatrixCase(cell.matrix, matrix, family=entry.family)
+                cases[cell.matrix] = (case, fp)
+            case, fp = cases[cell.matrix]
             line = execute_cell(
-                case,
-                cell,
-                config,
-                key=cell_key(cell, fingerprints[cell.matrix], config),
-                worker=worker,
-                cell_timeout=cell_timeout,
-                trace_meta=trace_meta,
+                case, cell, config, key=cell_key(cell, fp, config),
+                worker=worker, cell_timeout=cell_timeout, trace_meta=trace_meta,
             )
             writer.append(line)
+            if on_cell is not None:
+                on_cell()
             if throttle:
                 time.sleep(throttle)
     finally:
+        if prev_term is not None:
+            signal.signal(signal.SIGTERM, prev_term)
         if draining.is_set():
             # the in-flight cell above completed and was fsynced before
             # this marker: SIGTERM drains, it never tears a checkpoint
@@ -358,5 +349,8 @@ def worker_main(
                 {"kind": "diagnostic", "event": "sigterm-drain", "worker": worker}
             )
         writer.close()
+        cases.clear()  # drop the views before their mappings close
+        case = matrix = None
         for handle in mappings:
             handle.close()
+    return draining.is_set()

@@ -178,6 +178,62 @@ class TestExecution:
             a.artifact_path.read_bytes() == b.artifact_path.read_bytes()
         )
 
+    def test_coordinator_is_worker_zero(self, tmp_path, monkeypatch):
+        """workers=2 spawns one worker; the coordinator checkpoints
+        cells in shard-00 while it boots, the spawned one in shard-01,
+        and no segment outlives the run."""
+        from multiprocessing.context import SpawnProcess
+
+        started = []
+        start = SpawnProcess.start
+
+        def counted(proc):
+            started.append(proc)
+            start(proc)
+
+        monkeypatch.setattr(SpawnProcess, "start", counted)
+        config = CampaignConfig(suite="tiny")
+        runner = CampaignRunner(tmp_path, config, workers=2, throttle=0.1)
+        result = runner.run()
+        assert result.stats["workers"] == 2
+        assert len(started) == 1
+        shards = tmp_path / "shards"
+        assert read_shard_lines(shards / "shard-00.jsonl")
+        assert read_shard_lines(shards / "shard-01.jsonl")
+        assert not (shards / "shard-02.jsonl").exists()
+        assert runner._sweep_segments() == 0
+
+    def test_one_worker_spawns_and_exports_nothing(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-worker campaign must stay in-process")
+
+        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+        monkeypatch.setattr(SharedCSR, "export", refuse)
+        handler = signal.getsignal(signal.SIGTERM)
+        result = CampaignRunner(tmp_path, TINY2, workers=1).run()
+        assert result.stats["executed"] == 12
+        # the drain handler is installed only while the cell loop runs
+        assert signal.getsignal(signal.SIGTERM) is handler
+        assert sorted(p.name for p in (tmp_path / "shards").iterdir()) == [
+            "shard-00.jsonl"
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_progress_counts_cell_checkpoints(self, tmp_path, workers):
+        """Progress is resumed + seeded + checkpointed cells, whatever
+        the worker count: never decreasing, never past the total."""
+        calls = []
+        CampaignRunner(
+            tmp_path, CampaignConfig(suite="tiny"), workers=workers,
+            progress=lambda done, total: calls.append((done, total)),
+        ).run()
+        done = [d for d, _ in calls]
+        assert done == sorted(done)
+        assert all(0 < d <= t == 36 for d, t in calls)
+        assert calls[-1] == (36, 36)
+
     def test_cache_seeding_and_foldback(self, tmp_path):
         cache = default_cache(tmp_path)
         entries = config_entries(TINY2)
@@ -319,25 +375,29 @@ class TestMetrics:
 # ---------------------------------------------------------- kill/resume
 
 
+def _campaign_process(camp: Path, *extra: str) -> subprocess.Popen:
+    """``repro campaign --suite tiny --workers 2`` in its own session."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    old = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src + (os.pathsep + old if old else "")
+    cmd = [
+        sys.executable, "-m", "repro.cli", "campaign", "--suite", "tiny",
+        "--workers", "2", "--dir", str(camp), "--quiet", *extra,
+    ]
+    return subprocess.Popen(
+        cmd, env=env, start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+
+
 class TestKillResume:
     def test_sigkill_mid_sweep_then_resume_byte_identical(self, tmp_path):
         """Satellite 5: SIGKILL a 2-worker campaign mid-sweep, rerun,
         and the merged artifact is byte-identical to an uninterrupted
         run, with every pre-kill cell served from the checkpoints."""
         camp = tmp_path / "interrupted"
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        old = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = src + (os.pathsep + old if old else "")
-        cmd = [
-            sys.executable, "-m", "repro.cli", "campaign",
-            "--suite", "tiny", "--workers", "2",
-            "--throttle", "0.25", "--dir", str(camp), "--quiet",
-        ]
-        proc = subprocess.Popen(
-            cmd, env=env, start_new_session=True,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
+        proc = _campaign_process(camp, "--throttle", "0.25")
         try:
             deadline = time.monotonic() + 60
             n_prekill = 0
@@ -362,6 +422,44 @@ class TestKillResume:
         assert (
             resumed.stats["resumed"] + resumed.stats["executed"] == 36
         )
+        clean = CampaignRunner(tmp_path / "clean", config).run()
+        assert (
+            resumed.artifact_path.read_bytes()
+            == clean.artifact_path.read_bytes()
+        )
+
+    def test_sigterm_drains_coordinator_then_resume(self, tmp_path):
+        """SIGTERM to the coordinator alone: it finishes its cell, stops
+        its spawned worker, unlinks the segments and exits non-zero; a
+        rerun resumes to the clean artifact."""
+        from repro.campaign.store import read_shard_diagnostics
+
+        camp = tmp_path / "drained"
+        config = CampaignConfig(suite="tiny")
+        proc = _campaign_process(camp, "--throttle", "0.25")
+        try:
+            deadline = time.monotonic() + 60
+            n_preterm = 0
+            while time.monotonic() < deadline and n_preterm < 3:
+                time.sleep(0.05)
+                shards = (camp / "shards").glob("shard-*.jsonl")
+                n_preterm = sum(len(read_shard_lines(p)) for p in shards)
+            os.kill(proc.pid, signal.SIGTERM)
+            code = proc.wait(timeout=30)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait(timeout=30)
+        assert 3 <= n_preterm < 36, "SIGTERM must land mid-sweep"
+        assert code != 0
+        assert not (camp / "campaign.json").exists()
+        names = CampaignRunner(camp, config)._segment_names().values()
+        assert not any(_segment_exists(n) for n in names)
+        diags = read_shard_diagnostics(camp / "shards" / "shard-00.jsonl")
+        assert any(d.get("event") == "sigterm-drain" for d in diags)
+
+        resumed = CampaignRunner(camp, config, workers=2).run()
+        assert resumed.stats["resumed"] >= 3
         clean = CampaignRunner(tmp_path / "clean", config).run()
         assert (
             resumed.artifact_path.read_bytes()
