@@ -2,7 +2,7 @@
 
 A thin adapter: the driver in ``repro.core.acspgemm`` already produces
 the full result contract; this class adds the registry name, the
-span/device-trace injection passthrough the selector needs, and the
+ledger passthrough the selector needs, and the
 partition-faithful cycle prediction used for routing.
 """
 
@@ -27,10 +27,10 @@ class AcSpgemmBackend(Backend):
     name = "ac-spgemm"
     bit_stable = True
 
-    def run(self, a, b, options=None, *, spans=None, dtrace=None, scheduler_seed=0):
+    def run(self, a, b, options=None, *, ledger=None, scheduler_seed=0):
         # bit-stable by construction: the scheduler seed cannot change
         # the sorted accumulation order, so it is ignored
-        return ac_spgemm(a, b, options, spans=spans, dtrace=dtrace)
+        return ac_spgemm(a, b, options, ledger=ledger)
 
     def predict_cycles(self, features, options: AcSpgemmOptions | None = None) -> float:
         """Sum of the predicted per-stage makespans."""

@@ -19,8 +19,7 @@ import numpy as np
 
 from ..core.options import AcSpgemmOptions
 from ..gpu.cost import BlockArrayMeter, CostMeter
-from ..obs.device import DeviceTrace
-from ..obs.span import SpanRecorder
+from ..obs.ledger import LaunchLedger
 
 __all__ = ["Backend"]
 
@@ -45,15 +44,15 @@ class Backend:
         b,
         options: AcSpgemmOptions | None = None,
         *,
-        spans: SpanRecorder | None = None,
-        dtrace: DeviceTrace | None = None,
+        ledger: LaunchLedger | None = None,
         scheduler_seed: int = 0,
     ):
         """Compute ``C = A @ B`` on the simulated device.
 
-        ``spans``/``dtrace`` support nesting inside a caller's recording
-        context (the adaptive selector); by default the backend owns
-        both.  Returns an :class:`~repro.core.acspgemm.AcSpgemmResult`.
+        ``ledger`` nests the run inside a caller's recording context
+        (the adaptive selector); by default the backend owns its spans
+        and device trace.  Returns an
+        :class:`~repro.core.acspgemm.AcSpgemmResult`.
         """
         raise NotImplementedError
 
@@ -65,16 +64,6 @@ class Backend:
         raise NotImplementedError
 
     # -- shared helpers ------------------------------------------------
-
-    @staticmethod
-    def _finish_spans(spans: SpanRecorder, owns: bool, anchor, **attrs):
-        """Close an owned recorder, or unwind to the injected anchor."""
-        if owns:
-            return spans.close(**attrs)
-        while spans.current is not anchor:
-            spans.finish()
-        spans.finish(**attrs)
-        return anchor
 
     @staticmethod
     def _fresh_meter(opts: AcSpgemmOptions) -> CostMeter:

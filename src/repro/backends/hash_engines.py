@@ -21,9 +21,9 @@ Two engines, promoted from the host-side cost sketches in
     per-row sort (rows are emitted through a cheap compaction
     traversal), at the price of chain-chasing ALU work per probe.
 
-Both engines execute the launch/record protocol of the AC-SpGEMM
-driver exactly — per-block cycles and traffic counters, the
-:class:`~repro.gpu.memory.Scratchpad` capacity limit,
+Both engines record through the AC-SpGEMM driver's
+:class:`~repro.obs.ledger.LaunchLedger` — per-block cycles and traffic
+counters, the :class:`~repro.gpu.memory.Scratchpad` capacity limit,
 :func:`~repro.gpu.scheduler.schedule_blocks` makespans, span trees and
 device traces — so :func:`repro.obs.analyze.reconcile` holds with zero
 tolerance.  Numerically they model the scheduler-dependent hash
@@ -52,11 +52,10 @@ import numpy as np
 from ..baselines.base import accumulate_products, expand_products
 from ..core.acspgemm import AcSpgemmResult, MemoryReport
 from ..core.options import AcSpgemmOptions, DEFAULT_OPTIONS
-from ..gpu.counters import TrafficCounters
 from ..gpu.memory import layout_high_water
 from ..gpu.scheduler import schedule_blocks
-from ..obs.device import BlockMeta, DeviceTrace
-from ..obs.span import SpanRecorder
+from ..obs.device import BlockMeta
+from ..obs.ledger import LaunchLedger, device_wide_cycles
 from ..sparse import row_temp_counts
 from ..sparse.validate import validate_csr
 from .base import Backend
@@ -122,6 +121,30 @@ class _Launch:
     meter: BlockArrayMeter
     scratch_high_water: np.ndarray
 
+    def metas(self) -> list[BlockMeta]:
+        """The device trace's view of each block, in dispatch order."""
+        blk = self.blocks
+        return [
+            BlockMeta(
+                worker_id=blk.first_id + i,
+                row_lo=lo,
+                row_hi=hi,
+                cycles=cyc,
+                done=True,
+                scratch_high_water=hw,
+                counters=snap,
+            )
+            for i, (lo, hi, cyc, hw, snap) in enumerate(
+                zip(
+                    blk.row_lo.tolist(),
+                    blk.row_hi.tolist(),
+                    self.meter.cycles.tolist(),
+                    self.scratch_high_water.tolist(),
+                    self.meter.snapshots(),
+                )
+            )
+        ]
+
 
 def _pow2_ceil(x: np.ndarray) -> np.ndarray:
     """Element-wise next power of two (inputs >= 1)."""
@@ -155,18 +178,14 @@ class _SimulatedHashEngine(Backend):
 
     # -- execution -----------------------------------------------------
 
-    def run(self, a, b, options=None, *, spans=None, dtrace=None, scheduler_seed=0):
+    def run(self, a, b, options=None, *, ledger=None, scheduler_seed=0):
         opts = options or DEFAULT_OPTIONS
         if a.cols != b.rows:
             raise ValueError(
                 f"inner dimensions do not match: A is {a.shape}, B is {b.shape}"
             )
-        cfg = opts.device
-        launch = opts.costs.kernel_launch_cycles
-        owns_spans = spans is None
-        if owns_spans:
-            spans = SpanRecorder(clock_ghz=cfg.clock_ghz)
-        anchor = spans.start(
+        ledger = LaunchLedger(opts, self.stage_keys, parent=ledger)
+        anchor = ledger.spans.start(
             self.name,
             rows=a.rows,
             inner=a.cols,
@@ -174,12 +193,10 @@ class _SimulatedHashEngine(Backend):
             nnz_a=a.nnz,
             nnz_b=b.nnz,
         )
-        with spans.span("setup", validated=opts.validate_inputs):
+        with ledger.spans.span("setup", validated=opts.validate_inputs):
             if opts.validate_inputs:
                 validate_csr(a)
                 validate_csr(b)
-        if dtrace is None and opts.device_trace:
-            dtrace = DeviceTrace(clock_ghz=cfg.clock_ghz, num_sms=cfg.num_sms)
 
         # the true product; the seeded shuffle models the
         # scheduler-dependent hash insertion order (not bit-stable)
@@ -200,83 +217,19 @@ class _SimulatedHashEngine(Backend):
             b_rows=b.rows,
             opts=opts,
         )
-
-        stage_cycles = {k: 0.0 for k in self.stage_keys}
-        counters = TrafficCounters()
-        min_mp_load = 1.0
-        util_busy = 0.0
-        util_cap = 0.0
-
         for op in ops:
             if isinstance(op, _DevicePass):
-                cycles = op.meter.cycles / cfg.num_sms + launch
-                stage_cycles[op.stage] += cycles
-                counters.merge(op.meter.counters)
-                counters.kernel_launches += 1
-                if dtrace is not None:
-                    attr = op.meter.counters.snapshot()
-                    attr["kernel_launches"] += 1
-                    dtrace.record_device_wide(
-                        op.stage,
-                        op.label,
-                        start_cycle=spans.now,
-                        cycles=cycles,
-                        counters=attr,
-                    )
-                spans.leaf(op.label, cycles, stage=op.stage, **op.attrs)
-                continue
-            block_cycles = op.meter.cycles.tolist()
-            timing = schedule_blocks(
-                block_cycles,
-                cfg.num_sms,
-                launch_overhead=launch,
-                record_placements=dtrace is not None,
-            )
-            stage_cycles[op.stage] += timing.makespan_cycles
-            counters.merge(op.meter.totals())
-            counters.kernel_launches += 1
-            if timing.n_blocks >= cfg.num_sms:
-                min_mp_load = min(min_mp_load, timing.multiprocessor_load)
-            if timing.n_blocks:
-                util_busy += timing.total_block_cycles
-                util_cap += len(timing.sm_busy_cycles) * timing.makespan_cycles
-            if dtrace is not None:
-                blk = op.blocks
-                dtrace.record_launch(
+                ledger.device_wide(op.stage, op.label, op.meter, **op.attrs)
+            else:
+                ledger.launch(
                     op.stage,
-                    round_index=op.round_index,
-                    start_cycle=spans.now,
-                    timing=timing,
-                    launch_overhead=launch,
-                    workers=[
-                        BlockMeta(
-                            worker_id=blk.first_id + i,
-                            row_lo=lo,
-                            row_hi=hi,
-                            cycles=cyc,
-                            done=True,
-                            scratch_high_water=hw,
-                            counters=snap,
-                        )
-                        for i, (lo, hi, cyc, hw, snap) in enumerate(
-                            zip(
-                                blk.row_lo.tolist(),
-                                blk.row_hi.tolist(),
-                                block_cycles,
-                                op.scratch_high_water.tolist(),
-                                op.meter.snapshots(),
-                            )
-                        )
-                    ],
-                    counters={"kernel_launches": 1},
+                    op.round_index,
+                    op.meter.cycles.tolist(),
+                    traffic=(op.meter.totals(),),
+                    metas=op.metas,
+                    round=op.round_index,
+                    blocks=len(op.blocks),
                 )
-            spans.leaf(
-                f"{op.stage.lower()}.round",
-                timing.makespan_cycles,
-                stage=op.stage,
-                round=op.round_index,
-                blocks=len(op.blocks),
-            )
 
         memory = MemoryReport(
             helper_bytes=info["helper_bytes"],
@@ -286,17 +239,13 @@ class _SimulatedHashEngine(Backend):
         )
         return AcSpgemmResult(
             matrix=c,
-            stage_cycles=stage_cycles,
-            counters=counters,
             memory=memory,
             restarts=0,
-            multiprocessor_load=min_mp_load,
             n_chunks=0,
             n_blocks=info["n_blocks"],
-            clock_ghz=cfg.clock_ghz,
-            spans=self._finish_spans(spans, owns_spans, anchor),
-            sm_utilization=util_busy / util_cap if util_cap else 1.0,
-            device_trace=dtrace,
+            clock_ghz=opts.device.clock_ghz,
+            spans=ledger.finish(anchor),
+            **ledger.totals(),
         )
 
     # -- prediction ----------------------------------------------------
@@ -329,7 +278,7 @@ class _SimulatedHashEngine(Backend):
         total = 0.0
         for op in ops:
             if isinstance(op, _DevicePass):
-                total += op.meter.cycles / cfg.num_sms + launch
+                total += device_wide_cycles(op.meter, cfg.num_sms, launch)
             else:
                 total += schedule_blocks(
                     op.meter.cycles.tolist(),

@@ -18,10 +18,8 @@ import numpy as np
 
 from ..core.estimate_sampling import sampled_output_estimate
 from ..core.options import AcSpgemmOptions, DEFAULT_OPTIONS
-from ..gpu.counters import TrafficCounters
-from ..obs.device import DeviceTrace
 from ..obs.flight import get_flight_recorder
-from ..obs.span import SpanRecorder
+from ..obs.ledger import LaunchLedger
 from ..obs.trace import current_trace_attrs, trace_note
 from ..sparse import row_temp_counts
 from .base import Backend
@@ -161,18 +159,14 @@ class AdaptiveSelector(Backend):
     def predict_cycles(self, features, options: AcSpgemmOptions | None = None) -> float:
         return min(self.predictions(features, options).values())
 
-    def run(self, a, b, options=None, *, spans=None, dtrace=None, scheduler_seed=0):
+    def run(self, a, b, options=None, *, ledger=None, scheduler_seed=0):
         opts = options or DEFAULT_OPTIONS
         if a.cols != b.rows:
             raise ValueError(
                 f"inner dimensions do not match: A is {a.shape}, B is {b.shape}"
             )
-        cfg = opts.device
-        launch = opts.costs.kernel_launch_cycles
-        owns_spans = spans is None
-        if owns_spans:
-            spans = SpanRecorder(clock_ghz=cfg.clock_ghz)
-        anchor = spans.start(
+        ledger = LaunchLedger(opts, ("SEL",), parent=ledger)
+        anchor = ledger.spans.start(
             "adaptive",
             rows=a.rows,
             inner=a.cols,
@@ -180,8 +174,6 @@ class AdaptiveSelector(Backend):
             nnz_a=a.nnz,
             nnz_b=b.nnz,
         )
-        if dtrace is None and opts.device_trace:
-            dtrace = DeviceTrace(clock_ghz=cfg.clock_ghz, num_sms=cfg.num_sms)
 
         # the routing probe is one fused inspection kernel: the
         # statistics gather and the sampled symbolic estimate share a
@@ -194,45 +186,22 @@ class AdaptiveSelector(Backend):
         preds = self.predictions(features, opts)
         choice = self.select(features, opts, predictions=preds)
         trace_note("selector.choice", choice)
-        sel_cycles = (
-            probe.cycles
-            - probe.counters.kernel_launches * launch
-        ) / cfg.num_sms + launch
-        probe.counters.kernel_launches = 1
-        if dtrace is not None:
-            dtrace.record_device_wide(
-                "SEL",
-                "select",
-                start_cycle=spans.now,
-                cycles=sel_cycles,
-                counters=probe.counters.snapshot(),
-            )
-        spans.leaf(
+        sel_cycles = ledger.device_wide(
+            "SEL",
             "select",
-            sel_cycles,
-            stage="SEL",
+            probe,
             engine=choice,
             est_nnz_c=int(features.est_nnz_c),
             expansion=round(features.expansion, 3),
         )
 
-        inner = get_backend(choice)
-        result = inner.run(
-            a,
-            b,
-            opts,
-            spans=spans,
-            dtrace=dtrace,
-            scheduler_seed=scheduler_seed,
+        result = get_backend(choice).run(
+            a, b, opts, ledger=ledger, scheduler_seed=scheduler_seed
         )
-        result.stage_cycles = {"SEL": sel_cycles, **result.stage_cycles}
-        merged = TrafficCounters()
-        merged.merge(probe.counters)
-        merged.merge(result.counters)
-        result.counters = merged
-        result.spans = self._finish_spans(
-            spans, owns_spans, anchor, dispatched_to=choice
-        )
+        result.stage_cycles = {**ledger.stage_cycles, **result.stage_cycles}
+        ledger.counters.merge(result.counters)
+        result.counters = ledger.counters
+        result.spans = ledger.finish(anchor, dispatched_to=choice)
         result.dispatched_to = choice
 
         # flight-recorder dispatch event: the predicted makespan of each

@@ -6,17 +6,21 @@
 3. **Chunk merging** — Multi / Path / Search Merge of shared rows.
 4. **Output** — row-pointer prefix sum and parallel chunk copy.
 
-The driver also owns the chunk-pool estimate and the restart loop: when
-the pool is exhausted, affected blocks persist their restart state, the
-host grows the pool ("expanding the chunk pool is as easy as adding
-another memory region") and relaunches only the unfinished blocks.
+The driver also owns the chunk-pool estimate and one restart loop,
+shared by ESC and the three merge kernels: when the pool is exhausted,
+affected workers persist their restart state, the host grows the pool
+("expanding the chunk pool is as easy as adding another memory region")
+and relaunches only the unfinished workers.
 
 :func:`ac_spgemm` returns the result matrix together with the full cost
 accounting the evaluation section reports: per-stage simulated times
 (Figure 7), memory consumption (Table 3 / Figure 8), restart count and
-multiprocessor load (Table 3).
+multiprocessor load (Table 3).  The driver reports each kernel launch,
+device-wide pass and restart once, to a
+:class:`~repro.obs.ledger.LaunchLedger`, which writes the stage cycles,
+the counters, the span leaf and (when tracing) the device record.
 
-Failure handling (see ``docs/ARCHITECTURE.md`` §6) also lives here:
+Failure handling (see ``docs/ARCHITECTURE.md`` §5) also lives here:
 every engineered failure raises a typed
 :class:`~repro.resilience.errors.ReproError` with stage/block/restart
 context; ``options.fault_plan`` injects deterministic faults at the
@@ -30,17 +34,16 @@ the result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import partial
 
 from ..engine import get_engine
 from ..engine.base import EngineContext
 from ..gpu.cost import CostMeter
 from ..gpu.counters import TrafficCounters
 from ..gpu.memory import ScratchpadOverflow
-from ..gpu.scheduler import KernelTiming, partition_aborted, schedule_blocks
-from ..obs.device import BlockMeta, DeviceTrace
-from ..obs.span import SpanRecorder
+from ..gpu.scheduler import partition_aborted
+from ..obs.device import BlockMeta
+from ..obs.ledger import LaunchLedger
 from ..resilience.errors import ReproError, RestartBudgetExceeded, SanitizerError
 from ..resilience.sanitize import check_stage_boundary
 from ..sparse.csr import CSRMatrix
@@ -148,11 +151,6 @@ class AcSpgemmResult:
         return {k: v / total for k, v in self.stage_cycles.items()}
 
 
-def _device_wide_cycles(meter: CostMeter, num_sms: int) -> float:
-    """A device-wide pass parallelises perfectly over the SMs."""
-    return meter.cycles / num_sms
-
-
 def _worker_id(worker) -> int | None:
     """Block id of an ESC block or merge worker, for error context."""
     if worker is None:
@@ -163,20 +161,124 @@ def _worker_id(worker) -> int | None:
     return block_id
 
 
-def _finish_spans(spans: SpanRecorder, owns: bool, anchor, **attrs):
-    """Close the recorder we own, or unwind back to an injected anchor.
+def _merge_rows(w) -> tuple[int, int]:
+    """A-row range of a merge worker: a Multi Merge block's row group,
+    or the one shared row of a Path/Search Merge."""
+    if isinstance(w, MultiMergeBlock):
+        return int(min(w.rows)), int(max(w.rows))
+    return int(w.row), int(w.row)
 
-    When the caller (the adaptive selector) injected its own recorder,
-    the driver must not ``close()`` the whole tree — it finishes spans
-    until its own ``anchor`` span is popped, leaving the caller's root
-    open for further recording.
+
+def _block_meta(w, row_range, outcome=None) -> BlockMeta:
+    """What the device trace records of one worker's round."""
+    row_lo, row_hi = row_range(w)
+    esc_iterations = getattr(w, "esc_iterations", 0)
+    if outcome is None:  # aborted before dispatch
+        return BlockMeta(_worker_id(w), row_lo, row_hi, esc_iterations=esc_iterations)
+    return BlockMeta(
+        _worker_id(w),
+        row_lo,
+        row_hi,
+        cycles=outcome.cycles,
+        done=outcome.done,
+        scratch_high_water=outcome.scratch_high_water,
+        esc_iterations=esc_iterations,
+        sort_log=outcome.sort_log,
+        counters=outcome.counters.snapshot(),
+    )
+
+
+class _RestartLoop:
+    """The restart loop shared by ESC and the three merge kernels.
+
+    A stage launches its pending workers round after round.  Workers
+    whose chunk allocations failed stay pending; the host then grows
+    the pool ("as easy as adding another memory region") and relaunches
+    only those, until every worker is done or ``max_restarts`` growth
+    rounds are spent.  ``restarts`` counts rounds across all stages.
     """
-    if owns:
-        return spans.close(**attrs)
-    while spans.current is not anchor:
-        spans.finish()
-    spans.finish(**attrs)
-    return anchor
+
+    def __init__(self, ledger: LaunchLedger, opts: AcSpgemmOptions, pool, injector):
+        self.ledger = ledger
+        self.opts = opts
+        self.pool = pool
+        self.injector = injector
+        self.restarts = 0
+
+    def _enter_round(self, stage: str, rnd: int, pending: list):
+        """Apply driver-level injected faults at a stage-round entry.
+
+        Returns ``(run_list, aborted)``; both fault classes applied here
+        are decided before any engine work, so they are engine-identical
+        by construction.  An injected overflow raises immediately.
+        """
+        if self.injector is None:
+            return pending, []
+        spec = self.injector.overflow_for(stage, rnd)
+        if spec is not None:
+            victim = pending[min(spec.block, len(pending) - 1)] if pending else None
+            raise ScratchpadOverflow(
+                f"injected scratchpad overflow in {stage} round {rnd}",
+                stage=stage,
+                block_id=_worker_id(victim),
+                restarts=self.restarts,
+            )
+        return partition_aborted(pending, self.injector.aborts_for(stage, rnd))
+
+    def run(self, stage: str, workers, run_round, row_range, noun: str) -> None:
+        """Run ``workers`` to completion; ``run_round`` executes one
+        round's list on the engine, ``row_range`` gives a worker's A-row
+        range and ``noun`` names the workers in restart events."""
+        ledger, opts, pool = self.ledger, self.opts, self.pool
+        pending = list(workers)
+        rnd = 0
+        while pending:
+            run_list, aborted = self._enter_round(stage, rnd, pending)
+            if aborted:
+                ledger.spans.event(
+                    "blocks_aborted", detail=f"{len(aborted)} blocks in round {rnd}"
+                )
+            outcomes = run_round(run_list) if run_list else []
+            # re-queue in original order: aborted workers keep their
+            # position relative to the workers whose allocations failed
+            done = {id(w) for w, o in zip(run_list, outcomes) if o.done}
+            still = [w for w in pending if id(w) not in done]
+            ledger.launch(
+                stage,
+                rnd,
+                [o.cycles for o in outcomes],
+                traffic=[o.counters for o in outcomes],
+                metas=lambda: [
+                    _block_meta(w, row_range, o) for w, o in zip(run_list, outcomes)
+                ],
+                aborted=lambda: [_block_meta(w, row_range) for w in aborted],
+                round=rnd,
+                blocks=len(run_list),
+                pending_after=len(still),
+            )
+            rnd += 1
+            if still:
+                self.restarts += 1
+                if self.restarts > opts.max_restarts:
+                    raise RestartBudgetExceeded(
+                        f"chunk pool restart limit exceeded ({opts.max_restarts})",
+                        stage=stage,
+                        block_id=_worker_id(still[0]),
+                        restarts=self.restarts - 1,
+                    )
+                pool.grow(
+                    max(
+                        int(pool.capacity_bytes * (opts.pool_growth_factor - 1.0)),
+                        opts.device.elements_per_block * opts.element_bytes,
+                    )
+                )
+                ledger.spans.event(
+                    "restart",
+                    detail=f"pool grown to {pool.capacity_bytes} B, "
+                    f"{len(still)} {noun} pending",
+                )
+                ledger.host(stage, "restart", pool_bytes=pool.capacity_bytes)
+            pending = still
 
 
 def ac_spgemm(
@@ -184,17 +286,17 @@ def ac_spgemm(
     b: CSRMatrix,
     options: AcSpgemmOptions | None = None,
     *,
-    spans: SpanRecorder | None = None,
-    dtrace: DeviceTrace | None = None,
+    ledger: LaunchLedger | None = None,
 ) -> AcSpgemmResult:
     """Compute ``C = A @ B`` with AC-SpGEMM on the simulated device.
 
     Deterministic and bit-stable: repeated calls with the same inputs
     and options produce byte-identical results.
 
-    ``spans``/``dtrace`` allow a caller that already opened its own
-    recording context — the adaptive selector in ``repro.backends`` —
-    to nest this run inside it; by default the driver owns both.
+    ``ledger`` lets a caller that already opened its own recording
+    context — the adaptive selector in ``repro.backends`` — nest this
+    run's spans and device records inside it; by default the run owns
+    its own.
 
     Unrecoverable execution failures raise typed
     :class:`~repro.resilience.errors.ReproError` subclasses; with
@@ -206,10 +308,8 @@ def ac_spgemm(
         raise ValueError(
             f"inner dimensions do not match: A is {a.shape}, B is {b.shape}"
         )
-    owns_spans = spans is None
-    if owns_spans:
-        spans = SpanRecorder(clock_ghz=opts.device.clock_ghz)
-    anchor = spans.start(
+    ledger = LaunchLedger(opts, STAGE_KEYS, parent=ledger)
+    anchor = ledger.spans.start(
         "acspgemm",
         engine=opts.engine,
         rows=a.rows,
@@ -218,27 +318,19 @@ def ac_spgemm(
         nnz_a=a.nnz,
         nnz_b=b.nnz,
     )
-    with spans.span("setup", validated=opts.validate_inputs):
+    with ledger.spans.span("setup", validated=opts.validate_inputs):
         if opts.validate_inputs:
             # sanitizer mode also rejects non-finite values: a NaN/Inf
             # input poisons every product it touches, which the
             # stage-boundary checks cannot distinguish from corruption
             validate_csr(a, require_finite=opts.sanitize)
             validate_csr(b, require_finite=opts.sanitize)
-    if dtrace is None and opts.device_trace:
-        dtrace = DeviceTrace(
-            clock_ghz=opts.device.clock_ghz, num_sms=opts.device.num_sms
-        )
     try:
-        return _run_pipeline(
-            a, b, opts, spans, dtrace, owns_spans=owns_spans, anchor=anchor
-        )
+        return _run_pipeline(a, b, opts, ledger, anchor)
     except (PoolExhausted, RestartBudgetExceeded, ScratchpadOverflow, SanitizerError) as exc:
         if opts.on_failure != "fallback":
             raise
-        return _degraded_result(
-            a, b, opts, exc, spans, dtrace, owns_spans=owns_spans, anchor=anchor
-        )
+        return _degraded_result(a, b, opts, exc, ledger, anchor)
 
 
 def _degraded_result(
@@ -246,41 +338,30 @@ def _degraded_result(
     b: CSRMatrix,
     opts: AcSpgemmOptions,
     exc: ReproError,
-    spans: SpanRecorder,
-    dtrace: DeviceTrace | None = None,
-    *,
-    owns_spans: bool = True,
-    anchor=None,
+    ledger: LaunchLedger,
+    anchor,
 ) -> AcSpgemmResult:
     """Recompute C with the global-ESC baseline after ``exc``.
 
     The fallback gets one fresh conservative allocation (sized for every
     temporary product, so it cannot fail the same way) and its C is
     bit-identical to the Gustavson reference; the triggering failure is
-    recorded on the result instead of being raised.
+    recorded on the result instead of being raised.  The device trace
+    keeps the failed run's records behind a truncation marker; stage
+    cycles and counters cover the fallback only.
     """
-    from ..obs.trace import current_trace_attrs
     from ..resilience.degrade import conservative_pool_bytes, fallback_multiply
 
-    spans.abort(reason=exc.one_line(), **current_trace_attrs())
-    spans.event("degraded", detail=exc.one_line())
-    if dtrace is not None:
-        # the trace keeps every record collected before the failure; the
-        # marker tells consumers the adaptive records are partial and the
-        # result totals cover only the fallback
-        dtrace.mark_truncated(exc.one_line())
-    fb_start = spans.now
-    run = fallback_multiply(a, b, opts, spans=spans)
-    stage_cycles = {k: 0.0 for k in STAGE_KEYS}
-    stage_cycles["FB"] = run.cycles
-    if dtrace is not None:
-        dtrace.record_device_wide(
-            "FB",
-            "fallback",
-            start_cycle=fb_start,
-            cycles=run.cycles,
-            counters=run.counters.snapshot(),
-        )
+    ledger.truncate(exc.one_line(), STAGE_KEYS + ("FB",))
+    run = fallback_multiply(a, b, opts)
+    ledger.charge(
+        "device_wide",
+        "FB",
+        "fallback",
+        run.cycles,
+        run.counters.snapshot(),
+        algorithm=run.algorithm,
+    )
     memory = MemoryReport(
         helper_bytes=0,
         chunk_pool_bytes=conservative_pool_bytes(a, b, opts),
@@ -289,18 +370,15 @@ def _degraded_result(
     )
     return AcSpgemmResult(
         matrix=run.matrix,
-        stage_cycles=stage_cycles,
-        counters=run.counters,
         memory=memory,
         restarts=exc.restarts or 0,
-        multiprocessor_load=1.0,
         n_chunks=0,
         n_blocks=0,
         clock_ghz=opts.device.clock_ghz,
-        spans=spans.close(degraded=True) if owns_spans else anchor,
+        spans=ledger.finish(anchor, degraded=True),
         degraded=True,
         failure=exc.context(),
-        device_trace=dtrace,
+        **ledger.totals(),
     )
 
 
@@ -308,47 +386,18 @@ def _run_pipeline(
     a: CSRMatrix,
     b: CSRMatrix,
     opts: AcSpgemmOptions,
-    spans: SpanRecorder,
-    dtrace: DeviceTrace | None = None,
-    *,
-    owns_spans: bool = True,
-    anchor=None,
+    ledger: LaunchLedger,
+    anchor,
 ) -> AcSpgemmResult:
     """The four-stage pipeline proper (validated inputs, typed raises)."""
     cfg = opts.device
     engine = get_engine(opts.engine)
-    launch = opts.costs.kernel_launch_cycles
-    stage_cycles = {k: 0.0 for k in STAGE_KEYS}
-    counters = TrafficCounters()
-    min_mp_load = 1.0
-    util_busy = 0.0
-    util_cap = 0.0
-
-    def track_timing(timing: KernelTiming) -> None:
-        nonlocal min_mp_load, util_busy, util_cap
-        if timing.n_blocks >= cfg.num_sms:
-            min_mp_load = min(min_mp_load, timing.multiprocessor_load)
-        if timing.n_blocks:  # empty launches are pure overhead, not idle SMs
-            util_busy += timing.total_block_cycles
-            util_cap += len(timing.sm_busy_cycles) * timing.makespan_cycles
+    spans = ledger.spans
 
     # ---- stage 1: global load balancing --------------------------------
     glb_meter = CostMeter(config=cfg, constants=opts.costs)
     glb = global_load_balance(a, cfg.nnz_per_block_glb, glb_meter)
-    stage_cycles["GLB"] = _device_wide_cycles(glb_meter, cfg.num_sms) + launch
-    counters.merge(glb_meter.counters)
-    counters.kernel_launches += 1
-    if dtrace is not None:
-        glb_attr = glb_meter.counters.snapshot()
-        glb_attr["kernel_launches"] += 1
-        dtrace.record_device_wide(
-            "GLB",
-            "glb",
-            start_cycle=spans.now,
-            cycles=stage_cycles["GLB"],
-            counters=glb_attr,
-        )
-    spans.leaf("glb", stage_cycles["GLB"], stage="GLB", blocks=glb.n_blocks)
+    ledger.device_wide("GLB", "glb", glb_meter, blocks=glb.n_blocks)
 
     # ---- stage 2: AC-ESC with restart loop ------------------------------
     with spans.span("estimate", estimator=opts.estimator) as est:
@@ -364,26 +413,9 @@ def _run_pipeline(
             est_meter = CostMeter(config=cfg, constants=opts.costs)
             pool_bytes = sampled_chunk_pool_bytes(a, b, opts, meter=est_meter)
             if est_meter.counters.kernel_launches:
-                # the meter already charged its own launch latency;
-                # keep it out of the device-wide division
-                est_cycles = (
-                    est_meter.cycles - launch
-                ) / cfg.num_sms + launch
-                stage_cycles["ESC"] += est_cycles
-                counters.merge(est_meter.counters)
-                if dtrace is not None:
-                    dtrace.record_device_wide(
-                        "ESC",
-                        "estimate.sample",
-                        start_cycle=spans.now,
-                        cycles=est_cycles,
-                        counters=est_meter.counters.snapshot(),
-                    )
-                spans.leaf(
-                    "estimate.sample", est_cycles, stage="ESC", sampled=True
-                )
+                ledger.device_wide("ESC", "estimate.sample", est_meter, sampled=True)
         est.attrs["pool_bytes"] = pool_bytes
-    pool = ChunkPool(capacity_bytes=pool_bytes)
+    pool = ledger.pool = ChunkPool(capacity_bytes=pool_bytes)
     tracker = RowChunkTracker(n_rows=a.rows)
 
     injector = opts.fault_plan.activate() if opts.fault_plan is not None else None
@@ -391,307 +423,36 @@ def _run_pipeline(
         pool.fault_hook = injector.pool_gate
 
     ectx = EngineContext(a=a, b=b, glb=glb, options=opts, pool=pool, tracker=tracker)
+    loop = _RestartLoop(ledger, opts, pool, injector)
 
-    def esc_row_range(block_id: int) -> tuple[int, int]:
+    def esc_rows(blk) -> tuple[int, int]:
         """A-row range covered by an ESC block's non-zero slice."""
-        lo = block_id * glb.nnz_per_block
+        lo = blk.block_id * glb.nnz_per_block
         hi = min(lo + glb.nnz_per_block, glb.row_of_nnz.shape[0])
         if hi <= lo:
             return -1, -1
         return int(glb.row_of_nnz[lo]), int(glb.row_of_nnz[hi - 1])
 
-    def esc_meta(blk, outcome=None) -> BlockMeta:
-        row_lo, row_hi = esc_row_range(blk.block_id)
-        if outcome is None:  # aborted before dispatch
-            return BlockMeta(
-                worker_id=blk.block_id,
-                row_lo=row_lo,
-                row_hi=row_hi,
-                esc_iterations=blk.esc_iterations,
-            )
-        return BlockMeta(
-            worker_id=blk.block_id,
-            row_lo=row_lo,
-            row_hi=row_hi,
-            cycles=outcome.cycles,
-            done=outcome.done,
-            scratch_high_water=outcome.scratch_high_water,
-            esc_iterations=blk.esc_iterations,
-            sort_log=outcome.sort_log,
-            counters=outcome.counters.snapshot(),
-        )
-
-    def merge_meta(stage: str, w, outcome=None) -> BlockMeta:
-        if stage == "MM":
-            row_lo, row_hi = int(min(w.rows)), int(max(w.rows))
-        else:
-            row_lo = row_hi = int(w.row)
-        if outcome is None:  # aborted before dispatch
-            return BlockMeta(worker_id=w.block_index, row_lo=row_lo, row_hi=row_hi)
-        return BlockMeta(
-            worker_id=w.block_index,
-            row_lo=row_lo,
-            row_hi=row_hi,
-            cycles=outcome.cycles,
-            done=outcome.done,
-            scratch_high_water=outcome.scratch_high_water,
-            sort_log=outcome.sort_log,
-            counters=outcome.counters.snapshot(),
-        )
-
-    def enter_round(stage: str, round_index: int, pending_list: list, restarts: int):
-        """Apply driver-level injected faults at a stage-round entry.
-
-        Returns ``(run_list, aborted)``; both fault classes applied here
-        are decided before any engine work, so they are engine-identical
-        by construction.  An injected overflow raises immediately.
-        """
-        if injector is None:
-            return pending_list, []
-        spec = injector.overflow_for(stage, round_index)
-        if spec is not None:
-            victim = (
-                pending_list[min(spec.block, len(pending_list) - 1)]
-                if pending_list
-                else None
-            )
-            raise ScratchpadOverflow(
-                f"injected scratchpad overflow in {stage} round {round_index}",
-                stage=stage,
-                block_id=_worker_id(victim),
-                restarts=restarts,
-            )
-        return partition_aborted(pending_list, injector.aborts_for(stage, round_index))
-
     blocks = [
         EscBlock(block_id=i, a=a, b=b, glb=glb, options=opts)
         for i in range(glb.n_blocks)
     ]
-    pending = list(blocks)
-    restarts = 0
-    esc_round_index = 0
     with spans.span("esc", stage="ESC"):
-        while pending:
-            rnd = esc_round_index
-            run_list, aborted = enter_round("ESC", rnd, pending, restarts)
-            esc_round_index += 1
-            if aborted:
-                spans.event(
-                    "blocks_aborted", detail=f"{len(aborted)} blocks in round {rnd}"
-                )
-            outcomes = engine.esc_round(ectx, run_list) if run_list else []
-            round_cycles = [o.cycles for o in outcomes]
-            # re-queue in original block order: aborted blocks keep their
-            # position relative to the blocks whose allocations failed
-            outcome_of = dict(zip(map(id, run_list), outcomes))
-            still_pending: list[EscBlock] = []
-            for blk in pending:
-                outcome = outcome_of.get(id(blk))
-                if outcome is None:  # aborted before dispatch
-                    still_pending.append(blk)
-                    continue
-                counters.merge(outcome.counters)
-                if not outcome.done:
-                    still_pending.append(blk)
-            timing = schedule_blocks(
-                round_cycles,
-                cfg.num_sms,
-                launch_overhead=launch,
-                record_placements=dtrace is not None,
-            )
-            stage_cycles["ESC"] += timing.makespan_cycles
-            counters.kernel_launches += 1
-            track_timing(timing)
-            if dtrace is not None:
-                dtrace.record_launch(
-                    "ESC",
-                    round_index=rnd,
-                    start_cycle=spans.now,
-                    timing=timing,
-                    launch_overhead=launch,
-                    workers=[
-                        esc_meta(blk, o) for blk, o in zip(run_list, outcomes)
-                    ],
-                    aborted=[esc_meta(blk) for blk in aborted],
-                    counters={"kernel_launches": 1},
-                    pool=pool,
-                )
-            spans.leaf(
-                "esc.round",
-                timing.makespan_cycles,
-                stage="ESC",
-                round=rnd,
-                blocks=len(run_list),
-                pending_after=len(still_pending),
-            )
-            if still_pending:
-                restarts += 1
-                if restarts > opts.max_restarts:
-                    raise RestartBudgetExceeded(
-                        f"chunk pool restart limit exceeded ({opts.max_restarts})",
-                        stage="ESC",
-                        block_id=_worker_id(still_pending[0]),
-                        restarts=restarts - 1,
-                    )
-                growth = max(
-                    int(pool.capacity_bytes * (opts.pool_growth_factor - 1.0)),
-                    opts.device.elements_per_block * opts.element_bytes,
-                )
-                pool.grow(growth)
-                stage_cycles["ESC"] += opts.costs.host_round_trip_cycles
-                counters.host_round_trips += 1
-                spans.event(
-                    "restart",
-                    detail=f"pool grown to {pool.capacity_bytes} B, "
-                    f"{len(still_pending)} blocks pending",
-                )
-                if dtrace is not None:
-                    dtrace.record_host(
-                        "ESC",
-                        "restart",
-                        start_cycle=spans.now,
-                        cycles=opts.costs.host_round_trip_cycles,
-                        counters={"host_round_trips": 1},
-                        pool=pool,
-                    )
-                spans.leaf(
-                    "esc.restart",
-                    opts.costs.host_round_trip_cycles,
-                    stage="ESC",
-                    pool_bytes=pool.capacity_bytes,
-                )
-            pending = still_pending
+        loop.run("ESC", blocks, partial(engine.esc_round, ectx), esc_rows, "blocks")
 
     if opts.sanitize:
         check_stage_boundary(pool, tracker, stage="ESC")
 
     # ---- stage 3: merging ------------------------------------------------
-    def run_merge_kernel(stage: str, workers) -> None:
-        """Launch a merge kernel with its own restart loop."""
-        nonlocal restarts
-        pending_workers = list(workers)
-        if not pending_workers:
-            return
-        round_index = 0
-        with spans.span(stage.lower(), stage=stage, workers=len(pending_workers)):
-            while pending_workers:
-                rnd = round_index
-                run_list, aborted = enter_round(stage, rnd, pending_workers, restarts)
-                round_index += 1
-                if aborted:
-                    spans.event(
-                        "blocks_aborted",
-                        detail=f"{len(aborted)} blocks in round {rnd}",
-                    )
-                outcomes = engine.merge_round(ectx, stage, run_list) if run_list else []
-                cycles = [o.cycles for o in outcomes]
-                outcome_of = dict(zip(map(id, run_list), outcomes))
-                still = []
-                for w in pending_workers:
-                    outcome = outcome_of.get(id(w))
-                    if outcome is None:  # aborted before dispatch
-                        still.append(w)
-                        continue
-                    counters.merge(outcome.counters)
-                    if not outcome.done:
-                        still.append(w)
-                timing = schedule_blocks(
-                    cycles,
-                    cfg.num_sms,
-                    launch_overhead=launch,
-                    record_placements=dtrace is not None,
-                )
-                stage_cycles[stage] += timing.makespan_cycles
-                counters.kernel_launches += 1
-                track_timing(timing)
-                if dtrace is not None:
-                    dtrace.record_launch(
-                        stage,
-                        round_index=rnd,
-                        start_cycle=spans.now,
-                        timing=timing,
-                        launch_overhead=launch,
-                        workers=[
-                            merge_meta(stage, w, o)
-                            for w, o in zip(run_list, outcomes)
-                        ],
-                        aborted=[merge_meta(stage, w) for w in aborted],
-                        counters={"kernel_launches": 1},
-                        pool=pool,
-                    )
-                spans.leaf(
-                    f"{stage.lower()}.round",
-                    timing.makespan_cycles,
-                    stage=stage,
-                    round=rnd,
-                    blocks=len(run_list),
-                    pending_after=len(still),
-                )
-                if still:
-                    restarts += 1
-                    if restarts > opts.max_restarts:
-                        raise RestartBudgetExceeded(
-                            f"chunk pool restart limit exceeded ({opts.max_restarts})",
-                            stage=stage,
-                            block_id=_worker_id(still[0]),
-                            restarts=restarts - 1,
-                        )
-                    pool.grow(
-                        max(
-                            int(pool.capacity_bytes * (opts.pool_growth_factor - 1.0)),
-                            opts.device.elements_per_block * opts.element_bytes,
-                        )
-                    )
-                    stage_cycles[stage] += opts.costs.host_round_trip_cycles
-                    counters.host_round_trips += 1
-                    spans.event(
-                        "restart",
-                        detail=f"pool grown to {pool.capacity_bytes} B, "
-                        f"{len(still)} workers pending",
-                    )
-                    if dtrace is not None:
-                        dtrace.record_host(
-                            stage,
-                            "restart",
-                            start_cycle=spans.now,
-                            cycles=opts.costs.host_round_trip_cycles,
-                            counters={"host_round_trips": 1},
-                            pool=pool,
-                        )
-                    spans.leaf(
-                        f"{stage.lower()}.restart",
-                        opts.costs.host_round_trip_cycles,
-                        stage=stage,
-                        pool_bytes=pool.capacity_bytes,
-                    )
-                pending_workers = still
-        if opts.sanitize:
-            check_stage_boundary(pool, tracker, stage=stage)
-
     with spans.span("merge"):
         mcc_meter = CostMeter(config=cfg, constants=opts.costs)
         assignment = assign_merges(tracker, opts, mcc_meter)
-        stage_cycles["MCC"] = _device_wide_cycles(mcc_meter, cfg.num_sms)
-        if assignment.n_shared_rows:
-            stage_cycles["MCC"] += launch
-            counters.kernel_launches += 1
-        counters.merge(mcc_meter.counters)
-        if dtrace is not None:
-            mcc_attr = mcc_meter.counters.snapshot()
-            if assignment.n_shared_rows:
-                mcc_attr["kernel_launches"] += 1
-            dtrace.record_device_wide(
-                "MCC",
-                "mcc",
-                start_cycle=spans.now,
-                cycles=stage_cycles["MCC"],
-                counters=mcc_attr,
-                pool=pool,
-            )
-        spans.leaf(
+        # case assignment only costs a launch when there are shared rows
+        ledger.device_wide(
+            "MCC",
             "mcc",
-            stage_cycles["MCC"],
-            stage="MCC",
+            mcc_meter,
+            launches=int(bool(assignment.n_shared_rows)),
             shared_rows=assignment.n_shared_rows,
         )
 
@@ -700,79 +461,57 @@ def _run_pipeline(
             "path_merge_rows": len(assignment.path_rows),
             "search_merge_rows": len(assignment.search_rows),
         }
-
-        multi_blocks = [
-            MultiMergeBlock(block_index=i, rows=g)
-            for i, g in enumerate(assignment.multi_groups)
-        ]
-        run_merge_kernel("MM", multi_blocks)
-
-        path_blocks = [
-            PathMergeBlock(block_index=i, row=r)
-            for i, r in enumerate(assignment.path_rows)
-        ]
-        run_merge_kernel("PM", path_blocks)
-
-        search_blocks = [
-            SearchMergeBlock(block_index=i, row=r)
-            for i, r in enumerate(assignment.search_rows)
-        ]
-        run_merge_kernel("SM", search_blocks)
+        kernels = {
+            "MM": [
+                MultiMergeBlock(block_index=i, rows=g)
+                for i, g in enumerate(assignment.multi_groups)
+            ],
+            "PM": [
+                PathMergeBlock(block_index=i, row=r)
+                for i, r in enumerate(assignment.path_rows)
+            ],
+            "SM": [
+                SearchMergeBlock(block_index=i, row=r)
+                for i, r in enumerate(assignment.search_rows)
+            ],
+        }
+        for stage, workers in kernels.items():
+            if not workers:
+                continue
+            with spans.span(stage.lower(), stage=stage, workers=len(workers)):
+                run_round = partial(engine.merge_round, ectx, stage)
+                loop.run(stage, workers, run_round, _merge_rows, "workers")
+            if opts.sanitize:
+                check_stage_boundary(pool, tracker, stage=stage)
 
     # ---- stage 4: output matrix and chunk copy ---------------------------
     with spans.span("output"):
         out_meter = CostMeter(config=cfg, constants=opts.costs)
         row_ptr = build_row_pointer(tracker, out_meter)
         c, copy_cycles = engine.copy_output(ectx, row_ptr, out_meter)
-        timing = schedule_blocks(
+        # the row-pointer scan counts as a launch, but only the copy
+        # launch's latency reaches the makespan
+        ledger.device_wide("CC", "output.row_ptr", out_meter, priced_launches=0)
+        # one copy block per chunk, in the chunk order the copy walked
+        # (pool.ordered_chunks()); its traffic is already in the
+        # out_meter sink, so blocks carry no counter deltas
+        ledger.launch(
+            "CC",
+            0,
             copy_cycles,
-            cfg.num_sms,
-            launch_overhead=launch,
-            record_placements=dtrace is not None,
+            metas=lambda: [
+                BlockMeta(
+                    worker_id=i,
+                    row_lo=int(ch.first_row),
+                    row_hi=int(ch.last_row),
+                    cycles=copy_cycles[i],
+                )
+                for i, ch in enumerate(pool.ordered_chunks())
+            ],
+            name="output.copy",
+            blocks=len(copy_cycles),
         )
-        scan_cycles = _device_wide_cycles(out_meter, cfg.num_sms)
-        stage_cycles["CC"] = scan_cycles + timing.makespan_cycles
-        counters.merge(out_meter.counters)
-        counters.kernel_launches += 2  # row-pointer scan + copy
-        track_timing(timing)
-        if dtrace is not None:
-            scan_attr = out_meter.counters.snapshot()
-            scan_attr["kernel_launches"] += 1
-            dtrace.record_device_wide(
-                "CC",
-                "output.row_ptr",
-                start_cycle=spans.now,
-                cycles=scan_cycles,
-                counters=scan_attr,
-                pool=pool,
-            )
-        spans.leaf("output.row_ptr", scan_cycles, stage="CC")
-        if dtrace is not None:
-            # one copy block per chunk, in the chunk order the copy
-            # walked (pool.ordered_chunks()); its traffic is already in
-            # the out_meter sink, so blocks carry no counter deltas
-            dtrace.record_launch(
-                "CC",
-                round_index=0,
-                start_cycle=spans.now,
-                timing=timing,
-                launch_overhead=launch,
-                workers=[
-                    BlockMeta(
-                        worker_id=i,
-                        row_lo=int(ch.first_row),
-                        row_hi=int(ch.last_row),
-                        cycles=copy_cycles[i],
-                    )
-                    for i, ch in enumerate(pool.ordered_chunks())
-                ],
-                counters={"kernel_launches": 1},
-                pool=pool,
-            )
-            dtrace.finalize_chunks(pool, glb.n_blocks)
-        spans.leaf(
-            "output.copy", timing.makespan_cycles, stage="CC", blocks=timing.n_blocks
-        )
+        ledger.count_chunks(glb.n_blocks)
 
     helper_bytes = (
         glb.helper_bytes
@@ -789,18 +528,14 @@ def _run_pipeline(
 
     return AcSpgemmResult(
         matrix=c,
-        stage_cycles=stage_cycles,
-        counters=counters,
         memory=memory,
-        restarts=restarts,
-        multiprocessor_load=min_mp_load,
+        restarts=loop.restarts,
         n_chunks=len(pool.chunks),
         n_blocks=glb.n_blocks,
         clock_ghz=cfg.clock_ghz,
         shared_rows=assignment.n_shared_rows,
         merge_stats=merge_stats,
-        spans=_finish_spans(spans, owns_spans, anchor, restarts=restarts),
+        spans=ledger.finish(anchor, restarts=loop.restarts),
         engine_stats={k: engine.host_stats[k] for k in sorted(engine.host_stats)},
-        sm_utilization=util_busy / util_cap if util_cap else 1.0,
-        device_trace=dtrace,
+        **ledger.totals(),
     )

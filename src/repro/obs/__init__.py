@@ -10,6 +10,9 @@ so every export is engine-comparable and byte-deterministic:
   kernel launch, device-wide pass and restart round trip, with per-SM
   block placements and counter attribution.
 
+Both are written by :mod:`repro.obs.ledger` — the launch ledger each
+driver reports every launch, device-wide pass and restart to, once.
+
 Built on those two:
 
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, aggregating

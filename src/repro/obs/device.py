@@ -10,13 +10,21 @@ traffic.  :class:`DeviceTrace` captures all of it as an ordered list of
 records on the same simulated clock as ``result.spans``:
 
 * a **launch record** per simulated kernel launch (ESC round, merge
-  round, chunk copy) holding the scheduler's per-SM busy times plus one
-  :class:`BlockEvent` per dispatched block — SM id, start/end cycle,
-  A-row range, scratchpad high-water bytes, ESC iteration count, radix
-  sort shapes, restart/abort flags and the block's own counter deltas;
+  round, chunk copy, hash-engine phase) holding the scheduler's per-SM
+  busy times plus one :class:`BlockEvent` per dispatched block — SM
+  id, start/end cycle, A-row range, scratchpad high-water bytes, ESC
+  iteration count, radix sort shapes, restart/abort flags and the
+  block's own counter deltas (:meth:`DeviceTrace.record_launch`);
 * a **device-wide record** per perfectly-parallel pass (GLB, merge case
-  assignment, the output row-pointer scan, the degradation fallback);
-* a **host record** per restart round trip.
+  assignment, the output row-pointer scan, the selector's probe, the
+  degradation fallback) and a **host record** per restart round trip
+  (:meth:`DeviceTrace.record`).
+
+Drivers never call these directly: each launch, pass and restart is
+reported once to a :class:`~repro.obs.ledger.LaunchLedger`, which
+writes this record together with the stage cycles, the counters and
+the span leaf.  With ``AcSpgemmOptions.device_trace`` off no trace
+exists and the ledger builds no per-block :class:`BlockMeta`.
 
 Exactness contract: within one record, block cycles and counters are the
 engine outcomes themselves, and summing records chronologically
@@ -24,9 +32,8 @@ reproduces ``result.stage_cycles`` / ``result.counters`` / per-launch
 ``KernelTiming.sm_busy_cycles`` bit-for-bit (floats are re-accumulated
 in the scheduler's dispatch order).  The trace is **byte-identical
 across the three engines** — every field derives from engine-invariant
-data — and zero-cost when ``AcSpgemmOptions.device_trace`` is off.  A
-run that degrades to the fallback keeps its partial records and carries
-an explicit truncation marker.
+data.  A run that degrades to the fallback keeps its partial records
+and carries an explicit truncation marker.
 """
 
 from __future__ import annotations
@@ -186,8 +193,9 @@ class DeviceTrace:
 
     # -- recording (driver-facing) --------------------------------------
 
-    def record_device_wide(
+    def record(
         self,
+        kind: str,
         stage: str,
         label: str,
         *,
@@ -196,34 +204,12 @@ class DeviceTrace:
         counters: dict | None = None,
         pool=None,
     ) -> None:
-        """A pass that parallelises perfectly over the SMs."""
+        """A record without blocks: a ``"device_wide"`` pass that
+        parallelises perfectly over the SMs, or a ``"host"`` round trip
+        (a restart)."""
         self.records.append(
             DeviceRecord(
-                kind="device_wide",
-                stage=stage,
-                label=label,
-                start_cycle=start_cycle,
-                cycles=cycles,
-                pool_used_bytes=pool.used_bytes if pool is not None else 0,
-                pool_capacity_bytes=pool.capacity_bytes if pool is not None else 0,
-                counters=dict(counters or {}),
-            )
-        )
-
-    def record_host(
-        self,
-        stage: str,
-        label: str,
-        *,
-        start_cycle: float,
-        cycles: float,
-        counters: dict | None = None,
-        pool=None,
-    ) -> None:
-        """A host synchronisation round trip (restart)."""
-        self.records.append(
-            DeviceRecord(
-                kind="host",
+                kind=kind,
                 stage=stage,
                 label=label,
                 start_cycle=start_cycle,

@@ -43,20 +43,15 @@ def conservative_pool_bytes(a, b, options) -> int:
     return 2 * temp * pair_bytes
 
 
-def fallback_multiply(a, b, options, spans=None):
+def fallback_multiply(a, b, options):
     """Recompute ``A @ B`` with the global-ESC baseline.
 
     Returns the baseline's :class:`~repro.baselines.base.SpGEMMRun`
     (matrix plus its own cost accounting) computed on the same simulated
-    device and cost constants as the failed adaptive run.  When a
-    :class:`~repro.obs.span.SpanRecorder` is passed, the recompute is
-    recorded as a ``fallback`` leaf span so degraded runs stay visible
-    in the unified timeline.
+    device and cost constants as the failed adaptive run.  The driver
+    records it on its launch ledger as the ``FB`` stage.
     """
     from ..baselines.esc_global import EscGlobal
 
     algo = EscGlobal(device=options.device, costs=options.costs)
-    run = algo.multiply(a, b, dtype=options.value_dtype)
-    if spans is not None:
-        spans.leaf("fallback", run.cycles, stage="FB", algorithm=algo.name)
-    return run
+    return algo.multiply(a, b, dtype=options.value_dtype)

@@ -37,6 +37,7 @@ from repro.backends import (
 from repro.backends.base import Backend
 from repro.matrices import generators as g
 from repro.obs.analyze import reconcile, stage_leaf_spans
+from repro.resilience.faults import FaultPlan
 from repro.sparse.ops import spgemm_reference
 from repro.sparse.stats import squared_operands
 from tests.conftest import random_csr
@@ -121,14 +122,40 @@ class TestReconciliation:
         leaves = stage_leaf_spans(res.spans)
         assert len(leaves) == len(res.device_trace.records)
 
-    @pytest.mark.parametrize("name", ENGINES)
-    def test_trace_does_not_perturb_result(self, name):
+    @pytest.mark.parametrize(
+        "name,kw",
+        [(name, {}) for name in ENGINES]
+        + [
+            (
+                "ac-spgemm",
+                {"chunk_pool_bytes": 1 << 11, "chunk_pool_lower_bound_bytes": 0},
+            ),
+            (
+                "ac-spgemm",
+                {
+                    "fault_plan": FaultPlan.single(
+                        "scratchpad_overflow", stage="MM", round=0, block=0
+                    ),
+                    "on_failure": "fallback",
+                },
+            ),
+        ],
+        ids=[*ENGINES, "ac-spgemm-restart", "ac-spgemm-degraded"],
+    )
+    def test_trace_does_not_perturb_result(self, name, kw):
+        """An untraced run builds no block metadata; every simulated
+        statistic must still equal the traced run's."""
         a, b = squared_operands(g.random_uniform(200, 200, 8, seed=81005))
-        plain = run_backend(name, a, b, AcSpgemmOptions())
-        traced = run_backend(name, a, b, _traced_options())
+        plain = run_backend(name, a, b, AcSpgemmOptions(**kw))
+        traced = run_backend(name, a, b, _traced_options(**kw))
+        assert plain.device_trace is None and traced.device_trace is not None
         assert plain.matrix.values.tobytes() == traced.matrix.values.tobytes()
         assert plain.counters == traced.counters
-        assert plain.stage_cycles == traced.stage_cycles
+        assert list(plain.stage_cycles.items()) == list(traced.stage_cycles.items())
+        assert plain.multiprocessor_load == traced.multiprocessor_load
+        assert plain.sm_utilization == traced.sm_utilization
+        assert plain.restarts == traced.restarts
+        assert plain.spans.to_dict() == traced.spans.to_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,16 @@ file's docstring history and document the change.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from repro import AcSpgemmOptions, ac_spgemm
+from repro.backends import run_backend
 from repro.gpu import SMALL_DEVICE
 from repro.matrices import random_uniform
+from repro.resilience.faults import FaultPlan
+from repro.sparse.stats import squared_operands
 
 GOLDEN = {
     # (device label) -> sha256 of row_ptr || col_idx || values
@@ -76,3 +80,89 @@ def test_geometry_changes_grouping_not_math(golden_input):
         AcSpgemmOptions(device=SMALL_DEVICE, chunk_pool_lower_bound_bytes=1 << 20),
     )
     assert r1.matrix.allclose(r2.matrix, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# device-trace and span-tree bytes
+# ---------------------------------------------------------------------------
+
+#: case -> (sha256 of ``device_trace.to_json()``, sha256 of the span
+#: tree as sorted-key JSON).  Cross-engine tests compare two engines of
+#: one tree; these pin the recorded timeline itself, so a change to how
+#: launches, device-wide passes, restarts or the fallback are recorded
+#: shows even when every engine changes the same way.
+TRACE_GOLDEN = {
+    "ac-spgemm": (
+        "8ce375c481219e47c27556f0f2c393ee2a07e1e338d984e1b7af957f3784f398",
+        "f15ecbf0f9104d93f3e07fc1425884a6cc3604a71ba509232956eb9f214b0c9b",
+    ),
+    "ac-spgemm/degraded": (
+        "7e6e086f4f0850ad79b0a410767b880dcbe6dfe820b90a99e98490cae319c472",
+        "6ab002cf6a82a7749afb9d3c93ef685483ae30c2183360273db85b5175aa65ba",
+    ),
+    "ac-spgemm/restart": (
+        "90a214c89585fa037e1c449f0c572049f6b06219b307e5097feb53fced9632d6",
+        "88945b3e7acda8f5866703273878a6461f188861ecfb2570e1dbe6b605a4d866",
+    ),
+    "ac-spgemm/sampling": (
+        "2c90cdde8570dd406f538d9a8684f804d77e2e60051bf916537fafd652f52dba",
+        "fad3851a167167557f05a9495db29a9e7f2f90eabb0151e7b56f401162855b56",
+    ),
+    "adaptive": (
+        "feadbb1f507a4e5f0b6f2fdf28ae9027dedccab657e38661869bf48c2df4d0c1",
+        "48f9a9064ba2f9761801036602b12ce74ebe60c9bbcb0be92480062e45ce8715",
+    ),
+    "hash-spgemm": (
+        "2dc5be64b5f6bc928b22a273714a82142b3c88c487d0b85607206c83b2657572",
+        "e0dcf1848dfca516d98f27109d47c5124c05c4bd1e41dbb3914f53a78fd67780",
+    ),
+    "hashmap-spgemm": (
+        "c5c1add2604a8cb451ed5756a0e33358351a1426f142106fed84a0093772336e",
+        "e8005074caa4b31d99d6817cedc39cc24a05320270ade8c65d1ebd6548e6cf3d",
+    ),
+}
+
+TRACE_CASES = {
+    "ac-spgemm": ("ac-spgemm", {}),
+    "ac-spgemm/restart": (
+        "ac-spgemm",
+        {"chunk_pool_bytes": 1 << 11, "chunk_pool_lower_bound_bytes": 0},
+    ),
+    "ac-spgemm/sampling": ("ac-spgemm", {"estimator": "sampling"}),
+    "ac-spgemm/degraded": (
+        "ac-spgemm",
+        {
+            "fault_plan": FaultPlan.single(
+                "scratchpad_overflow", stage="MM", round=0, block=0
+            ),
+            "on_failure": "fallback",
+        },
+    ),
+    "adaptive": ("adaptive", {}),
+    "hash-spgemm": ("hash-spgemm", {}),
+    "hashmap-spgemm": ("hashmap-spgemm", {}),
+}
+
+
+def trace_hashes(res) -> tuple[str, str]:
+    trace = hashlib.sha256(res.device_trace.to_json().encode()).hexdigest()
+    spans = hashlib.sha256(
+        json.dumps(res.spans.to_dict(), sort_keys=True).encode()
+    ).hexdigest()
+    return trace, spans
+
+
+@pytest.fixture(scope="module")
+def trace_input():
+    return squared_operands(random_uniform(200, 200, 8, seed=81005))
+
+
+@pytest.mark.parametrize("case", sorted(TRACE_CASES))
+def test_golden_trace_and_spans(case, trace_input):
+    backend, kw = TRACE_CASES[case]
+    a, b = trace_input
+    res = run_backend(backend, a, b, AcSpgemmOptions(device_trace=True, **kw))
+    assert trace_hashes(res) == TRACE_GOLDEN[case], (
+        "the recorded device trace or span tree changed; if this is "
+        "intentional, regenerate TRACE_GOLDEN and document the change"
+    )

@@ -49,7 +49,7 @@ class TestRecorder:
         _launch(t, "ESC", [10.0, 20.0], start=0.0)
         rec = t.records[0]
         assert rec.cycles == 20.0
-        t.record_device_wide("CC", "scan", start_cycle=rec.cycles, cycles=5.0)
+        t.record("device_wide", "CC", "scan", start_cycle=rec.cycles, cycles=5.0)
         assert [r.start_cycle for r in t.records] == [0.0, 20.0]
         assert sum(r.cycles for r in t.records) == 25.0
 
@@ -64,16 +64,16 @@ class TestRecorder:
 
     def test_stage_totals(self):
         t = DeviceTrace(clock_ghz=1.0, num_sms=2)
-        t.record_device_wide("GLB", "glb", start_cycle=0.0, cycles=5.0)
-        t.record_device_wide("ESC", "a", start_cycle=5.0, cycles=7.0)
-        t.record_device_wide("ESC", "b", start_cycle=12.0, cycles=3.0)
+        t.record("device_wide", "GLB", "glb", start_cycle=0.0, cycles=5.0)
+        t.record("device_wide", "ESC", "a", start_cycle=5.0, cycles=7.0)
+        t.record("device_wide", "ESC", "b", start_cycle=12.0, cycles=3.0)
         assert t.stage_cycle_totals() == {"GLB": 5.0, "ESC": 10.0}
 
     def test_points(self):
         t = DeviceTrace(clock_ghz=1.0, num_sms=2)
-        t.record_device_wide("ESC", "esc", start_cycle=0.0, cycles=4.0)
-        t.record_host(
-            "ESC", "restart", start_cycle=4.0, cycles=2.0,
+        t.record("device_wide", "ESC", "esc", start_cycle=0.0, cycles=4.0)
+        t.record(
+            "host", "ESC", "restart", start_cycle=4.0, cycles=2.0,
             counters={"host_round_trips": 1},
         )
         host = t.records[-1]
