@@ -43,7 +43,11 @@ class BackendAlgorithm(SpGEMMAlgorithm):
             value_dtype=np.dtype(dtype), device=self.device, costs=self.costs
         )
 
-    def multiply(self, a, b, *, dtype=np.float64, scheduler_seed: int = 0) -> SpGEMMRun:
+    def multiply(
+        self, a, b, *, dtype=np.float64, scheduler_seed: int = 0, plan=None
+    ) -> SpGEMMRun:
+        """Run the backend; it builds what it needs itself, so a
+        baseline's ``plan`` goes unread."""
         result = self._backend.run(
             a, b, self.options_for(dtype), scheduler_seed=scheduler_seed
         )

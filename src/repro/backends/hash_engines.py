@@ -49,14 +49,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..baselines.base import accumulate_products, expand_products
+from ..baselines.base import ProductPlan
 from ..core.acspgemm import AcSpgemmResult, MemoryReport
 from ..core.options import AcSpgemmOptions, DEFAULT_OPTIONS
+from ..gpu.cost import BlockArrayMeter
 from ..gpu.memory import layout_high_water
 from ..gpu.scheduler import schedule_blocks
 from ..obs.device import BlockMeta
 from ..obs.ledger import LaunchLedger, device_wide_cycles
-from ..sparse import row_temp_counts
 from ..sparse.validate import validate_csr
 from .base import Backend
 from .registry import register_backend
@@ -200,11 +200,10 @@ class _SimulatedHashEngine(Backend):
 
         # the true product; the seeded shuffle models the
         # scheduler-dependent hash insertion order (not bit-stable)
-        rows_e, cols_e, vals_e = expand_products(a, b, opts.value_dtype)
-        c = accumulate_products(
-            rows_e, cols_e, vals_e, a.rows, b.cols, shuffle_seed=scheduler_seed
-        )
-        temps = np.asarray(row_temp_counts(a, b), dtype=np.int64)
+        plan = ProductPlan(a, b)
+        c = plan.product(opts.value_dtype, scheduler_seed)
+        temps = plan.per_row
+        del plan  # keeps the per-row counts, drops the sorted products
         nnz_rows = np.asarray(c.row_lengths(), dtype=np.int64)
 
         ops, info = self._build_ops(

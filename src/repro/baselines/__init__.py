@@ -4,6 +4,7 @@ comparison with AC-SpGEMM."""
 
 from .balanced_hash import BalancedHash
 from .base import (
+    ProductPlan,
     SpGEMMAlgorithm,
     SpGEMMRun,
     accumulate_products,
@@ -32,6 +33,7 @@ __all__ = [
     "KokkosLike",
     "MklLikeCPU",
     "NsparseHash",
+    "ProductPlan",
     "RMerge",
     "SpGEMMAlgorithm",
     "SpGEMMRun",

@@ -21,8 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..gpu.cost import CostMeter
-from ..sparse import row_temp_counts
-from .base import SpGEMMAlgorithm, accumulate_products, expand_products
+from .base import SpGEMMAlgorithm
 
 __all__ = ["BalancedHash"]
 
@@ -38,8 +37,8 @@ class BalancedHash(SpGEMMAlgorithm):
     #: fraction of rows whose sketch estimate undershoots and retries
     retry_fraction = 0.08
 
-    def _execute(self, a, b, dtype, meter: CostMeter, stage_cycles, seed):
-        per_row = row_temp_counts(a, b)
+    def _execute(self, a, b, plan, dtype, meter: CostMeter, stage_cycles, seed):
+        per_row = plan.per_row
         temp = int(per_row.sum())
         launches = 0
 
@@ -57,11 +56,7 @@ class BalancedHash(SpGEMMAlgorithm):
         mark = stage("estimate", mark)
 
         # ---- hashed expansion, local tables only ---------------------------
-        rows, cols, vals = expand_products(a, b, dtype)
-        c = accumulate_products(
-            rows, cols, vals, a.rows, b.cols,
-            shuffle_seed=None if seed is None else seed + 3,
-        )
+        c = plan.product(dtype, None if seed is None else seed + 3)
         nnz_rows = c.row_lengths()[: a.rows]
         table_init = int(
             np.minimum(

@@ -18,8 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..gpu.cost import CostMeter
-from ..sparse import row_temp_counts
-from .base import SpGEMMAlgorithm, accumulate_products, expand_products
+from .base import SpGEMMAlgorithm
 
 __all__ = ["BhSparse"]
 
@@ -33,8 +32,8 @@ class BhSparse(SpGEMMAlgorithm):
     scratch_limit = 2048
     n_bins = 10  # the original uses 37 size classes; kernels batch ~10
 
-    def _execute(self, a, b, dtype, meter: CostMeter, stage_cycles, seed):
-        per_row = row_temp_counts(a, b)
+    def _execute(self, a, b, plan, dtype, meter: CostMeter, stage_cycles, seed):
+        per_row = plan.per_row
         temp = int(per_row.sum())
         launches = 0
 
@@ -88,8 +87,7 @@ class BhSparse(SpGEMMAlgorithm):
         mark = stage("merge", mark)
 
         # ---- output ----------------------------------------------------
-        rows, cols, vals = expand_products(a, b, dtype)
-        c = accumulate_products(rows, cols, vals, a.rows, b.cols)
+        c = plan.product(dtype)
         meter.global_write(c.nnz, 4 + dtype.itemsize)
         launches += 1
         stage("output", mark)

@@ -16,8 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..gpu.cost import CostMeter
-from ..sparse import row_temp_counts
-from .base import SpGEMMAlgorithm, accumulate_products, expand_products
+from .base import SpGEMMAlgorithm
 
 __all__ = ["CusparseLike"]
 
@@ -32,8 +31,8 @@ class CusparseLike(SpGEMMAlgorithm):
     collision_factor = 0.5  # fixed table size => high load factors
     generic_alu_per_probe = 12  # un-specialised kernel path
 
-    def _execute(self, a, b, dtype, meter: CostMeter, stage_cycles, seed):
-        per_row = row_temp_counts(a, b)
+    def _execute(self, a, b, plan, dtype, meter: CostMeter, stage_cycles, seed):
+        per_row = plan.per_row
         temp = int(per_row.sum())
         launches = 0
 
@@ -41,11 +40,7 @@ class CusparseLike(SpGEMMAlgorithm):
             stage_cycles[name] = self._device_parallel(meter, meter.cycles - mark)
             return meter.cycles
 
-        rows, cols, vals = expand_products(a, b, dtype)
-        c = accumulate_products(
-            rows, cols, vals, a.rows, b.cols,
-            shuffle_seed=None if seed is None else seed + 1,
-        )
+        c = plan.product(dtype, None if seed is None else seed + 1)
         in_scratch = c.row_lengths()[: a.rows] <= self.primary_table_entries
         temp_local = int(per_row[in_scratch].sum())
         temp_global = temp - temp_local

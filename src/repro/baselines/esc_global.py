@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..gpu.cost import CostMeter
-from .base import SpGEMMAlgorithm, accumulate_products, expand_products
+from .base import SpGEMMAlgorithm
 
 __all__ = ["EscGlobal"]
 
@@ -31,9 +31,8 @@ class EscGlobal(SpGEMMAlgorithm):
     #: sort, but every pass streams all pairs through global memory twice.
     device_radix_bits = 6
 
-    def _execute(self, a, b, dtype, meter: CostMeter, stage_cycles, seed):
-        rows, cols, vals = expand_products(a, b, dtype)
-        temp = rows.shape[0]
+    def _execute(self, a, b, plan, dtype, meter: CostMeter, stage_cycles, seed):
+        temp = int(plan.per_row.sum())
         pair_bytes = 8 + dtype.itemsize  # packed 64-bit key + value
         launches = 0
 
@@ -67,7 +66,7 @@ class EscGlobal(SpGEMMAlgorithm):
         # compaction: one streaming pass with a device-wide scan
         meter.global_read(temp, pair_bytes)
         meter.scan(temp)
-        c = accumulate_products(rows, cols, vals, a.rows, b.cols)
+        c = plan.product(dtype)
         meter.global_write(c.nnz, 4 + dtype.itemsize)
         launches += 1
         stage("compress", mark)

@@ -38,13 +38,15 @@ class GustavsonCPU(SpGEMMAlgorithm):
     l3_bytes_per_cycle = 25.0
     dram_bytes_per_cycle = 12e9 / 3.6e9
 
-    def multiply(self, a, b, *, dtype=np.float64, scheduler_seed: int = 0):
+    def multiply(self, a, b, *, dtype=np.float64, scheduler_seed: int = 0, plan=None):
         """Multiply on the host clock (overrides the GPU clock)."""
-        run = super().multiply(a, b, dtype=dtype, scheduler_seed=scheduler_seed)
+        run = super().multiply(
+            a, b, dtype=dtype, scheduler_seed=scheduler_seed, plan=plan
+        )
         run.clock_ghz = self.cpu_clock_ghz
         return run
 
-    def _execute(self, a, b, dtype, meter: CostMeter, stage_cycles, seed):
+    def _execute(self, a, b, plan, dtype, meter: CostMeter, stage_cycles, seed):
         c = spgemm_reference(
             a.astype(dtype) if a.dtype != dtype else a,
             b.astype(dtype) if b.dtype != dtype else b,

@@ -101,7 +101,13 @@ class HybridAdaptive(SpGEMMAlgorithm):
     # -- execution ---------------------------------------------------------
 
     def multiply(
-        self, a: CSRMatrix, b: CSRMatrix, *, dtype=np.float64, scheduler_seed: int = 0
+        self,
+        a: CSRMatrix,
+        b: CSRMatrix,
+        *,
+        dtype=np.float64,
+        scheduler_seed: int = 0,
+        plan=None,
     ) -> SpGEMMRun:
         """Inspect, dispatch, and execute the chosen pipeline."""
         if a.cols != b.rows:
@@ -120,7 +126,9 @@ class HybridAdaptive(SpGEMMAlgorithm):
             probe.global_read(sampled_reads, 4, coalesced=False)
         probe.kernel_launch()
         inner = self._ac if decision == "esc" else self._hash
-        run = inner.multiply(a, b, dtype=dtype, scheduler_seed=scheduler_seed)
+        run = inner.multiply(
+            a, b, dtype=dtype, scheduler_seed=scheduler_seed, plan=plan
+        )
         run.algorithm = self.name
         run.cycles += probe.cycles / self.device.num_sms
         run.counters.merge(probe.counters)

@@ -15,8 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..gpu.cost import CostMeter
-from ..sparse import row_temp_counts
-from .base import SpGEMMAlgorithm, accumulate_products, expand_products
+from .base import SpGEMMAlgorithm
 
 __all__ = ["KokkosLike"]
 
@@ -32,8 +31,8 @@ class KokkosLike(SpGEMMAlgorithm):
     portability_alu_per_probe = 6  # abstraction-layer instruction overhead
     team_size = 128  # one team per row: idle lanes on short rows
 
-    def _execute(self, a, b, dtype, meter: CostMeter, stage_cycles, seed):
-        per_row = row_temp_counts(a, b)
+    def _execute(self, a, b, plan, dtype, meter: CostMeter, stage_cycles, seed):
+        per_row = plan.per_row
         temp = int(per_row.sum())
         launches = 0
 
@@ -51,11 +50,7 @@ class KokkosLike(SpGEMMAlgorithm):
         mark = stage("partition", mark)
 
         # ---- symbolic + numeric with the two-level table -----------------
-        rows, cols, vals = expand_products(a, b, dtype)
-        c = accumulate_products(
-            rows, cols, vals, a.rows, b.cols,
-            shuffle_seed=None if seed is None else seed + 2,
-        )
+        c = plan.product(dtype, None if seed is None else seed + 2)
         in_first = c.row_lengths()[: a.rows] <= self.first_level_entries
         temp_first = int(per_row[in_first].sum())
         temp_second = temp - temp_first

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..gpu.cost import CostMeter
 from ..gpu.scheduler import schedule_blocks
-from ..sparse.ops import row_temp_counts, spgemm_reference
+from ..sparse.ops import spgemm_reference
 from .base import SpGEMMAlgorithm
 
 __all__ = ["MklLikeCPU"]
@@ -42,18 +42,20 @@ class MklLikeCPU(SpGEMMAlgorithm):
     l3_bytes_per_cycle = 100.0  # ~220 GB/s aggregate L3
     dram_bytes_per_cycle = 60e9 / 2.2e9
 
-    def multiply(self, a, b, *, dtype=np.float64, scheduler_seed: int = 0):
+    def multiply(self, a, b, *, dtype=np.float64, scheduler_seed: int = 0, plan=None):
         """Multiply on the host clock (overrides the GPU clock)."""
-        run = super().multiply(a, b, dtype=dtype, scheduler_seed=scheduler_seed)
+        run = super().multiply(
+            a, b, dtype=dtype, scheduler_seed=scheduler_seed, plan=plan
+        )
         run.clock_ghz = self.cpu_clock_ghz
         return run
 
-    def _execute(self, a, b, dtype, meter: CostMeter, stage_cycles, seed):
+    def _execute(self, a, b, plan, dtype, meter: CostMeter, stage_cycles, seed):
         c = spgemm_reference(
             a.astype(dtype) if a.dtype != dtype else a,
             b.astype(dtype) if b.dtype != dtype else b,
         )
-        per_row = row_temp_counts(a, b)
+        per_row = plan.per_row
         # per-row work: both passes touch each product, plus SPA resets
         # bounded by the row's output nnz
         c_rows = c.row_lengths()

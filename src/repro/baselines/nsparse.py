@@ -22,8 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..gpu.cost import CostMeter
-from ..sparse import row_temp_counts
-from .base import SpGEMMAlgorithm, accumulate_products, expand_products
+from .base import SpGEMMAlgorithm
 
 __all__ = ["NsparseHash"]
 
@@ -42,8 +41,8 @@ class NsparseHash(SpGEMMAlgorithm):
     #: bin setup + symbolic bins + numeric bins kernel launches.
     n_bins = 6
 
-    def _execute(self, a, b, dtype, meter: CostMeter, stage_cycles, seed):
-        per_row = row_temp_counts(a, b)
+    def _execute(self, a, b, plan, dtype, meter: CostMeter, stage_cycles, seed):
+        per_row = plan.per_row
         temp = int(per_row.sum())
         launches = 0
 
@@ -63,10 +62,7 @@ class NsparseHash(SpGEMMAlgorithm):
         mark = stage("setup", mark)
 
         # ---- symbolic: hash-count distinct columns per row ---------------
-        rows, cols, vals = expand_products(a, b, dtype)
-        c = accumulate_products(
-            rows, cols, vals, a.rows, b.cols, shuffle_seed=seed
-        )
+        c = plan.product(dtype, seed)
         # rows whose distinct-column count exceeds the largest
         # scratchpad table are processed through the global hash
         in_scratch = c.row_lengths()[: a.rows] <= self.max_table_entries

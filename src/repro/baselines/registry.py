@@ -9,7 +9,6 @@ in :mod:`repro.backends` (``ac-spgemm`` among them).
 
 from __future__ import annotations
 
-from ..backends.adapter import BackendAlgorithm
 from ..backends.registry import available_backends, is_backend
 from ..core.options import AcSpgemmOptions
 from ..gpu.config import DeviceConfig, TITAN_XP
@@ -80,6 +79,10 @@ def make_algorithm(
             f"unknown algorithm {name!r}; available: "
             f"{sorted(tuple(BASELINES) + available_backends())}"
         )
+    # the adapter subclasses ``SpGEMMAlgorithm``: importing it here keeps
+    # ``import repro.backends.adapter`` from finding this module half-built
+    from ..backends.adapter import BackendAlgorithm
+
     return BackendAlgorithm(name, device=device, costs=costs, options=options)
 
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..gpu.cost import CostMeter
-from ..sparse import row_temp_counts
-from .base import SpGEMMAlgorithm, accumulate_products, expand_products
+from .base import SpGEMMAlgorithm
 
 __all__ = ["RMerge"]
 
@@ -30,7 +29,7 @@ class RMerge(SpGEMMAlgorithm):
     bit_stable = True
     merge_width = 32  # rows merged per warp-level pass
 
-    def _execute(self, a, b, dtype, meter: CostMeter, stage_cycles, seed):
+    def _execute(self, a, b, plan, dtype, meter: CostMeter, stage_cycles, seed):
         launches = 0
 
         def stage(name: str, mark: float) -> float:
@@ -53,15 +52,14 @@ class RMerge(SpGEMMAlgorithm):
         levels = max(
             1, int(np.ceil(np.log(max(2, max_ways)) / np.log(self.merge_width)))
         )
-        rows, cols, vals = expand_products(a, b, dtype)
-        temp = rows.shape[0]
+        per_row_temp = plan.per_row
+        temp = int(per_row_temp.sum())
         elem = 4 + dtype.itemsize
         # The first level assigns one warp per output row: a warp merges
         # up to W rows of B, one per lane.  Rows of A shorter than W
         # leave lanes idle, so the charged work is per warp *slot*, not
         # per element — the under-utilisation that costs RMerge its lead
         # on irregular sparse matrices.
-        per_row_temp = row_temp_counts(a, b)
         ways = a_lengths
         active = ways > 0
         warp_groups = np.ceil(ways[active] / self.merge_width)
@@ -87,7 +85,7 @@ class RMerge(SpGEMMAlgorithm):
         mark = stage("merge", mark)
 
         # ---- output -----------------------------------------------------
-        c = accumulate_products(rows, cols, vals, a.rows, b.cols)
+        c = plan.product(dtype)
         meter.global_write(c.nnz, elem)
         launches += 1
         stage("output", mark)

@@ -12,6 +12,7 @@ from collections import defaultdict
 
 import numpy as np
 
+from ..baselines.base import ProductPlan
 from ..baselines.registry import GPU_ALGORITHMS
 from ..core.acspgemm import STAGE_KEYS, ac_spgemm
 from ..core.options import AcSpgemmOptions
@@ -74,13 +75,21 @@ def sweep(
     *,
     verify: bool = True,
 ) -> list[RunRecord]:
-    """Run (or recall) every cell of the cross product."""
+    """Run (or recall) every cell of the cross product.
+
+    Once a cache miss has built a case's operands, the remaining cells
+    of its (matrix, dtype) share one product plan; a warm-cache sweep
+    builds neither.
+    """
     records = []
     for case in cases:
         for dtype in dtypes:
+            plan = None
             for alg in algorithms:
+                if plan is None and case.materialized:
+                    plan = ProductPlan(case.a, case.b)
                 records.append(
-                    cache.get_or_run(case, alg, dtype, verify=verify)
+                    cache.get_or_run(case, alg, dtype, verify=verify, plan=plan)
                 )
     cache.save()
     return records

@@ -23,7 +23,7 @@ try:  # POSIX-only; cache locking degrades gracefully elsewhere
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-from ..baselines.base import SpGEMMAlgorithm
+from ..baselines.base import ProductPlan, SpGEMMAlgorithm
 from ..baselines.registry import make_algorithm
 from ..sparse.csr import CSRMatrix
 from ..sparse.ops import count_intermediate_products, spgemm_reference
@@ -137,12 +137,18 @@ def run_case(
     dtype=np.float64,
     *,
     verify: bool = True,
+    plan: ProductPlan | None = None,
 ) -> RunRecord:
-    """Execute one algorithm on one case and collect the record."""
+    """Execute one algorithm on one case and collect the record.
+
+    ``plan`` (a :class:`~repro.baselines.base.ProductPlan` of
+    ``case.a @ case.b``) lets the baselines run on one case share their
+    expanded and sorted products.
+    """
     alg = (
         make_algorithm(algorithm) if isinstance(algorithm, str) else algorithm
     )
-    run = alg.multiply(case.a, case.b, dtype=dtype)
+    run = alg.multiply(case.a, case.b, dtype=dtype, plan=plan)
     correct = True
     if verify:
         ref = spgemm_reference(case.a.astype(dtype), case.b.astype(dtype))
@@ -227,13 +233,14 @@ class ResultCache:
         *,
         verify: bool = True,
         options=None,
+        plan: ProductPlan | None = None,
     ) -> RunRecord:
         """Return the memoised record, executing the cell on a miss.
 
         ``options`` (an :class:`~repro.core.options.AcSpgemmOptions`)
         customises the pipeline of a registered-backend cell (a
         fixed-function baseline raises ``ValueError``); it becomes part
-        of the cache key.
+        of the cache key.  ``plan`` is passed to :func:`run_case`.
         """
         k = self.key(case.name, algorithm, np.dtype(dtype).name, options)
         if k in self._data:
@@ -241,7 +248,7 @@ class ResultCache:
         alg: str | SpGEMMAlgorithm = algorithm
         if options is not None:
             alg = make_algorithm(algorithm, options=options)
-        rec = run_case(case, alg, dtype, verify=verify)
+        rec = run_case(case, alg, dtype, verify=verify, plan=plan)
         self._data[k] = rec.to_json()
         return rec
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..baselines.base import ProductPlan
 from ..baselines.registry import make_algorithm
 from ..sparse.csr import CSRMatrix
 
@@ -45,8 +46,9 @@ def check_bit_stability(
     """Run ``n_runs`` times under different modelled schedules and
     compare results bitwise."""
     alg = make_algorithm(algorithm)
+    plan = ProductPlan(a, b)
     runs = [
-        alg.multiply(a, b, dtype=dtype, scheduler_seed=seed)
+        alg.multiply(a, b, dtype=dtype, scheduler_seed=seed, plan=plan)
         for seed in range(n_runs)
     ]
     first = runs[0].matrix

@@ -39,7 +39,9 @@ import threading
 import time
 import traceback
 from contextlib import nullcontext
+from functools import partial
 
+from ..baselines.base import ProductPlan
 from ..baselines.registry import make_algorithm
 from ..bench.harness import MatrixCase, run_case
 from ..obs.trace import (
@@ -116,11 +118,14 @@ def execute_cell(
     runner=None,
     cell_timeout: float | None = None,
     trace_meta: dict | None = None,
+    plan: ProductPlan | None = None,
 ) -> dict:
     """Run one cell under the per-cell retry budget.
 
     Returns the checkpoint line.  ``runner`` is injectable for tests;
-    it defaults to :func:`repro.bench.harness.run_case`.  A cell that
+    it defaults to :func:`repro.bench.harness.run_case` with ``plan``,
+    the product plan of ``case`` shared by the cells of its
+    (matrix, dtype).  A cell that
     keeps failing after ``config.retries`` extra attempts is recorded
     with ``status: "failed"`` and the typed error context instead of
     being dropped.
@@ -141,7 +146,7 @@ def execute_cell(
     """
     import numpy as np
 
-    run = runner if runner is not None else run_case
+    run = runner if runner is not None else partial(run_case, plan=plan)
     dtype = np.dtype(cell.dtype)  # validated by CampaignConfig
     options = config.options()
     trace = None
@@ -258,7 +263,9 @@ def worker_main(
     coordinator-computed fingerprint, which a spawned worker maps
     zero-copy.  Matrices in neither are rebuilt from the deterministic
     seeded generators, on demand and memoised per worker.  ``on_cell``
-    is called after each checkpoint.  ``throttle`` is a runtime test
+    is called after each checkpoint.  The worker keeps one product plan,
+    for the current cell's (matrix, dtype), and drops it when a cell of
+    another arrives.  ``throttle`` is a runtime test
     hook (a sleep after each cell so kill/resume tests can interrupt a
     campaign deterministically); it never enters the plan or artifact.
 
@@ -271,6 +278,7 @@ def worker_main(
     entries = {e.name: e for e in config_entries(config)}
     built = built or {}
     cases: dict[str, tuple[MatrixCase, str]] = {}  # with the fingerprint
+    plan = plan_for = None  # the current (matrix, dtype)'s product plan
     mappings = []  # SharedCSR handles kept alive while their views are
     writer = ShardWriter(directory, worker)
     draining = threading.Event()
@@ -330,9 +338,13 @@ def worker_main(
                 case = MatrixCase(cell.matrix, matrix, family=entry.family)
                 cases[cell.matrix] = (case, fp)
             case, fp = cases[cell.matrix]
+            if plan_for != (cell.matrix, cell.dtype):
+                plan = ProductPlan(case.a, case.b)  # the old one is dropped
+                plan_for = (cell.matrix, cell.dtype)
             line = execute_cell(
                 case, cell, config, key=cell_key(cell, fp, config),
                 worker=worker, cell_timeout=cell_timeout, trace_meta=trace_meta,
+                plan=plan,
             )
             writer.append(line)
             if on_cell is not None:
@@ -350,7 +362,7 @@ def worker_main(
             )
         writer.close()
         cases.clear()  # drop the views before their mappings close
-        case = matrix = None
+        case = matrix = plan = None
         for handle in mappings:
             handle.close()
     return draining.is_set()

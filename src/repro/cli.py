@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .backends import available_backends
-from .baselines import GPU_ALGORITHMS, make_algorithm
+from .baselines import GPU_ALGORITHMS, ProductPlan, make_algorithm
 from .core import DEFAULT_OPTIONS, AcSpgemmOptions
 from .engine import ENGINES
 from .resilience import ReproError
@@ -497,8 +497,9 @@ def cmd_compare(args) -> int:
     lineup = GPU_ALGORITHMS + tuple(
         n for n in available_backends() if n not in GPU_ALGORITHMS
     )
+    plan = ProductPlan(a, b)  # the baselines' shared products
     for name in lineup:
-        run = make_algorithm(name).multiply(a, b, dtype=dtype)
+        run = make_algorithm(name).multiply(a, b, dtype=dtype, plan=plan)
         results[name] = run
         stable = "bit-stable" if run.bit_stable else "not bit-stable"
         routed = getattr(run, "dispatched_to", None)
