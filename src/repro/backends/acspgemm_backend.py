@@ -14,6 +14,7 @@ from ..core.acspgemm import ac_spgemm
 from ..core.options import AcSpgemmOptions, DEFAULT_OPTIONS
 from ..gpu.radix import bits_required, bits_required_array
 from ..gpu.scheduler import schedule_blocks
+from ..obs.ledger import device_wide_cycles
 from .base import Backend
 from .registry import register_backend
 
@@ -64,7 +65,10 @@ class AcSpgemmBackend(Backend):
             m = self._fresh_meter(opts)
             m.global_read(f.rows + 1, 8)
             m.scan(f.rows)
-            return {"GLB": launch + m.cycles / cfg.num_sms, "CC": launch}
+            return {
+                "GLB": device_wide_cycles(m, cfg.num_sms, launch),
+                "CC": launch,
+            }
 
         temps = np.asarray(f.row_temps, dtype=np.int64)
         lens = np.asarray(f.row_lengths_a, dtype=np.int64)
@@ -126,7 +130,7 @@ class AcSpgemmBackend(Backend):
         glb.global_read(f.rows + 1, 8)
         glb.global_write(n_blocks, 4)
         glb.alu(2 * f.rows)
-        stage_glb = launch + glb.cycles / cfg.num_sms
+        stage_glb = device_wide_cycles(glb, cfg.num_sms, launch)
 
         # ---- shared rows: block cuts plus iteration-overflow cuts ----
         interior = bounds[1:-1]
@@ -147,7 +151,7 @@ class AcSpgemmBackend(Backend):
         mcc = self._fresh_meter(opts)
         mcc.scan(n_shared)
         mcc.global_read(n_shared, 8)
-        stage_mcc = launch + mcc.cycles / cfg.num_sms
+        stage_mcc = device_wide_cycles(mcc, cfg.num_sms, launch)
 
         mm_mask = (n_chunks_r <= opts.multi_merge_max_chunks) & (rem_r <= epb)
 
@@ -209,7 +213,7 @@ class AcSpgemmBackend(Backend):
         cc.global_write(f.rows + 1, 8)
         cc.global_read(int(est_nnz), eb)
         cc.global_write(int(est_nnz), eb)
-        stage_cc = launch + cc.cycles / cfg.num_sms
+        stage_cc = device_wide_cycles(cc, cfg.num_sms, launch)
 
         return {
             "GLB": stage_glb,

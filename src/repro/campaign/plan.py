@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from ..backends.registry import is_backend
-from ..baselines.registry import GPU_ALGORITHMS
+from ..baselines.registry import BASELINES, GPU_ALGORITHMS
 from ..bench.harness import CACHE_VERSION
 from ..core.options import DEFAULT_OPTIONS, AcSpgemmOptions
 from ..matrices import generators as g
@@ -95,7 +95,7 @@ class CampaignConfig:
         unknown = {
             name
             for name in self.algorithms
-            if name not in GPU_ALGORITHMS and not is_backend(name)
+            if name not in BASELINES and not is_backend(name)
         }
         if unknown:
             raise CampaignError(f"unknown algorithms {sorted(unknown)}")

@@ -21,11 +21,12 @@ That makes the *host execution strategy* pluggable:
     slab on a :class:`~repro.gpu.cost.BlockArrayMeter`, one row per
     block, to the reference's per-block numbers bit for bit.
 
-Both engines produce bit-identical results and identical simulated
-statistics; they differ only in host wall-clock time (see
-``benchmarks/bench_wallclock.py``).  ``reference`` is the oracle the
-equivalence, fault-parity and device-trace suites compare ``batched``
-against.
+Both engines produce bit-identical results, identical simulated
+statistics and identical device traces; they differ only in host
+wall-clock time.  ``benchmarks/bench_wallclock.py`` measures that time
+and re-checks the agreement on every run.  ``reference`` is the oracle
+the equivalence, fault-parity and device-trace suites compare
+``batched`` against.
 """
 
 from __future__ import annotations

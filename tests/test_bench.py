@@ -1,5 +1,9 @@
 """Tests for the benchmark harness, metrics and reporting."""
 
+import importlib.util
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -195,36 +199,42 @@ class TestStabilityChecker:
         assert rep.max_value_deviation > 0.0
 
 
-class TestHotspotBench:
-    def test_run_hotspots_payload(self):
-        from repro.bench.wallclock import run_hotspots
+def _load_bench_wallclock():
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_wallclock.py"
+    spec = importlib.util.spec_from_file_location("bench_wallclock", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
-        hot = run_hotspots(smoke=True, engine="batched", top=5)
-        assert hot["bench"] == "host-hotspots"
-        assert hot["engine"] == "batched"
-        assert 0 < len(hot["top_spans"]) <= 5
-        assert hot["top_spans"][0]["host_seconds"] >= (
-            hot["top_spans"][-1]["host_seconds"]
-        )
-        names = {r["span"] for r in hot["top_spans"]}
-        assert "esc.round" in names  # the known dominant host span
-        spent = sum(r["host_seconds"] for r in hot["top_spans"])
-        assert spent <= hot["total_host_seconds"] + 1e-6
-        # measured in its own untimed pass; any real run allocates
-        assert hot["peak_heap_mib"] > 0
-        assert hot["total_iqr_seconds"] >= 0.0
-        assert all(r["iqr_seconds"] >= 0.0 for r in hot["top_spans"])
 
+class TestWallclockBench:
     def test_wallclock_reports_median_and_spread(self):
-        from repro.bench.wallclock import run_wallclock
-
-        payload = run_wallclock(smoke=True, repeats=3)
-        assert payload["repeats"] == 3 and payload["all_identical"]
+        bw = _load_bench_wallclock()
+        payload = bw.run(smoke=True, repeats=3)
+        assert payload["repeats"] == 3
+        assert payload["engines"] == ["reference", "batched"]
         for row in payload["cases"]:
             assert set(row["seconds"]) == set(row["iqr_seconds"]) == {
                 "reference", "batched"
             }
             assert all(v >= 0.0 for v in row["iqr_seconds"].values())
-            assert row["speedup"]["batched"] == (
+            assert row["speedup"] == (
                 row["seconds"]["reference"] / row["seconds"]["batched"]
             )
+            assert row["engines_identical"]
+            assert row["trace_unperturbed"]
+            assert row["traces_identical"] and row["trace_bytes"] > 0
+            assert set(row["overhead"]) == {"reference", "batched"}
+        # the timing gates are reported, never asserted here: host time
+        # on a shared machine is too noisy for a unit test
+        assert math.isfinite(payload["trace_overhead"])
+        assert payload["geomean_speedup"] > 0.0
+        assert not payload["speedup_enforced"]
+        # the gate logic, on doctored timings
+        ok = dict(payload, trace_overhead=0.0)
+        assert bw.failures(ok) == []
+        bad = dict(
+            ok, trace_overhead=0.5, speedup_enforced=True, geomean_speedup=1.0,
+            cases=[dict(payload["cases"][0], traces_identical=False)],
+        )
+        assert len(bw.failures(bad)) == 3

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.baselines.registry import BASELINES
 from repro.bench import ResultCache, default_cache, run_case
 from repro.bench.harness import CACHE_VERSION, MatrixCase
 from repro.core import AcSpgemmOptions
@@ -161,6 +162,17 @@ class TestExecution:
         # execution details never leak into the artifact
         assert "worker" not in art["cells"][0]
         assert "t_host" not in art["cells"][0]
+
+    def test_every_baseline_sweeps(self, tmp_path):
+        # every fixed-function baseline make_algorithm builds is a valid
+        # campaign algorithm, not only the paper's line-up
+        config = CampaignConfig(suite="tiny", limit=2, algorithms=tuple(BASELINES))
+        result = CampaignRunner(tmp_path, config).run()
+        assert result.stats["executed"] == 2 * len(BASELINES)
+        assert not result.failed_cells
+        assert {r.algorithm for r in result.records()} == set(BASELINES)
+        with pytest.raises(CampaignError, match="unknown algorithms"):
+            CampaignConfig(algorithms=(*BASELINES, "warp9"))
 
     def test_rerun_resumes_everything(self, tmp_path):
         CampaignRunner(tmp_path, TINY2).run()

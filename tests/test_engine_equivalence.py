@@ -122,6 +122,11 @@ def test_power_law_float32():
     _run_all(a, b, dtype="float32")
 
 
+def test_banded_with_device_trace():
+    a, b = squared_operands(g.banded(600, 8, seed=16))
+    _run_all(a, b, device_trace=True)
+
+
 def test_restarts_from_small_pool():
     a, b = squared_operands(g.random_uniform(400, 400, 10.0, seed=14))
     res = _run_all(
