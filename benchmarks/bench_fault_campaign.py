@@ -14,12 +14,17 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_fault_campaign.py --smoke --out BENCH_fault.json
 
 The campaign is fully deterministic in ``--seed``: the JSON artifact
-records every plan, so a failing case can be replayed exactly.
+records every plan, so a failing case can be replayed exactly.  With
+``--expect PATH`` every case's outcome (restarts, failure, result
+digest, shared rows, chunk count and a digest of the stage cycles and
+counters) must also equal the one in a committed artifact, so a change
+that both engines share still shows.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -74,7 +79,18 @@ def _outcome(a, b, opts) -> dict:
         "degraded": res.degraded,
         "failure": res.failure["kind"] if res.failure else None,
         "digest": _digest(res.matrix),
+        "shared_rows": res.shared_rows,
+        "n_chunks": res.n_chunks,
+        "stats_digest": _stats_digest(res),
     }
+
+
+def _stats_digest(res) -> str:
+    """Digest of the simulated statistics: stage cycles and counters."""
+    stats = {"stage_cycles": res.stage_cycles,
+             "counters": dataclasses.asdict(res.counters)}
+    blob = json.dumps(stats, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def _cases(seed: int, smoke: bool) -> list[dict]:
@@ -189,6 +205,20 @@ def _fallback_matches_reference(mat, opt_kwargs) -> bool:
     )
 
 
+def expect_mismatches(payload: dict, expected: dict) -> list[str]:
+    """Cases whose outcome differs from the committed artifact's."""
+    if (payload["seed"], payload["mode"]) != (expected["seed"], expected["mode"]):
+        return [f"artifact is seed {expected['seed']} ({expected['mode']}), "
+                f"this run seed {payload['seed']} ({payload['mode']})"]
+    got = {c["name"]: c["outcome"] for c in payload["cases"]}
+    want = {c["name"]: c["outcome"] for c in expected["cases"]}
+    problems = [f"case {n}: missing from this run" for n in want if n not in got]
+    problems += [f"case {n}: not in the artifact" for n in got if n not in want]
+    problems += [f"case {n}: {got[n]} != expected {want[n]}"
+                 for n in want if n in got and got[n] != want[n]]
+    return problems
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
@@ -197,6 +227,9 @@ def main(argv=None) -> int:
                         help="campaign seed (PPoPP'19 by default)")
     parser.add_argument("--out", default="BENCH_fault.json",
                         help="JSON artifact path")
+    parser.add_argument("--expect", default=None, metavar="PATH",
+                        help="committed artifact every case's outcome "
+                             "must equal (host_seconds is not compared)")
     args = parser.parse_args(argv)
 
     t0 = time.perf_counter()
@@ -224,6 +257,14 @@ def main(argv=None) -> int:
         print("ERROR: degraded fallback does not match the reference",
               file=sys.stderr)
         return 1
+    if args.expect:
+        problems = expect_mismatches(
+            payload, json.loads(Path(args.expect).read_text()))
+        for p in problems:
+            print(f"ERROR: {p}", file=sys.stderr)
+        if problems:
+            return 1
+        print(f"every outcome matches {args.expect}")
     return 0
 
 

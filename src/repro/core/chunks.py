@@ -206,17 +206,29 @@ class ChunkPool:
 class RowChunkTracker:
     """Per-row chunk lists plus the shared-rows array (Figure 4).
 
+    The lists are arrays, like the device's list heads: ``chunks``
+    holds the chunks as linked (a *link id* is an index there),
+    ``n_links`` counts each row's links and ``first`` holds the link id
+    of its first chunk (-1 if none).  Only rows with two or more links
+    keep their full list of link ids, in ``multi``: linking a batch is
+    array work plus a loop over its few second and later links.
+
     ``row_counts`` accumulates, atomically, the number of (locally
     compacted) elements each chunk contributes per row; for shared rows
     this equals the remaining intermediate products to merge (§3.3).
     """
 
     n_rows: int
-    row_lists: dict[int, list[Chunk]] = field(default_factory=dict)
     shared_rows: list[int] = field(default_factory=list)
+    chunks: list[Chunk] = field(init=False, default_factory=list)
+    n_links: np.ndarray = field(init=False)
+    first: np.ndarray = field(init=False)
+    multi: dict[int, list[int]] = field(init=False, default_factory=dict)
     row_counts: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        self.n_links = np.zeros(self.n_rows, dtype=np.int64)
+        self.first = np.full(self.n_rows, -1, dtype=np.int64)
         self.row_counts = np.zeros(self.n_rows, dtype=np.int64)
 
     def insert(self, chunk: Chunk, row: int, count: int, meter: CostMeter) -> None:
@@ -233,29 +245,88 @@ class RowChunkTracker:
         here would give the reference a different float-addition order
         and break per-block cycle bit-identity across engines.
         """
-        lst = self.row_lists.setdefault(row, [])
-        lst.append(chunk)
         meter.atomic(2)  # list-head exchange + row-count add
-        self.row_counts[row] += count
-        if len(lst) == 2:
-            self.shared_rows.append(row)
+        self.link([chunk], [[row]], [[count]])
 
     def insert_chunk(self, chunk: Chunk, b: CSRMatrix, meter: CostMeter) -> None:
         """Insert a chunk for every row it covers."""
         if chunk.kind == "pointer":
-            self.insert(chunk, chunk.first_row, chunk.b_length, meter)
-            return
-        rows, counts = np.unique(chunk.rows, return_counts=True)
-        for row, count in zip(rows.tolist(), counts.tolist()):
-            self.insert(chunk, row, int(count), meter)
+            rows, counts = [chunk.first_row], [chunk.b_length]
+        else:
+            rows, counts = np.unique(chunk.rows, return_counts=True)
+        for _ in range(len(rows)):
+            meter.atomic(2)  # per row: list-head exchange + row-count add
+        self.link([chunk], [rows], [counts])
+
+    def link(self, chunks, rows, counts) -> np.ndarray:
+        """Link ``chunks[i]`` into every row of ``rows[i]`` (adding
+        ``counts[i]``), in commit order: chunk by chunk, rows in order.
+
+        A link's ordinal in its row's list is the row's prior link count
+        plus its rank among this batch's links to the row, from one
+        stable sort by row.  Ordinal 1 makes the row shared.  Returns,
+        per chunk, how many rows its links made shared (the deferred
+        second-chunk atomics of :meth:`insert`).  Charges nothing.
+        """
+        lens = np.fromiter((len(r) for r in rows), np.int64, len(chunks))
+        made_shared = np.zeros(len(chunks), dtype=np.int64)
+        n = int(lens.sum())
+        if n == 0:
+            return made_shared
+        base = len(self.chunks)
+        self.chunks.extend(chunks)
+        link_rows = np.concatenate(rows).astype(np.int64, copy=False)
+        link_counts = np.concatenate(counts).astype(np.int64, copy=False)
+        local = np.repeat(np.arange(len(chunks)), lens)  # chunk of each link
+
+        order = np.argsort(link_rows, kind="stable")
+        sorted_rows = link_rows[order]
+        head = np.empty(n, dtype=bool)
+        head[0] = True
+        np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        sizes = np.diff(np.append(starts, n))
+        group_rows = sorted_rows[starts]
+        rank = np.arange(n, dtype=np.int64) - np.repeat(starts, sizes)
+        ordinal = np.empty(n, dtype=np.int64)
+        ordinal[order] = self.n_links[sorted_rows] + rank
+        self.n_links[group_rows] += sizes
+        self.row_counts[group_rows] += np.add.reduceat(
+            link_counts[order], starts
+        )
+
+        fresh = ordinal == 0  # at most one per row: the row's first link
+        self.first[link_rows[fresh]] = local[fresh] + base
+        later = np.flatnonzero(~fresh)
+        for row, k, o in zip(
+            link_rows[later].tolist(), local[later].tolist(), ordinal[later].tolist()
+        ):
+            if o == 1:
+                self.multi[row] = [int(self.first[row]), base + k]
+                self.shared_rows.append(row)
+                made_shared[k] += 1
+            else:
+                self.multi[row].append(base + k)
+        return made_shared
+
+    def live_links(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(link id, row)`` of every link the lists hold."""
+        single = np.flatnonzero(self.n_links == 1)
+        ids = [self.first[single]]
+        rows = [single]
+        for row, lst in self.multi.items():
+            ids.append(np.asarray(lst, dtype=np.int64))
+            rows.append(np.full(len(lst), row, dtype=np.int64))
+        return np.concatenate(ids), np.concatenate(rows)
 
     def chunks_for(self, row: int) -> list[Chunk]:
         """Row's chunks in deterministic global chunk order."""
-        return sorted(self.row_lists.get(row, []), key=lambda c: c.order_key)
+        ids = self.multi.get(row, [self.first[row]] if self.n_links[row] else [])
+        return sorted((self.chunks[i] for i in ids), key=lambda c: c.order_key)
 
     def is_shared(self, row: int) -> bool:
         """True when more than one chunk carries data for ``row``."""
-        return len(self.row_lists.get(row, ())) > 1
+        return bool(self.n_links[row] > 1)
 
     def sorted_shared_rows(self) -> np.ndarray:
         """Shared rows in ascending row order (deterministic merge
@@ -265,7 +336,14 @@ class RowChunkTracker:
     def replace_row(self, row: int, new_chunks: list[Chunk], new_count: int) -> None:
         """After merging, ``row`` is covered by ``new_chunks`` (ordered
         by ascending column range) and its count becomes exact."""
-        self.row_lists[row] = list(new_chunks)
+        ids = list(range(len(self.chunks), len(self.chunks) + len(new_chunks)))
+        self.chunks.extend(new_chunks)
+        self.n_links[row] = len(ids)
+        self.first[row] = ids[0] if ids else -1
+        if len(ids) > 1:
+            self.multi[row] = ids
+        else:
+            self.multi.pop(row, None)
         self.row_counts[row] = new_count
 
     def helper_bytes(self) -> int:

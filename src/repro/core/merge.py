@@ -95,9 +95,11 @@ def assign_merges(
 
     group: list[int] = []
     group_sum = 0
-    for row in shared.tolist():
-        n_chunks = len(tracker.row_lists[row])
-        remaining = int(tracker.row_counts[row])
+    for row, n_chunks, remaining in zip(
+        shared.tolist(),
+        tracker.n_links[shared].tolist(),
+        tracker.row_counts[shared].tolist(),
+    ):
         if n_chunks <= options.multi_merge_max_chunks and remaining <= capacity:
             if group and group_sum + remaining > capacity:
                 multi_groups.append(tuple(group))

@@ -70,8 +70,7 @@ def copy_chunks(
         meter = CostMeter(config=options.device, constants=options.costs)
         copied = 0
         for row in chunk.covered_rows().tolist():
-            owners = tracker.row_lists.get(row, [])
-            if not any(o is chunk for o in owners):
+            if not any(o is chunk for o in tracker.chunks_for(row)):
                 continue  # row was merged into replacement chunks
             seg = chunk.row_segment(row)
             cols = chunk.columns(b)[seg]

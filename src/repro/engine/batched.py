@@ -9,12 +9,11 @@ most :data:`SLAB_ELEMENTS` uncommitted products per slab):
   over the concatenated *original* prefix sums offset per block (the two
   are provably equivalent: consumption is a contiguous window of the
   original product order).
-* **Sort** — the per-block stable LSD radix sorts become a few
-  composite-key ``np.argsort(kind="stable")`` calls over
-  ``(local_segment_id << key_bits) | key`` packed into 16 bits, where
-  numpy's stable sort is an O(n) radix sort.  Stability makes the
-  permutation within each segment identical to the per-block stable
-  sort, preserving the tie order that fixes floating-point accumulation.
+* **Sort** — the per-block stable LSD radix sorts become one sort per
+  lockstep batch of unique 64-bit words ``(segment << (kb + pb)) |
+  (key << pb) | position``.  No two words are equal, so the order in
+  each segment is the per-block stable sort's, preserving the tie
+  order that fixes floating-point accumulation.
 * **Compaction** — equal-key run boundaries from one neighbour compare
   with forced segment breaks, then one ``np.add.reduceat``.  ``reduceat``
   folds each run independently of surrounding data, so per-run sums are
@@ -34,6 +33,7 @@ exactly the reference's.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from copy import copy
 from dataclasses import dataclass, field
 
@@ -83,66 +83,30 @@ def _ragged_revrange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def _segmented_sort(
-    keys: np.ndarray,
-    seg_sizes: np.ndarray,
-    seg_off: np.ndarray,
-    key_bits_list: list[int],
-) -> np.ndarray:
-    """Stable sort permutation of ``keys`` within each segment.
+    keys: np.ndarray, seg_sizes: np.ndarray, key_bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stable per-segment sort permutation of ``keys``, and the sorted keys.
 
-    Segments are packed greedily into groups whose composite key
-    ``(local_segment_id << key_bits) | key`` fits 16 bits, because
-    numpy's stable argsort is an O(n) radix sort for 16-bit integers
-    (it falls back to O(n log n) timsort for wider types).  Oversized
-    single segments use 16-bit LSD passes instead.  Every path is a
-    stable per-segment sort, so the permutation equals running the
-    per-block stable sort on each segment independently.
+    Each element becomes the unique word ``(segment << (kb + pb)) |
+    (key << pb) | position`` (``kb = key_bits``, the widest key; ``pb``
+    the position bits), so one unstable ``np.sort`` yields the stable
+    per-segment order.  Past 64 bits, ``np.lexsort`` over (segment,
+    key) gives the same permutation.
     """
-    nseg = len(key_bits_list)
-    perm = np.empty(keys.shape[0], dtype=np.int64)
-    seg_off_list = seg_off.tolist()
-    s = 0
-    while s < nseg:
-        kb = key_bits_list[s]
-        e = s + 1
-        while e < nseg:
-            nkb = key_bits_list[e] if key_bits_list[e] > kb else kb
-            if bits_required(e - s) + nkb > 16:
-                break
-            kb = nkb
-            e += 1
-        lo, hi = seg_off_list[s], seg_off_list[e]
-        if e - s > 1:
-            comp = keys[lo:hi].astype(np.uint16)
-            comp |= np.repeat(
-                ((np.arange(e - s, dtype=np.int64) << kb) & 0xFFFF).astype(
-                    np.uint16
-                ),
-                seg_sizes[s:e],
-            )
-            perm[lo:hi] = np.argsort(comp, kind="stable")
-            perm[lo:hi] += lo
-        elif kb <= 16:
-            perm[lo:hi] = np.argsort(
-                keys[lo:hi].astype(np.uint16, copy=False), kind="stable"
-            )
-            perm[lo:hi] += lo
-        else:
-            order = np.arange(hi - lo, dtype=np.int64)
-            cur = keys[lo:hi]
-            for shift in range(0, kb, 16):
-                digits = (
-                    (cur >> np.uint64(shift)) & np.uint64(0xFFFF)
-                ).astype(np.uint16)
-                if digits[0] == digits[-1] and (digits == digits[0]).all():
-                    continue  # pass is the identity
-                p = np.argsort(digits, kind="stable")
-                order = order[p]
-                cur = cur[p]
-            perm[lo:hi] = order
-            perm[lo:hi] += lo
-        s = e
-    return perm
+    n = keys.shape[0]
+    seg = np.repeat(np.arange(seg_sizes.shape[0], dtype=np.uint64), seg_sizes)
+    pb = bits_required(max(n - 1, 0))
+    if bits_required(max(seg_sizes.shape[0] - 1, 0)) + key_bits + pb > 64:
+        perm = np.lexsort((keys, seg))
+        return perm, keys[perm]
+    words = seg << np.uint64(key_bits + pb)
+    words |= keys.astype(np.uint64) << np.uint64(pb)
+    words |= np.arange(n, dtype=np.uint64)
+    words.sort()
+    perm = (words & np.uint64((1 << pb) - 1)).astype(np.int64)
+    words >>= np.uint64(pb)
+    words &= np.uint64((1 << key_bits) - 1)
+    return perm, words.astype(keys.dtype)
 
 
 def _segmented_compact(
@@ -504,9 +468,11 @@ def _esc_optimistic_batch(
         parts_r: list[np.ndarray] = []
         parts_c: list[np.ndarray] = []
         parts_v: list[np.ndarray] = []
+        carried_n = np.empty(len(runnable), dtype=np.int64)
         seg_sizes = np.empty(len(runnable), dtype=np.int64)
         for i, st in enumerate(runnable):
-            if st.carried_rows.shape[0]:
+            carried_n[i] = st.carried_rows.shape[0]
+            if carried_n[i]:
                 parts_r.append(st.carried_rows)
                 parts_c.append(st.carried_cols)
                 parts_v.append(st.carried_vals)
@@ -514,77 +480,57 @@ def _esc_optimistic_batch(
                 parts_r.append(exp_rows[st.new_lo : st.new_hi])
                 parts_c.append(exp_cols[st.new_lo : st.new_hi])
                 parts_v.append(exp_vals[st.new_lo : st.new_hi])
-            seg_sizes[i] = st.carried_rows.shape[0] + st.taken
+            seg_sizes[i] = carried_n[i] + st.taken
         rows_b = np.concatenate(parts_r)
         cols_b = np.concatenate(parts_c)
         vals_b = np.concatenate(parts_v)
         seg_off = np.zeros(len(runnable) + 1, dtype=np.int64)
         np.cumsum(seg_sizes, out=seg_off[1:])
         seg_starts = seg_off[:-1]
-
-        seg_sizes_list = seg_sizes.tolist()
+        seg_last = seg_off[1:] - 1
 
         # dynamic bit reduction (§3.2.3), per segment.  Row ranges come
-        # free: carried runs and expansion windows are both row-sorted.
+        # free: carried runs and expansion windows are both row-sorted,
+        # so each segment's extremes are the ends of its two parts.
         if opts.enable_bit_reduction:
             cmin = np.minimum.reduceat(cols_b, seg_starts)
             cmax = np.maximum.reduceat(cols_b, seg_starts)
-            rmin_list: list[int] = []
-            rmax_list: list[int] = []
-            for st in runnable:
-                if st.carried_rows.shape[0]:
-                    r0 = int(st.carried_rows[0])
-                    r1 = int(st.carried_rows[-1])
-                    if st.taken:
-                        r0 = min(r0, int(exp_rows[st.new_lo]))
-                        r1 = max(r1, int(exp_rows[st.new_hi - 1]))
-                else:
-                    r0 = int(exp_rows[st.new_lo])
-                    r1 = int(exp_rows[st.new_hi - 1])
-                rmin_list.append(r0)
-                rmax_list.append(r1)
+            rmin = np.minimum(
+                rows_b[seg_starts],
+                rows_b[np.minimum(seg_starts + carried_n, seg_last)],
+            )
+            rmax = np.maximum(
+                rows_b[seg_last],
+                rows_b[np.maximum(seg_starts + carried_n - 1, seg_starts)],
+            )
         else:
             cmin = np.zeros(len(runnable), dtype=np.int64)
             cmax = np.full(len(runnable), b.cols - 1, dtype=np.int64)
-            rmin_list = [0] * len(runnable)
-            rmax_list = np.maximum(n_ent[ks] - 1, 0).tolist()
-        cmin_list = cmin.tolist()
-        col_bits_list = [bits_required(d) for d in (cmax - cmin).tolist()]
-        row_bits_list = [
-            bits_required(r1 - r0) for r0, r1 in zip(rmin_list, rmax_list)
-        ]
-        key_bits_list = [r + c for r, c in zip(row_bits_list, col_bits_list)]
+            rmin = np.zeros(len(runnable), dtype=np.int64)
+            rmax = np.maximum(n_ent[ks] - 1, 0)
+        col_bits = bits_required_array(cmax - cmin)
+        row_bits = bits_required_array(rmax - rmin)
+        key_bits = row_bits + col_bits
 
         # one shared column width for the whole iteration: each segment's
         # key stays monotone in (row, col) with identical tie structure,
         # so sort order and run equality are unchanged while both minimum
         # subtractions fold into a single scalar offset per segment.
-        # Charged bit counts (key_bits_list) still use per-segment widths.
-        cbmax = max(col_bits_list)
-        sort_bits_list = [r + cbmax for r in row_bits_list]
-        off_list = [
-            (r0 << cbmax) + c0 for r0, c0 in zip(rmin_list, cmin_list)
-        ]
+        # Charged bit counts (key_bits) still use per-segment widths.
+        cbmax = int(col_bits.max())
+        sort_bits = int(row_bits.max()) + cbmax
+        offs = (rmin << cbmax) + cmin
         # (cbmax < 16 keeps every shift strictly inside the 16-bit lane)
-        kdt = (
-            np.uint16
-            if cbmax < 16 and max(sort_bits_list) <= 16
-            else np.uint64
-        )
+        kdt = np.uint16 if cbmax < 16 and sort_bits <= 16 else np.uint64
         # modular arithmetic: intermediates may wrap, the reduced key
         # fits the dtype, so the wrapped result is exact
         keys = rows_b.astype(kdt)
         keys <<= cbmax
         keys += cols_b.astype(kdt)
-        if any(off_list):
-            mask = int(np.iinfo(kdt).max)
-            keys -= np.repeat(
-                np.asarray([o & mask for o in off_list], dtype=kdt),
-                seg_sizes,
-            )
+        if offs.any():
+            keys -= np.repeat(offs.astype(kdt), seg_sizes)
 
-        perm = _segmented_sort(keys, seg_sizes, seg_off, sort_bits_list)
-        keys_s = keys[perm]
+        perm, keys_s = _segmented_sort(keys, seg_sizes, sort_bits)
         vals_s = vals_b[perm]
         # drop each iteration-sized temporary once consumed, so the
         # iteration's peak holds as few element-sized arrays as possible
@@ -602,11 +548,9 @@ def _esc_optimistic_batch(
         rl <<= cbmax
         comp_cols_all = (comp_keys - rl).astype(np.int64)
         del comp_keys, rl
-        if any(rmin_list):
-            comp_rows_all += np.repeat(
-                np.asarray(rmin_list, dtype=np.int64), comp_counts
-            )
-        if any(cmin_list):
+        if rmin.any():
+            comp_rows_all += np.repeat(rmin, comp_counts)
+        if cmin.any():
             comp_cols_all += np.repeat(cmin, comp_counts)
         # ---- the iteration's charges in reference call order (receive,
         # expansion, min/max scans, radix sort, compaction); a block that
@@ -616,7 +560,7 @@ def _esc_optimistic_batch(
         s_full = np.zeros(n_pending, dtype=np.int64)
         s_full[ks] = seg_sizes
         kb_full = np.zeros(n_pending, dtype=np.int64)
-        kb_full[ks] = key_bits_list
+        kb_full[ks] = key_bits
         took = t_full > 0  # receive_work charges nothing when nothing is taken
         bm.scratchpad(np.where(took, epb, 0))  # clear(Offsets)
         bm.scratchpad(np.where(took, 2 * n_ent, 0))  # state reads
@@ -635,7 +579,9 @@ def _esc_optimistic_batch(
         if opts.device_trace:
             # CostMeter.radix_sort's log entry for the reference's
             # (n_batch, row_bits + col_bits) sort
-            for st, n_sorted, kb in zip(runnable, seg_sizes_list, key_bits_list):
+            for st, n_sorted, kb in zip(
+                runnable, seg_sizes.tolist(), key_bits.tolist()
+            ):
                 st.sort_log.append((n_sorted, kb))
 
         # ---- batch the per-block emission bookkeeping ------------------
@@ -653,8 +599,7 @@ def _esc_optimistic_batch(
         rcnt = np.empty(rpos.shape[0], dtype=np.int64)
         np.subtract(rpos[1:], rpos[:-1], out=rcnt[:-1])
         rcnt[-1] = comp_total - rpos[-1]
-        run_rows_list = glob_rows_all[rpos].tolist()
-        run_cnt_list = rcnt.tolist()
+        run_rows = glob_rows_all[rpos]
         rcum = np.cumsum(rflag)
         r_lo_list = (rcum[comp_off[:-1]] - 1).tolist()
         r_hi_list = rcum[comp_off[1:] - 1].tolist()
@@ -693,15 +638,15 @@ def _esc_optimistic_batch(
                 commit_point = min(st.c, orig_list[i]) if keep_n else st.c
                 r_lo = r_lo_list[i]
                 r_hi = r_hi_list[i] - 1 if keep_n else r_hi_list[i]
-                rows_u = run_rows_list[r_lo:r_hi]
-                counts_u = run_cnt_list[r_lo:r_hi]
-                # slices stay views: the iteration's comp arrays are
-                # never written again, so chunks can share their storage
+                # slices stay views: the iteration's comp and run arrays
+                # are never written again, so chunks and records can
+                # share their storage
+                rows_u = run_rows[r_lo:r_hi]
                 chunk = Chunk(
                     order_key=blk._next_chunk_key(),
                     kind="data",
-                    first_row=rows_u[0],
-                    last_row=rows_u[-1],
+                    first_row=int(rows_u[0]),
+                    last_row=int(rows_u[-1]),
                     rows=glob_rows_all[lo_c : lo_c + write_n],
                     cols=comp_cols_all[lo_c : lo_c + write_n],
                     vals=comp_vals[lo_c : lo_c + write_n],
@@ -713,14 +658,14 @@ def _esc_optimistic_batch(
                         nbytes=ectx.pool.data_bytes(write_n, itemsize, col_bytes),
                         pre_cycles=cyc,
                         pre_counters=ctr,
-                        commit=("insert", rows_u, counts_u),
+                        commit=("insert", rows_u, rcnt[r_lo:r_hi]),
                         restore=_esc_restore(blk),
                         pre_scratch_high=high_water[st.k],
                         pre_sort_len=len(st.sort_log),
                     )
                 )
                 w_full[st.k] = write_n
-                rows_full[st.k] = len(rows_u)
+                rows_full[st.k] = r_hi - r_lo
                 blk.committed = commit_point
             elif wd_empty and comp_n == 0:
                 _esc_finish(st, layout, opts.sanitize)
@@ -826,23 +771,16 @@ def _multi_merge_optimistic_batch(
     else:
         cmin = np.zeros(len(workers), dtype=np.int64)
         cmax = np.maximum.reduceat(cols_b, seg_off[:-1])
-    col_bits = np.fromiter(
-        (bits_required(max(0, int(cmax[i] - cmin[i]))) for i in range(len(workers))),
-        np.int64,
-        len(workers),
-    )
-    row_bits = np.fromiter(
-        (bits_required(max(0, len(w.rows) - 1)) for w in workers),
-        np.int64,
-        len(workers),
+    col_bits = bits_required_array(cmax - cmin)
+    row_bits = bits_required_array(
+        np.fromiter((len(w.rows) - 1 for w in workers), np.int64, len(workers))
     )
     key_bits = row_bits + col_bits
 
     keys = rows_b.astype(np.uint64)
     keys <<= np.repeat(col_bits, seg_sizes).astype(np.uint64)
     keys |= (cols_b - np.repeat(cmin, seg_sizes)).astype(np.uint64)
-    perm = _segmented_sort(keys, seg_sizes, seg_off, key_bits.tolist())
-    keys_s = keys[perm]
+    perm, keys_s = _segmented_sort(keys, seg_sizes, int(key_bits.max()))
     vals_s = vals_b[perm]
     for i in range(len(workers)):
         meters[i].radix_sort(int(seg_sizes[i]), int(key_bits[i]))
@@ -1068,18 +1006,13 @@ def _iterative_merge_optimistic_batch(
         else:
             cmin = np.zeros(nseg, dtype=np.int64)
             cmax = np.maximum.reduceat(cols_b, seg_off[:-1])
-        col_bits = np.fromiter(
-            (bits_required(max(0, int(cmax[i] - cmin[i]))) for i in range(nseg)),
-            np.int64,
-            nseg,
-        )
+        col_bits = bits_required_array(cmax - cmin)
         # one row per block: row_bits == bits_required(0) == 1, and the
         # row part of every key is zero
         key_bits = col_bits + 1
 
         keys = (cols_b - np.repeat(cmin, seg_sizes)).astype(np.uint64)
-        perm = _segmented_sort(keys, seg_sizes, seg_off, key_bits.tolist())
-        keys_s = keys[perm]
+        perm, keys_s = _segmented_sort(keys, seg_sizes, int(col_bits.max()))
         vals_s = vals_b[perm]
         for i in range(nseg):
             batch[i].meter.radix_sort(int(seg_sizes[i]), int(key_bits[i]))
@@ -1182,28 +1115,32 @@ def _copy_chunks_batched(
     check = opts.sanitize
     written = np.zeros(nnz, dtype=bool) if check else None
 
-    chunks = list(pool.ordered_chunks())
+    chunks = pool.ordered_chunks()
     n_chunks = len(chunks)
-    cindex = {id(ch): i for i, ch in enumerate(chunks)}
 
     # (chunk, row) liveness as sorted composite keys: a row belongs to a
-    # chunk iff the tracker's final per-row list still references it
-    okeys: list[int] = []
-    for row, lst in tracker.row_lists.items():
-        for ch in lst:
-            okeys.append(cindex[id(ch)] * n_rows + row)
-    owned_keys = np.sort(np.asarray(okeys, dtype=np.int64))
+    # chunk iff the tracker's final per-row list still references it.
+    # Order keys are unique, so a linked chunk's position in the global
+    # order is a binary search of its key.
+    order_keys = [ch.order_key for ch in chunks]
+    position = np.fromiter(
+        (bisect_left(order_keys, ch.order_key) for ch in tracker.chunks),
+        np.int64,
+        len(tracker.chunks),
+    )
+    link_ids, link_rows = tracker.live_links()
+    link_pos = position[link_ids]
+    owned_keys = np.sort(link_pos * n_rows + link_rows)
+    linked = np.zeros(n_chunks, dtype=bool)
+    linked[link_pos] = True
     copied = np.zeros(n_chunks, dtype=np.int64)
 
-    # ---- pointer chunks: single-row slice copies ----------------------
+    # ---- pointer chunks (one row each, live iff linked): single-row
+    # slice copies -------------------------------------------------------
     for ci, chunk in enumerate(chunks):
-        if chunk.kind != "pointer":
+        if chunk.kind != "pointer" or not linked[ci]:
             continue
         row = chunk.first_row
-        key = ci * n_rows + row
-        j = int(np.searchsorted(owned_keys, key))
-        if j >= owned_keys.shape[0] or int(owned_keys[j]) != key:
-            continue
         lo = b.row_ptr[chunk.b_row]
         m = chunk.b_length
         base = int(row_ptr[row]) + chunk.segment_offset(row)

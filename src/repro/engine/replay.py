@@ -22,13 +22,16 @@ Shared-row attribution is the other order-dependent effect: the block
 that inserts the *second* chunk of a row pays one extra atomic
 (:meth:`RowChunkTracker.insert`).  Which block that is only becomes
 known during the serial commit, so optimistic runs skip that charge and
-the replay adds it to the committing block's cycles and counters.
+the replay adds it to the committing block's cycles and counters, as
+counted per chunk by the tracker's batched :meth:`RowChunkTracker.link`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
+
+import numpy as np
 
 from ..core.chunks import Chunk, ChunkPool, RowChunkTracker
 from ..gpu.cost import CostConstants
@@ -106,10 +109,29 @@ def replay_and_commit(
 
     Returns one :class:`RoundOutcome` per run with exactly the cycles
     and counters the reference execution would have produced.
+
+    The admission scan is scalar, so the fault hook sees the reference's
+    attempts in its order.  Committed ``insert`` records are linked in
+    one :meth:`RowChunkTracker.link` batch, flushed first by a
+    ``replace`` record or a ``final_commit`` to keep tracker mutations
+    in serial order.
     """
-    outcomes: list[RoundOutcome] = []
-    for run in runs:
-        extra_shared = 0  # deferred second-chunk atomics committed so far
+    failed_at: list[AllocationRecord | None] = []
+    extra_shared = np.zeros(len(runs), dtype=np.int64)
+    batch: list[tuple[int, AllocationRecord]] = []  # (run, insert record)
+
+    def link_batch() -> None:
+        if batch:
+            owners, recs = zip(*batch)
+            made = tracker.link(
+                [rec.chunk for rec in recs],
+                [rec.commit[1] for rec in recs],
+                [rec.commit[2] for rec in recs],
+            )
+            np.add.at(extra_shared, np.asarray(owners), made)
+            batch.clear()
+
+    for i, run in enumerate(runs):
         failed: AllocationRecord | None = None
         for rec in run.records:
             # the same admission chokepoint as ChunkPool.allocate — the
@@ -123,53 +145,42 @@ def replay_and_commit(
             pool.chunks.append(rec.chunk)
             kind, rows, counts = rec.commit
             if kind == "insert":
-                row_lists = tracker.row_lists
-                row_counts = tracker.row_counts
-                for row, count in zip(rows, counts):
-                    lst = row_lists.setdefault(row, [])
-                    lst.append(rec.chunk)
-                    row_counts[row] += count
-                    if len(lst) == 2:
-                        tracker.shared_rows.append(row)
-                        extra_shared += 1
+                batch.append((i, rec))
             elif kind == "replace":
+                link_batch()
                 for row, count in zip(rows, counts):
                     tracker.replace_row(row, [rec.chunk], count)
             # "none": pool registration only (final_commit owns the swap)
+        if failed is None and run.final_commit is not None:
+            link_batch()
+            run.final_commit()
+        failed_at.append(failed)
+    link_batch()
 
-        correction = extra_shared * constants.atomic_cycles
+    outcomes: list[RoundOutcome] = []
+    for run, failed, extra in zip(runs, failed_at, extra_shared.tolist()):
         if failed is None:
-            if run.final_commit is not None:
-                run.final_commit()
-            counters = run.counters
-            counters.atomic_ops += extra_shared
-            cycles = run.cycles + correction
-            if run.on_success is not None:
-                run.on_success(run.worker, cycles)
-            outcomes.append(
-                RoundOutcome(
-                    cycles,
-                    True,
-                    counters,
-                    scratch_high_water=run.scratch_high_water,
-                    sort_log=tuple(run.sort_log),
-                )
-            )
+            counters, cycles = run.counters, run.cycles
+            high, sort_log = run.scratch_high_water, run.sort_log
         else:
-            counters = failed.pre_counters
-            counters.atomic_ops += extra_shared
-            cycles = failed.pre_cycles + correction
-            if run.on_fail is not None:
-                run.on_fail(run.worker, failed, cycles)
             # truncate the trace extras to the failure point, mirroring
             # what the reference block had done when the allocation raised
-            outcomes.append(
-                RoundOutcome(
-                    cycles,
-                    False,
-                    counters,
-                    scratch_high_water=failed.pre_scratch_high,
-                    sort_log=tuple(run.sort_log[: failed.pre_sort_len]),
-                )
+            counters, cycles = failed.pre_counters, failed.pre_cycles
+            high = failed.pre_scratch_high
+            sort_log = run.sort_log[: failed.pre_sort_len]
+        counters.atomic_ops += extra
+        cycles += extra * constants.atomic_cycles
+        if failed is None and run.on_success is not None:
+            run.on_success(run.worker, cycles)
+        elif failed is not None and run.on_fail is not None:
+            run.on_fail(run.worker, failed, cycles)
+        outcomes.append(
+            RoundOutcome(
+                cycles,
+                failed is None,
+                counters,
+                scratch_high_water=high,
+                sort_log=tuple(sort_log),
             )
+        )
     return outcomes

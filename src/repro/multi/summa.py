@@ -113,14 +113,6 @@ class SummaResult:
     def seconds(self) -> float:
         return self.makespan_cycles / (self.clock_ghz * 1e9)
 
-    def device_ordinal(self, i: int, j: int) -> int:
-        return i * self.grid + j
-
-    def tile_results(self, i: int, j: int) -> list:
-        """The per-round backend results of device ``(i, j)``."""
-        g = self.grid
-        return [self.tile_runs[(i, j, k)].result for k in range(g)]
-
     # -- reconciliation ---------------------------------------------------
 
     def reconcile(self) -> dict:

@@ -21,7 +21,6 @@ import bisect
 import threading
 from dataclasses import dataclass, field
 
-from ..gpu.counters import COUNTER_DOC
 from .export import sanitize_label_name, sanitize_metric_name
 
 __all__ = ["DEFAULT_LATENCY_BUCKETS_MS", "MetricsRegistry"]
@@ -389,11 +388,6 @@ class MetricsRegistry:
         reg = cls(const_labels=const_labels or None)
         reg.record_result(result)
         return reg
-
-    @staticmethod
-    def counter_doc(counter_name: str) -> str:
-        """Help text for one raw traffic counter."""
-        return COUNTER_DOC.get(counter_name, "")
 
     # -- export --------------------------------------------------------
 

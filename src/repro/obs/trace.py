@@ -288,11 +288,6 @@ class RequestTrace:
         with self._lock:
             span.events.append((label, str(detail)))
 
-    def note_root(self, **attrs) -> None:
-        """Merge attrs onto the root span (outcome, status code...)."""
-        with self._lock:
-            self.root.attrs.update(attrs)
-
     # -- grafts ------------------------------------------------------
 
     def graft_result(self, parent: TraceSpan, result) -> dict:

@@ -109,9 +109,8 @@ def _row_segment_count(chunk, row: int) -> int:
 def check_tracker(tracker, pool, *, stage: str) -> None:
     """List linkage and row-coverage completeness."""
     registered = {id(c) for c in pool.chunks}
-    for row, lst in tracker.row_lists.items():
-        if not lst:
-            continue
+    for row in np.flatnonzero(tracker.n_links).tolist():
+        lst = tracker.chunks_for(row)
         keys = [c.order_key for c in lst]
         if len(set(keys)) != len(keys):
             raise SanitizerError(

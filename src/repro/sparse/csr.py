@@ -159,13 +159,6 @@ class CSRMatrix:
         r, c = np.nonzero(mask)
         return cls(rows=rows, cols=cols, row_ptr=row_ptr, col_idx=c, values=d[r, c])
 
-    @classmethod
-    def from_arrays(
-        cls, rows: int, cols: int, row_ptr, col_idx, values
-    ) -> "CSRMatrix":
-        """Explicit-array constructor (alias of the dataclass constructor)."""
-        return cls(rows=rows, cols=cols, row_ptr=row_ptr, col_idx=col_idx, values=values)
-
     # -- conversions -------------------------------------------------------
 
     def to_dense(self) -> np.ndarray:

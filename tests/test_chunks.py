@@ -149,3 +149,115 @@ class TestRowChunkTracker:
     def test_helper_bytes(self, meter):
         t = RowChunkTracker(n_rows=100)
         assert t.helper_bytes() >= 100 * 12
+
+
+class TestReplayLinks:
+    """The serial replay links a round's committed rows in one batch.
+
+    Checked against the scalar semantics it replaces: per committed
+    record, append the chunk to each row's list in order; the run whose
+    link makes a row's list two long pays one extra atomic and appends
+    the row to the shared rows.
+    """
+
+    # (block, seq), rows, counts per record; run 1's middle record fails
+    RUNS = [
+        [((0, 0), [2, 5], [1, 3])],
+        [((1, 0), [2], [4]), ((1, 1), [5], [1]), ((1, 2), [7], [1])],
+        [((2, 0), [5, 7], [2, 2]), ((2, 1), [7, 9], [1, 1]), ((2, 2), [9], [5])],
+    ]
+    FAILING_ATTEMPT = 3  # run 1's second record
+
+    def _chunk(self, key, rows, counts):
+        rows_e = np.repeat(np.asarray(rows, dtype=np.int64), counts)
+        n = rows_e.shape[0]
+        return data_chunk(key, rows_e, np.arange(n), np.ones(n))
+
+    @staticmethod
+    def _scalar(prior, runs, failing_attempt):
+        """The per-row replay loop, on dict-of-list row lists."""
+        lists, shared = {}, []
+        counts = np.zeros(10, dtype=np.int64)
+        for chunk, row, count in prior:
+            lists.setdefault(row, []).append(chunk)
+            counts[row] += count
+        extras, attempt = [], 0
+        for records in runs:
+            extra = 0
+            for chunk, rows, cnts in records:
+                attempt += 1
+                if attempt == failing_attempt:
+                    break
+                for row, count in zip(rows, cnts):
+                    lst = lists.setdefault(row, [])
+                    lst.append(chunk)
+                    counts[row] += count
+                    if len(lst) == 2:
+                        shared.append(row)
+                        extra += 1
+            extras.append(extra)
+        return lists, shared, counts, extras
+
+    def test_second_and_third_links_from_different_runs(self, meter):
+        from repro.engine.replay import (
+            AllocationRecord,
+            OptimisticRun,
+            replay_and_commit,
+        )
+        from repro.gpu.cost import CostConstants
+        from repro.gpu.counters import TrafficCounters
+
+        prior_chunk = data_chunk((0, -1), [5], [9], [1.0])
+        tracker = RowChunkTracker(n_rows=10)
+        tracker.insert(prior_chunk, 5, 1, meter)  # row 5's first link
+        attempts = []
+
+        def fault_hook(nbytes):
+            attempts.append(nbytes)
+            return len(attempts) == self.FAILING_ATTEMPT
+
+        pool = ChunkPool(capacity_bytes=1 << 20, fault_hook=fault_hook)
+        specs = [
+            [(self._chunk(key, rows, cnts), rows, cnts) for key, rows, cnts in run]
+            for run in self.RUNS
+        ]
+        runs = [
+            OptimisticRun(
+                worker=None,
+                cycles=1000.0,
+                counters=TrafficCounters(atomic_ops=100),
+                records=[
+                    AllocationRecord(
+                        chunk=chunk,
+                        nbytes=64,
+                        pre_cycles=10.0 * k,
+                        pre_counters=TrafficCounters(atomic_ops=10 * k),
+                        commit=("insert", np.asarray(rows), np.asarray(cnts)),
+                    )
+                    for k, (chunk, rows, cnts) in enumerate(run)
+                ],
+            )
+            for run in specs
+        ]
+        constants = CostConstants()
+        outcomes = replay_and_commit(pool, tracker, runs, constants)
+
+        lists, shared, counts, extras = self._scalar(
+            [(prior_chunk, 5, 1)], specs, self.FAILING_ATTEMPT
+        )
+        assert len(attempts) == 6  # run 1's last record is never attempted
+        assert shared == [5, 2, 7, 9]
+        assert extras == [1, 1, 2]
+        assert tracker.shared_rows == shared
+        np.testing.assert_array_equal(tracker.row_counts, counts)
+        for row in range(10):
+            want = sorted(lists.get(row, []), key=lambda c: c.order_key)
+            got = tracker.chunks_for(row)
+            assert len(got) == len(want) and all(g is w for g, w in zip(got, want))
+        assert [o.done for o in outcomes] == [True, False, True]
+        assert [o.counters.atomic_ops for o in outcomes] == [101, 10 + 1, 102]
+        assert [o.cycles for o in outcomes] == [
+            1000.0 + constants.atomic_cycles,
+            10.0 + constants.atomic_cycles,
+            1000.0 + 2 * constants.atomic_cycles,
+        ]

@@ -83,8 +83,7 @@ def test_copy_respects_segment_offsets(options, meter):
     c2 = chunk_of((0, 1), [0, 0], [5, 9], [3.0, 4.0], offsets={0: 2})
     for c in (c1, c2):
         pool.allocate(c, 100, meter)
-    tracker.row_lists[0] = [c1, c2]
-    tracker.row_counts[0] = 4
+    tracker.replace_row(0, [c1, c2], 4)
     ptr = build_row_pointer(tracker, meter)
     out, _ = copy_chunks(pool, tracker, ptr, CSRMatrix.empty(1, 10), options, meter)
     np.testing.assert_array_equal(out.col_idx, [1, 2, 5, 9])
@@ -117,8 +116,7 @@ def test_copy_detects_count_mismatch(options, meter):
     pool = ChunkPool(capacity_bytes=1 << 16)
     c = chunk_of((0, 0), [0, 0], [1, 2], [1.0, 2.0])
     pool.allocate(c, 100, meter)
-    tracker.row_lists[0] = [c]
-    tracker.row_counts[0] = 1  # wrong: chunk holds 2 elements
+    tracker.replace_row(0, [c], 1)  # wrong count: chunk holds 2 elements
     ptr = build_row_pointer(tracker, meter)
     with pytest.raises(AssertionError, match="overflows row"):
         copy_chunks(pool, tracker, ptr, CSRMatrix.empty(1, 4), options, meter)

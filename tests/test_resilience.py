@@ -351,6 +351,35 @@ class TestSanitizer:
         with pytest.raises(CSRValidationError):
             ac_spgemm(bad, bad, _opts(sanitize=True))
 
+    def test_tracker_check_names_the_broken_row(self):
+        from repro.core import Chunk, ChunkPool, RowChunkTracker
+        from repro.gpu import CostMeter
+        from repro.resilience.errors import SanitizerError
+        from repro.resilience.sanitize import check_tracker
+
+        def chunk(key, rows):
+            rows = np.asarray(rows, dtype=np.int64)
+            return Chunk(order_key=key, kind="data", first_row=int(rows[0]),
+                         last_row=int(rows[-1]), rows=rows,
+                         cols=np.arange(rows.shape[0]),
+                         vals=np.ones(rows.shape[0]))
+
+        meter = CostMeter(config=SMALL_DEVICE)
+        pool = ChunkPool(capacity_bytes=1 << 16)
+        tracker = RowChunkTracker(n_rows=4)
+        for c in (chunk((0, 0), [1, 1, 2]), chunk((1, 0), [2, 3])):
+            pool.allocate(c, 64, meter)
+            tracker.insert_chunk(c, None, meter)
+        check_tracker(tracker, pool, stage="ESC")
+
+        tracker.row_counts[2] += 1
+        with pytest.raises(SanitizerError, match="row 2 coverage mismatch"):
+            check_tracker(tracker, pool, stage="ESC")
+        tracker.row_counts[2] -= 1
+        tracker.insert_chunk(chunk((2, 0), [3]), None, meter)
+        with pytest.raises(SanitizerError, match="row 3 links chunk .* not registered"):
+            check_tracker(tracker, pool, stage="ESC")
+
 
 class TestAdversarialInputs:
     @pytest.mark.parametrize("mode", ADVERSARIAL_MODES)
