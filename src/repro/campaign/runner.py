@@ -8,11 +8,12 @@ is accounted for).  Running the same plan again — after a crash, a
 checkpoints and converges on a byte-identical artifact.
 
 Execution: the coordinator (the process calling :meth:`run`) is
-worker 0 and runs the cell loop itself.  ``workers == N`` spawns N−1
-more worker processes (``spawn`` start method) on the same queue; they
-map the coordinator's matrices from shared memory and start taking
-cells as soon as they have booted.  ``workers == 1`` spawns nothing and
-exports nothing: the same loop runs over an in-process queue.
+worker 0 and runs the cell loop itself.  ``workers == N`` forks N−1
+more worker processes (``fork`` start method, so Linux) on the same
+queue; they inherit the coordinator's built matrices and fingerprints
+as copy-on-write memory and take cells at once, with no interpreter to
+boot and nothing to rebuild.  ``workers == 1`` starts no process: the
+same loop runs over an in-process queue.
 
 A shared :class:`~repro.bench.harness.ResultCache` can seed the
 campaign (cells already swept by the figure benches are imported as
@@ -118,6 +119,13 @@ class CampaignRunner:
             workers = os.cpu_count() or 1
         if not isinstance(workers, int) or workers < 1:
             raise CampaignError("workers must be >= 1 or 'auto'")
+        if workers > 1:
+            import multiprocessing as mp
+
+            if "fork" not in mp.get_all_start_methods():
+                raise CampaignError(
+                    "more than one worker needs the fork start method (Linux)"
+                )
         self.directory = Path(directory)
         self.config = config
         self.workers = workers
@@ -158,60 +166,13 @@ class CampaignRunner:
         product statistics stay lazy, so a fully resumed campaign
         never pays for them).  The built matrices are retained on the
         runner with their fingerprints: the coordinator's cell loop runs
-        on them and the spawned workers map them from shared memory.
+        on them and the forked workers inherit them.
         """
         self._built: dict[str, tuple] = {}
         for entry in config_entries(self.config):
             m = entry.build()
             self._built[entry.name] = (m, matrix_fingerprint(m))
         return {name: fp for name, (_, fp) in self._built.items()}
-
-    def _export_operands(self, remaining: list[CellSpec]):
-        """Place the matrices the remaining cells touch in shared memory.
-
-        Returns ``(metas, handles)``: the picklable per-matrix
-        attachment descriptors (with the already-computed fingerprint,
-        so workers skip both the rebuild and the re-hash) and the owner
-        handles to release once the workers are done.  Each exported
-        matrix in ``_built`` is swapped for a zero-copy view of its
-        segment, so the coordinator holds one copy, not two.
-        """
-        from ..engine.shm import SharedCSR
-
-        order = self._segment_names()
-        metas: dict[str, dict] = {}
-        handles = []
-        for name in sorted({c.matrix for c in remaining}):
-            matrix, fp = self._built[name]
-            h = SharedCSR.export(matrix, name=order[name])
-            handles.append(h)
-            self._built[name] = (h.matrix(), fp)
-            metas[name] = {"shm": h.meta(), "fingerprint": fp}
-        return metas, handles
-
-    def _segment_names(self) -> dict[str, str]:
-        """Deterministic shared-memory segment name per plan matrix.
-
-        Derived from the campaign directory and the pinned plan: a
-        SIGKILLed invocation takes its resource tracker down with it and
-        leaks its segments, so the *next* invocation of the same
-        campaign must be able to enumerate — and reclaim — every name
-        the killed one could have created.
-        """
-        import hashlib
-
-        base = hashlib.blake2b(
-            (str(self.directory.resolve()) + plan_document(self.config)).encode(),
-            digest_size=6,
-        ).hexdigest()
-        names = sorted(e.name for e in config_entries(self.config))
-        return {name: f"repro_{base}_{i}" for i, name in enumerate(names)}
-
-    def _sweep_segments(self) -> int:
-        """Unlink every segment this campaign could have left behind."""
-        from ..engine.shm import sweep_segments
-
-        return sweep_segments(self._segment_names().values())
 
     # -- the shared sweep cache ---------------------------------------
 
@@ -269,37 +230,41 @@ class CampaignRunner:
     def _run_cells(self, remaining: list[CellSpec], progress) -> None:
         """Run ``remaining`` with the coordinator as worker 0.
 
-        Spawns ``min(workers, len(remaining)) - 1`` workers, then runs
+        Forks ``min(workers, len(remaining)) - 1`` workers, then runs
         :func:`worker_main` here until it reads its sentinel, then waits
-        for the spawned workers, waking when one exits.  ``SIGTERM``
-        during the loop drains: the in-flight cell finishes, the spawned
+        for the forked workers, waking when one exits.  ``SIGTERM``
+        during the loop drains: the in-flight cell finishes, the forked
         workers are terminated (they drain too) and joined, and the
         campaign stops with a resumable :class:`CampaignError`.
         """
         n = min(self.workers, len(remaining))
-        procs, handles = [], []
+        procs = []
         if n > 1:
             import multiprocessing as mp
 
-            ctx = mp.get_context("spawn")
+            ctx = mp.get_context("fork")
         work = ctx.Queue() if n > 1 else queue.Queue()
-        for index in [c.index for c in remaining] + [None] * n:
-            work.put(index)
         trace_meta = campaign_trace_meta(self.config)
         try:
-            if n > 1:
-                metas, handles = self._export_operands(remaining)
+            # fork before the first put: the queue's feeder thread does
+            # not exist yet, so no lock can be copied held into a child
             for w in range(1, n):
                 p = ctx.Process(
                     target=worker_main,
                     args=(
                         str(self.directory), w, self.config.to_json(), work,
-                        self.throttle, metas, self.cell_timeout,
+                        self.throttle,
                     ),
-                    kwargs={"trace_meta": trace_meta},
+                    kwargs={
+                        "cell_timeout": self.cell_timeout,
+                        "trace_meta": trace_meta,
+                        "built": self._built,
+                    },
                 )
                 p.start()
                 procs.append(p)
+            for index in [c.index for c in remaining] + [None] * n:
+                work.put(index)
             drained = worker_main(
                 str(self.directory), 0, self.config.to_json(), work,
                 self.throttle, cell_timeout=self.cell_timeout,
@@ -308,9 +273,10 @@ class CampaignRunner:
             if drained:
                 for p in procs:
                     p.terminate()
-            self._await(procs, progress)
+            if procs:
+                self._await(procs, progress)
         except BaseException:
-            # the spawned workers drain on SIGTERM: the in-flight cell is
+            # the forked workers drain on SIGTERM: the in-flight cell is
             # finished and fsynced, so give them a bounded grace period
             # before propagating
             for p in procs:
@@ -318,16 +284,6 @@ class CampaignRunner:
             for p in procs:
                 p.join(timeout=10)
             raise
-        finally:
-            # drop the views of the segments before the mappings close;
-            # the sweep unlinks unconditionally, also reclaiming segments
-            # a previous SIGKILLed invocation leaked for matrices this
-            # one never re-exported
-            self._built.clear()
-            for h in handles:
-                h.close()
-            if n > 1:
-                self._sweep_segments()
         bad = [p.exitcode for p in procs if p.exitcode != 0]
         if drained or bad:
             why = "campaign drained on SIGTERM" if drained else (
@@ -338,7 +294,7 @@ class CampaignRunner:
 
     @staticmethod
     def _await(procs, progress) -> None:
-        """Join the spawned workers, waking as soon as one exits."""
+        """Join the forked workers, waking as soon as one exits."""
         from multiprocessing.connection import wait
 
         alive = procs

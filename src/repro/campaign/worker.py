@@ -1,8 +1,8 @@
 """Campaign worker: executes cells pulled from a shared queue.
 
 One loop, :func:`worker_main`, serves every worker count: the
-coordinator runs it as worker 0 over the matrices it built, each
-spawned worker over the coordinator's shared-memory operands.  It runs
+coordinator runs it as worker 0 over the matrices it built, and each
+forked worker over the same matrices, inherited copy-on-write.  It runs
 one cell at a time through the bench harness and checkpoints every
 outcome — success or exhausted retry budget — to its own JSONL shard.
 Failed cells are *recorded*, never dropped: the merged artifact
@@ -19,10 +19,10 @@ Liveness is observable and termination is graceful:
   attributable post-mortem.  Diagnostic lines carry no ``id``/``key``
   and are therefore invisible to the resume/merge machinery.
 * ``SIGTERM`` drains: the in-flight cell finishes and is fsynced to the
-  shard, shared-memory mappings are closed, a ``sigterm-drain``
-  diagnostic is recorded, and the loop returns ``True`` (a spawned
-  worker exits 0; the coordinator stops the campaign).  (``SIGKILL``
-  safety — torn final line, shard resume — is covered separately.)
+  shard, a ``sigterm-drain`` diagnostic is recorded, and the loop
+  returns ``True`` (a forked worker exits 0; the coordinator stops the
+  campaign).  (``SIGKILL`` safety — torn final line, shard resume — is
+  covered separately.)
 * An optional per-cell wallclock timeout raises typed
   :class:`~repro.resilience.errors.DeadlineExceeded` inside the attempt
   loop, counting against the existing retry budget like any other
@@ -134,7 +134,7 @@ def execute_cell(
     bounds each attempt's wallclock via ``SIGALRM``; an expired attempt
     raises typed :class:`DeadlineExceeded` and consumes one retry like
     any other failure.  The alarm is only armed on the main thread of a
-    process (always true for spawned campaign workers); elsewhere the
+    process (always true for forked campaign workers); elsewhere the
     timeout is a no-op rather than a wrong answer.
 
     ``trace_meta`` (see :func:`campaign_trace_meta`) opts the cell into
@@ -247,7 +247,6 @@ def worker_main(
     config_json: dict,
     work_queue,
     throttle: float = 0.0,
-    operands: dict | None = None,
     cell_timeout: float | None = None,
     starve_timeout: float = DEFAULT_STARVE_TIMEOUT,
     trace_meta: dict | None = None,
@@ -258,15 +257,13 @@ def worker_main(
 
     Pulls cell indices from ``work_queue`` until it sees ``None``.
     ``built`` maps matrix names to ``(matrix, fingerprint)`` pairs the
-    caller already holds (the coordinator's own matrices); ``operands``
-    maps them to shared-memory attachment descriptors plus the
-    coordinator-computed fingerprint, which a spawned worker maps
-    zero-copy.  Matrices in neither are rebuilt from the deterministic
-    seeded generators, on demand and memoised per worker.  ``on_cell``
-    is called after each checkpoint.  The worker keeps one product plan,
-    for the current cell's (matrix, dtype), and drops it when a cell of
-    another arrives.  ``throttle`` is a runtime test
-    hook (a sleep after each cell so kill/resume tests can interrupt a
+    caller already holds (the coordinator's own matrices, which a
+    forked worker inherits).  A matrix not in it is rebuilt from the
+    deterministic seeded generators, on demand and memoised per worker.
+    ``on_cell`` is called after each checkpoint.  The worker keeps one
+    product plan, for the current cell's (matrix, dtype), and drops it
+    when a cell of another arrives.  ``throttle`` is a runtime test hook
+    (a sleep after each cell so kill/resume tests can interrupt a
     campaign deterministically); it never enters the plan or artifact.
 
     The ``SIGTERM`` drain handler is installed only while the loop runs.
@@ -279,7 +276,6 @@ def worker_main(
     built = built or {}
     cases: dict[str, tuple[MatrixCase, str]] = {}  # with the fingerprint
     plan = plan_for = None  # the current (matrix, dtype)'s product plan
-    mappings = []  # SharedCSR handles kept alive while their views are
     writer = ShardWriter(directory, worker)
     draining = threading.Event()
     prev_term = None
@@ -324,14 +320,8 @@ def worker_main(
             cell = cells[index]
             if cell.matrix not in cases:
                 entry = entries[cell.matrix]
-                placed = (operands or {}).get(cell.matrix)
                 if cell.matrix in built:
                     matrix, fp = built[cell.matrix]
-                elif placed is not None:
-                    from ..engine.shm import SharedCSR
-
-                    mappings.append(SharedCSR.attach(placed["shm"]))
-                    matrix, fp = mappings[-1].matrix(), placed["fingerprint"]
                 else:
                     matrix = entry.build()
                     fp = matrix_fingerprint(matrix)
@@ -361,8 +351,4 @@ def worker_main(
                 {"kind": "diagnostic", "event": "sigterm-drain", "worker": worker}
             )
         writer.close()
-        cases.clear()  # drop the views before their mappings close
-        case = matrix = plan = None
-        for handle in mappings:
-            handle.close()
     return draining.is_set()

@@ -34,16 +34,14 @@ Calibration of the constants (all per-SM, in core cycles):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DeviceConfig
-from .counters import TrafficCounters
+from .counters import COUNTER_FIELDS, TrafficCounters
 
 __all__ = ["BlockArrayMeter", "CostMeter", "CostConstants", "DEFAULT_COSTS"]
-
-_COUNTER_FIELDS = tuple(f.name for f in fields(TrafficCounters))
 
 
 @dataclass(frozen=True)
@@ -246,7 +244,7 @@ class BlockArrayMeter:
         self.n = int(n)
         self.cycles = np.zeros(self.n)
         self.counters = {
-            name: np.zeros(self.n, dtype=np.int64) for name in _COUNTER_FIELDS
+            name: np.zeros(self.n, dtype=np.int64) for name in COUNTER_FIELDS
         }
 
     @staticmethod
@@ -360,11 +358,11 @@ class BlockArrayMeter:
     def snapshot(self, idx) -> list[tuple[float, TrafficCounters]]:
         """Value copies ``(cycles, counters)`` of blocks ``idx``, in order
         (what copying each block's :class:`CostMeter` state would give)."""
-        columns = [self.counters[name][idx].tolist() for name in _COUNTER_FIELDS]
+        columns = [self.counters[name][idx].tolist() for name in COUNTER_FIELDS]
         counters = (TrafficCounters(*row) for row in zip(*columns))
         return list(zip(self.cycles[idx].tolist(), counters))
 
     def snapshots(self) -> list[dict[str, int]]:
         """Per-block counter dicts, as ``TrafficCounters.snapshot()``."""
-        columns = [self.counters[name].tolist() for name in _COUNTER_FIELDS]
-        return [dict(zip(_COUNTER_FIELDS, row)) for row in zip(*columns)]
+        columns = [self.counters[name].tolist() for name in COUNTER_FIELDS]
+        return [dict(zip(COUNTER_FIELDS, row)) for row in zip(*columns)]

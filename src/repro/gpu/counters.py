@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-__all__ = ["TrafficCounters", "AtomicCounter", "COUNTER_DOC"]
+__all__ = ["TrafficCounters", "AtomicCounter", "COUNTER_DOC", "COUNTER_FIELDS"]
 
 #: one-line description per counter field, surfaced as the ``# HELP``
 #: text of the observability layer's Prometheus export
@@ -51,8 +51,8 @@ class TrafficCounters:
 
     def merge(self, other: "TrafficCounters") -> None:
         """Accumulate another counter set into this one, in place."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in COUNTER_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def __sub__(self, other: "TrafficCounters") -> "TrafficCounters":
         """Checked delta: ``self - other``, field by field.
@@ -65,25 +65,30 @@ class TrafficCounters:
         if not isinstance(other, TrafficCounters):
             return NotImplemented
         delta = TrafficCounters()
-        for f in fields(self):
-            value = getattr(self, f.name) - getattr(other, f.name)
+        for name in COUNTER_FIELDS:
+            value = getattr(self, name) - getattr(other, name)
             if value < 0:
                 raise ValueError(
-                    f"negative counter delta for {f.name!r}: "
-                    f"{getattr(self, f.name)} - {getattr(other, f.name)} = {value} "
+                    f"negative counter delta for {name!r}: "
+                    f"{getattr(self, name)} - {getattr(other, name)} = {value} "
                     "(operands swapped, or snapshots from different runs?)"
                 )
-            setattr(delta, f.name, value)
+            setattr(delta, name, value)
         return delta
 
     def snapshot(self) -> dict[str, int]:
         """Counter values as a plain dict."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in COUNTER_FIELDS}
 
     def reset(self) -> None:
         """Zero every counter."""
-        for f in fields(self):
-            setattr(self, f.name, 0)
+        for name in COUNTER_FIELDS:
+            setattr(self, name, 0)
+
+
+#: the counter field names in declaration order, computed once: the
+#: per-block merges of a launch run too often to walk ``fields()`` each time
+COUNTER_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(TrafficCounters))
 
 
 @dataclass

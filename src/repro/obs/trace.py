@@ -469,8 +469,8 @@ class TraceStore:
 # -- ambient context ----------------------------------------------------
 #
 # The pipeline internals (the adaptive selector, the degraded-fallback
-# abort, shared-memory operand placement) see the request's trace through one
-# contextvar instead of threading arguments through every engine layer.
+# abort) see the request's trace through one contextvar instead of
+# threading arguments through every engine layer.
 # The serve executor activates it around the primary multiply; campaign
 # workers activate it around each cell.
 

@@ -6,10 +6,8 @@ import signal
 import subprocess
 import sys
 import time
-from multiprocessing import shared_memory
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.baselines.registry import BASELINES
@@ -31,10 +29,16 @@ from repro.campaign import (
     read_shard_lines,
     tiny_entries,
 )
-from repro.engine.shm import SharedCSR
-from tests.conftest import random_csr
 
 TINY2 = CampaignConfig(suite="tiny", limit=2)  # 2 matrices x 6 algs = 12 cells
+
+
+def _repro_segments() -> set[str]:
+    """The ``repro_*`` entries in ``/dev/shm`` (none where it is absent)."""
+    shm = Path("/dev/shm")
+    if not shm.is_dir():
+        return set()
+    return {n for n in os.listdir(shm) if n.startswith("repro_")}
 
 
 # ------------------------------------------------------------------- plan
@@ -191,19 +195,20 @@ class TestExecution:
         )
 
     def test_coordinator_is_worker_zero(self, tmp_path, monkeypatch):
-        """workers=2 spawns one worker; the coordinator checkpoints
-        cells in shard-00 while it boots, the spawned one in shard-01,
-        and no segment outlives the run."""
-        from multiprocessing.context import SpawnProcess
+        """workers=2 forks one worker; the coordinator checkpoints
+        cells in shard-00, the forked one in shard-01, and the run
+        leaves no shared-memory segment behind."""
+        from multiprocessing.context import ForkProcess
 
         started = []
-        start = SpawnProcess.start
+        start = ForkProcess.start
 
         def counted(proc):
             started.append(proc)
             start(proc)
 
-        monkeypatch.setattr(SpawnProcess, "start", counted)
+        monkeypatch.setattr(ForkProcess, "start", counted)
+        segments = _repro_segments()
         config = CampaignConfig(suite="tiny")
         runner = CampaignRunner(tmp_path, config, workers=2, throttle=0.1)
         result = runner.run()
@@ -213,7 +218,59 @@ class TestExecution:
         assert read_shard_lines(shards / "shard-00.jsonl")
         assert read_shard_lines(shards / "shard-01.jsonl")
         assert not (shards / "shard-02.jsonl").exists()
-        assert runner._sweep_segments() == 0
+        assert _repro_segments() <= segments
+
+    def test_workers_start_before_the_first_put(self, tmp_path, monkeypatch):
+        """Every worker is forked before the queue's feeder thread
+        exists: no start may follow the first put."""
+        from multiprocessing.context import ForkProcess
+        from multiprocessing.queues import Queue
+
+        events = []
+        start, put = ForkProcess.start, Queue.put
+
+        def started(proc):
+            events.append("start")
+            start(proc)
+
+        def queued(q, *args, **kwargs):
+            events.append("put")
+            put(q, *args, **kwargs)
+
+        monkeypatch.setattr(ForkProcess, "start", started)
+        monkeypatch.setattr(Queue, "put", queued)
+        result = CampaignRunner(tmp_path, TINY2, workers=2).run()
+        assert result.stats["executed"] == 12
+        assert events.count("start") == 1
+        assert events.count("put") == 12 + 2  # cells, then a sentinel each
+        assert events.index("put") > events.index("start")
+
+    def test_forked_worker_builds_no_matrix(self, tmp_path, monkeypatch):
+        """The forked worker runs on the coordinator's matrices: every
+        build happens in the coordinator, once per plan matrix."""
+        from repro.matrices.suite import SuiteEntry
+
+        log = tmp_path / "builds.log"
+        build = SuiteEntry.build
+
+        def logged(entry):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {entry.name}\n")
+            return build(entry)
+
+        monkeypatch.setattr(SuiteEntry, "build", logged)
+        config = CampaignConfig(suite="tiny")
+        result = CampaignRunner(
+            tmp_path / "camp", config, workers=2, throttle=0.05
+        ).run()
+        shard = tmp_path / "camp" / "shards" / "shard-01.jsonl"
+        assert read_shard_lines(shard), "the forked worker took no cell"
+        assert result.stats["executed"] == 36
+        builds = [line.split() for line in log.read_text().splitlines()]
+        assert {pid for pid, _ in builds} == {str(os.getpid())}
+        assert sorted(name for _, name in builds) == sorted(
+            e.name for e in config_entries(config)
+        )
 
     def test_one_worker_spawns_and_exports_nothing(self, tmp_path, monkeypatch):
         import multiprocessing
@@ -222,7 +279,6 @@ class TestExecution:
             raise AssertionError("a one-worker campaign must stay in-process")
 
         monkeypatch.setattr(multiprocessing, "get_context", refuse)
-        monkeypatch.setattr(SharedCSR, "export", refuse)
         handler = signal.getsignal(signal.SIGTERM)
         result = CampaignRunner(tmp_path, TINY2, workers=1).run()
         assert result.stats["executed"] == 12
@@ -231,6 +287,17 @@ class TestExecution:
         assert sorted(p.name for p in (tmp_path / "shards").iterdir()) == [
             "shard-00.jsonl"
         ]
+
+    def test_many_workers_without_fork_raise_typed(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        with pytest.raises(CampaignError, match="fork start method"):
+            CampaignRunner(tmp_path, TINY2, workers=2)
+        # one worker never forks, so it runs wherever fork is missing
+        assert CampaignRunner(tmp_path, TINY2, workers=1).workers == 1
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_progress_counts_cell_checkpoints(self, tmp_path, workers):
@@ -442,12 +509,13 @@ class TestKillResume:
 
     def test_sigterm_drains_coordinator_then_resume(self, tmp_path):
         """SIGTERM to the coordinator alone: it finishes its cell, stops
-        its spawned worker, unlinks the segments and exits non-zero; a
-        rerun resumes to the clean artifact."""
+        its forked worker and exits non-zero, leaving no shared-memory
+        segment; a rerun resumes to the clean artifact."""
         from repro.campaign.store import read_shard_diagnostics
 
         camp = tmp_path / "drained"
         config = CampaignConfig(suite="tiny")
+        segments = _repro_segments()
         proc = _campaign_process(camp, "--throttle", "0.25")
         try:
             deadline = time.monotonic() + 60
@@ -465,8 +533,7 @@ class TestKillResume:
         assert 3 <= n_preterm < 36, "SIGTERM must land mid-sweep"
         assert code != 0
         assert not (camp / "campaign.json").exists()
-        names = CampaignRunner(camp, config)._segment_names().values()
-        assert not any(_segment_exists(n) for n in names)
+        assert _repro_segments() <= segments
         diags = read_shard_diagnostics(camp / "shards" / "shard-00.jsonl")
         assert any(d.get("event") == "sigterm-drain" for d in diags)
 
@@ -578,109 +645,3 @@ class TestWorkerLiveness:
         assert len(lines) == 1 and lines[0]["status"] == "ok"
         diags = read_shard_diagnostics(shard)
         assert any(d.get("event") == "sigterm-drain" for d in diags)
-
-
-# ------------------------------------------------ shared-memory operands
-
-
-def _segment_exists(name: str) -> bool:
-    try:
-        seg = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    seg.close()
-    return True
-
-
-class TestSharedCSR:
-    def test_round_trip_is_byte_identical(self, rng):
-        m = random_csr(rng, 200, 150, 0.05, dtype=np.float32)
-        handle = SharedCSR.export(m)
-        try:
-            attached = SharedCSR.attach(handle.meta())
-            try:
-                out = attached.matrix()
-                assert out.rows == m.rows and out.cols == m.cols
-                assert out.row_ptr.tobytes() == np.ascontiguousarray(
-                    m.row_ptr, dtype=np.int64
-                ).tobytes()
-                assert out.col_idx.tobytes() == np.ascontiguousarray(
-                    m.col_idx, dtype=np.int64
-                ).tobytes()
-                assert out.values.tobytes() == m.values.tobytes()
-                assert out.values.dtype == m.values.dtype
-                # exported from a validated build: re-validation is skipped
-                assert out._validated
-            finally:
-                del out  # drop the aliasing views before closing the map
-                attached.close()
-        finally:
-            handle.release()
-
-    def test_release_unlinks_segment(self, rng):
-        handle = SharedCSR.export(random_csr(rng, 50, 50, 0.1))
-        name = handle.name
-        assert _segment_exists(name)
-        handle.release()
-        assert not _segment_exists(name)
-
-    def test_export_reclaims_stale_named_segment(self, rng):
-        """A segment leaked by a SIGKILLed owner is reclaimed on re-export."""
-        name = "repro_test_stale_segment"
-        stale = shared_memory.SharedMemory(create=True, size=64, name=name)
-        stale.buf[:4] = b"dead"
-        stale.close()  # owner died without unlinking
-        m = random_csr(rng, 40, 40, 0.2)
-        handle = SharedCSR.export(m, name=name)
-        try:
-            assert handle.name == name
-            attached = SharedCSR.attach(handle.meta())
-            out = attached.matrix()
-            assert out.values.tobytes() == m.values.tobytes()
-            del out
-            attached.close()
-        finally:
-            handle.release()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-    def test_empty_matrix_round_trip(self):
-        from repro.sparse.csr import CSRMatrix
-
-        m = CSRMatrix.from_dense(np.zeros((3, 4)))
-        handle = SharedCSR.export(m)
-        try:
-            attached = SharedCSR.attach(handle.meta())
-            out = attached.matrix()
-            assert out.nnz == 0 and out.rows == 3 and out.cols == 4
-            del out
-            attached.close()
-        finally:
-            handle.release()
-
-
-class TestCampaignSegmentSweep:
-    def test_sweep_reclaims_stale_segments(self, tmp_path):
-        """The next invocation of a SIGKILLed campaign unlinks every
-        segment the killed one could have created."""
-        runner = CampaignRunner(
-            tmp_path / "camp", CampaignConfig(suite="tiny", limit=2)
-        )
-        names = runner._segment_names()
-        assert names, "plan must map matrices to segment names"
-        victim = sorted(names.values())[0]
-        stale = shared_memory.SharedMemory(create=True, size=32, name=victim)
-        stale.close()
-        runner._sweep_segments()
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=victim)
-
-    def test_segment_names_are_plan_deterministic(self, tmp_path):
-        cfg = CampaignConfig(suite="tiny", limit=2)
-        r1 = CampaignRunner(tmp_path / "c", cfg)
-        r2 = CampaignRunner(tmp_path / "c", cfg)
-        assert r1._segment_names() == r2._segment_names()
-        other = CampaignRunner(tmp_path / "elsewhere", cfg)
-        assert set(other._segment_names().values()).isdisjoint(
-            r1._segment_names().values()
-        )

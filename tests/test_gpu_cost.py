@@ -1,9 +1,12 @@
 """Unit tests for the cycle cost model."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from repro.gpu import CostMeter, TITAN_XP, TrafficCounters
+from repro.gpu.counters import COUNTER_FIELDS
 
 
 @pytest.fixture
@@ -112,6 +115,30 @@ class TestCounters:
         b = TrafficCounters(flops=3, hash_probes=7)
         a.merge(b)
         assert a.flops == 8 and a.atomic_ops == 2 and a.hash_probes == 7
+
+    def test_field_tuple_matches_a_fields_walk(self):
+        """``merge``, ``-`` and ``snapshot`` read the precomputed field
+        tuple; on random counters they match a ``fields()`` walk."""
+        assert list(COUNTER_FIELDS) == [f.name for f in fields(TrafficCounters)]
+
+        def walk(c):
+            return {f.name: getattr(c, f.name) for f in fields(c)}
+
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            lo = rng.integers(0, 1000, len(COUNTER_FIELDS))
+            hi = lo + rng.integers(1, 1000, len(COUNTER_FIELDS))
+            a = TrafficCounters(*hi.tolist())
+            b = TrafficCounters(*lo.tolist())
+            assert a.snapshot() == walk(a)
+            assert walk(a - b) == {k: v - walk(b)[k] for k, v in walk(a).items()}
+            merged = TrafficCounters(*hi.tolist())
+            merged.merge(b)
+            assert walk(merged) == {
+                k: v + walk(b)[k] for k, v in walk(a).items()
+            }
+            with pytest.raises(ValueError, match="negative counter delta"):
+                b - a
 
     def test_snapshot_and_reset(self):
         c = TrafficCounters(flops=5)
