@@ -15,8 +15,8 @@ from repro.bench import cpu_crossover, format_table, write_csv
 HEADERS = ["n", "nnz", "temp", "AC_gflops", "CPU_gflops", "speedup_AC_over_CPU"]
 
 
-def test_cpu_crossover(benchmark, cache, results_dir):
-    rows = run_once(benchmark, lambda: cpu_crossover(cache))
+def test_cpu_crossover(benchmark, results_dir):
+    rows = run_once(benchmark, cpu_crossover)
     write_csv(results_dir / "cpu_crossover.csv", HEADERS, rows)
     print()
     print(

@@ -14,12 +14,11 @@ from .experiments import (
     named_cases,
     restart_study,
     suite_cases,
-    sweep,
     table1_rows,
     table2_rows,
     table3_rows,
 )
-from .harness import MatrixCase, ResultCache, RunRecord, default_cache, run_case
+from .harness import MatrixCase, RunRecord, run_case
 from .metrics import SpeedupSummary, harmonic_mean, speedup_summary, trend_bins
 from .report import format_table, human_bytes, write_csv
 from .stability import StabilityReport, check_bit_stability
@@ -27,7 +26,6 @@ from .stability import StabilityReport, check_bit_stability
 __all__ = [
     "GPU_LINEUP",
     "MatrixCase",
-    "ResultCache",
     "RunRecord",
     "SpeedupSummary",
     "StabilityReport",
@@ -35,7 +33,6 @@ __all__ = [
     "ac_best_percentage",
     "check_bit_stability",
     "cpu_crossover",
-    "default_cache",
     "figure5_trends",
     "figure6_rows",
     "figure7_rows",
@@ -49,7 +46,6 @@ __all__ = [
     "run_case",
     "speedup_summary",
     "suite_cases",
-    "sweep",
     "table1_rows",
     "table2_rows",
     "table3_rows",

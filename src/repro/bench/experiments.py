@@ -1,9 +1,10 @@
 """Experiment drivers: one function per paper table/figure.
 
 Each function returns plain data (lists of tuples) that the bench files
-print and write to CSV; everything flows through the shared
-:class:`~repro.bench.harness.ResultCache` so the full cross product of
-(matrix x algorithm x dtype) is executed once per cache version.
+print and write to CSV.  The records they read come from one campaign
+(:mod:`repro.campaign`) per matrix collection, so the full cross product
+of (matrix x algorithm x dtype) is executed once and resumed from its
+directory afterwards.
 """
 
 from __future__ import annotations
@@ -12,21 +13,19 @@ from collections import defaultdict
 
 import numpy as np
 
-from ..baselines.base import ProductPlan
 from ..baselines.registry import GPU_ALGORITHMS
 from ..core.acspgemm import STAGE_KEYS, ac_spgemm
 from ..core.options import AcSpgemmOptions
 from ..matrices.collection import NAMED_COLLECTION
 from ..matrices.suite import suite_entries
 from ..sparse.stats import HIGHLY_SPARSE_SPLIT
-from .harness import MatrixCase, ResultCache, RunRecord
+from .harness import MatrixCase, RunRecord, run_case
 from .metrics import SpeedupSummary, speedup_summary, trend_bins
 
 __all__ = [
     "GPU_LINEUP",
     "suite_cases",
     "named_cases",
-    "sweep",
     "table1_rows",
     "ac_best_percentage",
     "figure5_trends",
@@ -65,34 +64,6 @@ def named_cases() -> list[MatrixCase]:
             for m in NAMED_COLLECTION
         ]
     return _case_cache["named"]
-
-
-def sweep(
-    cases: list[MatrixCase],
-    algorithms: list[str],
-    dtypes,
-    cache: ResultCache,
-    *,
-    verify: bool = True,
-) -> list[RunRecord]:
-    """Run (or recall) every cell of the cross product.
-
-    Once a cache miss has built a case's operands, the remaining cells
-    of its (matrix, dtype) share one product plan; a warm-cache sweep
-    builds neither.
-    """
-    records = []
-    for case in cases:
-        for dtype in dtypes:
-            plan = None
-            for alg in algorithms:
-                if plan is None and case.materialized:
-                    plan = ProductPlan(case.a, case.b)
-                records.append(
-                    cache.get_or_run(case, alg, dtype, verify=verify, plan=plan)
-                )
-    cache.save()
-    return records
 
 
 def _by_matrix(records: list[RunRecord], dtype: str):
@@ -197,11 +168,11 @@ def figure7_rows(records: list[RunRecord]) -> list[tuple]:
         rec = cells.get(case.name, {}).get("ac-spgemm")
         if rec is None or not rec.stage_cycles:
             continue
-        total = sum(rec.stage_cycles.values())
-        rows.append(
-            (case.name,)
-            + tuple(rec.stage_cycles.get(k, 0.0) / total for k in STAGE_KEYS)
-        )
+        # summed in pipeline order, whatever order the record's JSON
+        # round trip left its keys in
+        shares = [rec.stage_cycles.get(k, 0.0) for k in STAGE_KEYS]
+        total = sum(shares)
+        rows.append((case.name,) + tuple(c / total for c in shares))
     return rows
 
 
@@ -337,16 +308,17 @@ def restart_study(pool_fractions=(1.0, 0.6, 0.35, 0.2, 0.12)) -> list[tuple]:
 # ------------------------------------------------------------ CPU crossover
 
 
-def cpu_crossover(cache: ResultCache) -> list[tuple]:
+def cpu_crossover() -> list[tuple]:
     """AC-SpGEMM versus the CPU baseline over matrix size (§4: the GPU
-    takes over from ~1e4 non-zeros upward)."""
+    takes over from ~1e4 non-zeros upward).  Its fourteen cells run
+    uncached."""
     from ..matrices.generators import random_uniform
 
     rows = []
     for n, avg in ((200, 4), (400, 5), (800, 6), (1600, 6), (3200, 6), (6400, 6), (12800, 6)):
         case = MatrixCase(f"crossover-n{n}", random_uniform(n, n, avg, seed=77))
-        ac = cache.get_or_run(case, "ac-spgemm", np.float64)
-        cpu = cache.get_or_run(case, "cpu-gustavson", np.float64)
+        ac = run_case(case, "ac-spgemm", np.float64)
+        cpu = run_case(case, "cpu-gustavson", np.float64)
         rows.append(
             (
                 n,
@@ -357,7 +329,6 @@ def cpu_crossover(cache: ResultCache) -> list[tuple]:
                 cpu.seconds / ac.seconds,
             )
         )
-    cache.save()
     return rows
 
 

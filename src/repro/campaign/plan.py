@@ -6,7 +6,7 @@ enumerates :class:`CellSpec` descriptors without building any matrix,
 so a resumed campaign whose cells are all checkpointed never pays for
 operand construction.  Cells are *content-addressed*: the cell key
 hashes the matrix fingerprint (the actual CSR bytes), the pipeline
-options fingerprint and the harness ``CACHE_VERSION``, so a checkpoint
+options fingerprint and :data:`CACHE_VERSION`, so a checkpoint
 written by an older generator or option set can never be mistaken for
 a current result.
 """
@@ -21,7 +21,6 @@ import numpy as np
 
 from ..backends.registry import is_backend
 from ..baselines.registry import BASELINES, GPU_ALGORITHMS
-from ..bench.harness import CACHE_VERSION
 from ..core.options import DEFAULT_OPTIONS, AcSpgemmOptions
 from ..matrices import generators as g
 from ..matrices.collection import NAMED_COLLECTION
@@ -29,6 +28,7 @@ from ..matrices.suite import SuiteEntry, suite_entries
 from ..resilience.errors import ReproError
 
 __all__ = [
+    "CACHE_VERSION",
     "CampaignError",
     "CampaignConfig",
     "CellSpec",
@@ -40,6 +40,10 @@ __all__ = [
     "cell_options",
     "tiny_entries",
 ]
+
+#: bump when generators / cost model / record schema change
+#: incompatibly: every cell key and serve result key hashes it
+CACHE_VERSION = 10
 
 #: selectable matrix collections; "tiny" is the fast CI/resume-test set
 SUITES = ("tiny", "suite", "named", "full")
@@ -110,8 +114,8 @@ class CampaignConfig:
     def options(self):
         """The :class:`AcSpgemmOptions` for registered-backend cells.
 
-        ``None`` when every knob is at its default, mirroring the bench
-        harness convention (default runs share default cache keys).
+        ``None`` when every knob is at its default, so default cells run
+        with each backend's stock options.
         """
         if (
             self.engine == DEFAULT_OPTIONS.engine
@@ -185,8 +189,7 @@ def config_entries(config: CampaignConfig) -> list:
 
 def enumerate_cells(config: CampaignConfig) -> list[CellSpec]:
     """Every cell of the campaign, in the canonical sweep order
-    (matrices outer, then dtypes, then algorithms — identical to the
-    serial :func:`repro.bench.sweep` nesting)."""
+    (matrices outer, then dtypes, then algorithms)."""
     cells = []
     for entry in config_entries(config):
         for dtype in config.dtypes:
@@ -217,7 +220,7 @@ def cell_options(algorithm: str, options):
 
     A registered backend (``ac-spgemm`` included) takes the campaign's
     ``options``; a fixed-function baseline always runs stock (None).
-    The worker runs a cell, and the sweep cache keys it, with these.
+    The worker runs a cell with these.
     """
     return options if options is not None and is_backend(algorithm) else None
 
@@ -227,8 +230,8 @@ def cell_key(
 ) -> str:
     """Content address of one cell's result.
 
-    Hashes the matrix fingerprint, the options/engine fingerprint, the
-    harness ``CACHE_VERSION`` and the cell coordinates, so checkpoints
+    Hashes the matrix fingerprint, the options/engine fingerprint,
+    :data:`CACHE_VERSION` and the cell coordinates, so checkpoints
     survive only as long as they would be reproduced bit-identically.
     """
     payload = "|".join(

@@ -15,9 +15,10 @@ as copy-on-write memory and take cells at once, with no interpreter to
 boot and nothing to rebuild.  ``workers == 1`` starts no process: the
 same loop runs over an in-process queue.
 
-A shared :class:`~repro.bench.harness.ResultCache` can seed the
-campaign (cells already swept by the figure benches are imported as
-cache hits) and receives every fresh record back on completion.
+The campaign directory is the project's only on-disk result store: the
+figure benches read their records from ``results/campaign_full`` and
+``results/campaign_named``, and a rerun answers every checkpointed
+cell without executing it.
 """
 
 from __future__ import annotations
@@ -27,21 +28,19 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..bench.harness import ResultCache, RunRecord
+from ..bench.harness import RunRecord
 from ..obs.metrics import MetricsRegistry
 from .plan import (
     CampaignConfig,
     CampaignError,
     CellSpec,
     cell_key,
-    cell_options,
     config_entries,
     enumerate_cells,
     matrix_fingerprint,
     plan_document,
 )
 from .store import (
-    ShardWriter,
     load_completed,
     merged_artifact_bytes,
     shard_dir,
@@ -104,7 +103,6 @@ class CampaignRunner:
         config: CampaignConfig,
         *,
         workers: int | str = 1,
-        cache_path: str | Path | None = None,
         progress=None,
         throttle: float = 0.0,
         cell_timeout: float | None = None,
@@ -129,7 +127,6 @@ class CampaignRunner:
         self.directory = Path(directory)
         self.config = config
         self.workers = workers
-        self.cache_path = Path(cache_path) if cache_path else None
         self.progress = progress
         # runtime test hook (kill/resume tests); not part of the plan
         self.throttle = throttle
@@ -173,57 +170,6 @@ class CampaignRunner:
             m = entry.build()
             self._built[entry.name] = (m, matrix_fingerprint(m))
         return {name: fp for name, (_, fp) in self._built.items()}
-
-    # -- the shared sweep cache ---------------------------------------
-
-    def _cache_key(self, cell: CellSpec, options) -> str:
-        """The sweep-cache key of ``cell`` under the campaign options."""
-        return ResultCache.key(
-            cell.matrix, cell.algorithm, cell.dtype,
-            cell_options(cell.algorithm, options),
-        )
-
-    def _seed_from_cache(
-        self,
-        expected_keys: dict[str, str],
-        completed: dict[str, dict],
-    ) -> int:
-        """Import sweep-cache hits for cells without a checkpoint."""
-        if self.cache_path is None or not self.cache_path.exists():
-            return 0
-        cache = ResultCache(self.cache_path)
-        options = self.config.options()
-        writer = None
-        seeded = 0
-        try:
-            for cell in self.cells:
-                if cell.id in completed:
-                    continue
-                rec = cache._data.get(self._cache_key(cell, options))
-                if rec is None:
-                    continue
-                # indistinguishable from a fresh first-attempt success:
-                # a deterministic cell that once succeeded always would,
-                # so seeding must not perturb the merged artifact
-                line = {
-                    "id": cell.id,
-                    "key": expected_keys[cell.id],
-                    "status": "ok",
-                    "attempts": 1,
-                    "record": rec,
-                    "error": None,
-                    "worker": "cache",
-                    "t_host": 0.0,
-                }
-                if writer is None:
-                    writer = ShardWriter(self.directory, "seed")
-                writer.append(line)
-                completed[cell.id] = line
-                seeded += 1
-        finally:
-            if writer is not None:
-                writer.close()
-        return seeded
 
     # -- execution ----------------------------------------------------
 
@@ -307,7 +253,7 @@ class CampaignRunner:
             p.join()
 
     def _progress(self, done: int):
-        """Report ``done`` (the resumed and seeded cells) plus each cell
+        """Report ``done`` (the resumed cells) plus each cell
         line appended to a shard from now on; ``None`` if unobserved."""
         if self.progress is None:
             return None
@@ -341,20 +287,17 @@ class CampaignRunner:
         }
         completed = load_completed(self.directory, expected_keys)
         resumed = len(completed)
-        seeded = self._seed_from_cache(expected_keys, completed)
         remaining = [c for c in self.cells if c.id not in completed]
         if remaining:
             self._run_cells(remaining, self._progress(len(completed)))
             completed = load_completed(self.directory, expected_keys)
-        executed = len(completed) - resumed - seeded
+        executed = len(completed) - resumed
         wall = time.monotonic() - t_start
         artifact = merged_artifact_bytes(self.config, self.cells, completed)
         artifact_path = write_atomic(self.directory / "campaign.json", artifact)
-        self._fold_into_cache(completed)
         stats = {
             "cells": len(self.cells),
             "resumed": resumed,
-            "seeded": seeded,
             "executed": executed,
             "wall_seconds": wall,
             "workers": self.workers,
@@ -369,24 +312,6 @@ class CampaignRunner:
             stats=stats,
             metrics=metrics,
         )
-
-    def _fold_into_cache(self, completed: dict[str, dict]) -> None:
-        """Write every successful record back into the shared cache."""
-        if self.cache_path is None:
-            return
-        cache = ResultCache(self.cache_path)
-        options = self.config.options()
-        dirty = False
-        for cell in self.cells:
-            line = completed[cell.id]
-            if line.get("record") is None:
-                continue
-            k = self._cache_key(cell, options)
-            if cache._data.get(k) != line["record"]:
-                cache._data[k] = line["record"]
-                dirty = True
-        if dirty:
-            cache.save()
 
     def _build_metrics(
         self, completed: dict[str, dict], stats: dict
@@ -408,21 +333,16 @@ class CampaignRunner:
             help="Cells served from shard checkpoints on resume.",
         )
         reg.inc(
-            "repro_campaign_seeded_cells_total",
-            stats["seeded"],
-            help="Cells imported from the shared sweep cache.",
-        )
-        reg.inc(
             "repro_campaign_executed_cells_total",
             stats["executed"],
             help="Cells actually executed by this invocation.",
         )
         total = stats["cells"]
-        hits = stats["resumed"] + stats["seeded"]
         reg.set(
             "repro_campaign_cache_hit_ratio",
-            round(hits / total, 6) if total else 0.0,
-            help="Fraction of cells answered without execution.",
+            round(stats["resumed"] / total, 6) if total else 0.0,
+            help="Fraction of cells resumed from checkpoints, "
+            "not executed.",
         )
         wall = stats["wall_seconds"]
         reg.set(
@@ -451,8 +371,6 @@ class CampaignRunner:
                 line.get("t_host", 0.0)
             )
         for w in sorted(busy):
-            if w == "cache":
-                continue
             reg.set(
                 "repro_campaign_worker_busy_seconds",
                 round(busy[w], 6),
@@ -481,16 +399,12 @@ def campaign_records(
     config: CampaignConfig,
     *,
     workers: int = 1,
-    cache_path: str | Path | None = None,
     allow_failed: bool = False,
 ) -> list[RunRecord]:
     """Run (or resume) a campaign and return its records in plan order.
 
-    This is the bench entry point: the figure benches hand it the
-    shared sweep cache so a warm sweep is a pure cache import and a
-    cold one is sharded across workers.
+    This is the bench entry point: a warm directory answers every cell
+    from its checkpoints, and a cold one is sharded across workers.
     """
-    result = CampaignRunner(
-        directory, config, workers=workers, cache_path=cache_path
-    ).run()
+    result = CampaignRunner(directory, config, workers=workers).run()
     return result.records(allow_failed=allow_failed)

@@ -16,8 +16,7 @@ import json
 import os
 from pathlib import Path
 
-from ..bench.harness import CACHE_VERSION
-from .plan import CampaignConfig, CampaignError
+from .plan import CACHE_VERSION, CampaignConfig, CampaignError
 
 __all__ = [
     "ShardWriter",

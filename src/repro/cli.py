@@ -419,7 +419,6 @@ def cmd_campaign(args) -> int:
         args.dir,
         config,
         workers=args.workers,
-        cache_path=args.cache,
         progress=progress if not args.quiet else None,
         throttle=args.throttle,
     )
@@ -429,8 +428,7 @@ def cmd_campaign(args) -> int:
     s = result.stats
     print(
         f"campaign complete: {s['cells']} cells "
-        f"({s['resumed']} resumed, {s['seeded']} cache-seeded, "
-        f"{s['executed']} executed) in {s['wall_seconds']:.2f}s "
+        f"({s['resumed']} resumed, {s['executed']} executed) in {s['wall_seconds']:.2f}s "
         f"with {s['workers']} worker(s)"
     )
     print(f"merged artifact: {result.artifact_path}")
@@ -676,8 +674,6 @@ def main(argv=None) -> int:
                         "recorded as failed")
     p.add_argument("--throttle", type=float, default=0.0,
                    help=argparse.SUPPRESS)  # kill/resume test hook
-    p.add_argument("--cache", default=None,
-                   help="shared sweep cache to seed from and fold into")
     p.add_argument("--metrics-out", default=None,
                    help="write campaign metrics JSON")
     p.add_argument("--prom-out", default=None,

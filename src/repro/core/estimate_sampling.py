@@ -21,6 +21,7 @@ import numpy as np
 from ..gpu.cost import CostMeter
 from ..matrices.generators import SeedLike, as_generator
 from ..sparse.csr import CSRMatrix
+from ..sparse.ops import ragged_arange
 from .options import AcSpgemmOptions
 
 __all__ = ["sampled_output_estimate", "sampled_chunk_pool_bytes"]
@@ -52,20 +53,23 @@ def sampled_output_estimate(
     rows = rng.choice(a.rows, size=k, replace=False)
     rows.sort()
 
-    sampled_nnz = 0
-    sampled_products = 0
-    for r in rows.tolist():
-        lo, hi = a.row_ptr[r], a.row_ptr[r + 1]
-        if hi == lo:
-            continue
-        cols_parts = []
-        for kcol in a.col_idx[lo:hi].tolist():
-            blo, bhi = b.row_ptr[kcol], b.row_ptr[kcol + 1]
-            cols_parts.append(b.col_idx[blo:bhi])
-        if cols_parts:
-            merged = np.concatenate(cols_parts)
-            sampled_products += merged.shape[0]
-            sampled_nnz += np.unique(merged).shape[0]
+    # one ragged gather: the sampled rows' A entries, then the B row of
+    # each; a product's key packs its sample slot with its column, so
+    # the distinct keys are the sampled rows' output entries
+    a_lo = a.row_ptr[rows]
+    a_len = a.row_ptr[rows + 1] - a_lo
+    ks = a.col_idx[ragged_arange(a_lo, a_len)]
+    b_lo = b.row_ptr[ks]
+    b_len = b.row_ptr[ks + 1] - b_lo
+    cols = b.col_idx[ragged_arange(b_lo, b_len)]
+    slot = np.repeat(np.repeat(np.arange(k, dtype=np.int64), a_len), b_len)
+    keys = slot * b.cols + cols
+    keys.sort()
+    sampled_products = keys.shape[0]
+    sampled_nnz = (
+        1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+        if sampled_products else 0
+    )
     if meter is not None:
         meter.global_read(sampled_products, 4)
         meter.hash_probe(sampled_products, in_scratchpad=True)

@@ -47,24 +47,12 @@ from ..gpu.memory import layout_high_water
 from ..gpu.radix import bits_required, bits_required_array, fast_stable_sort
 from ..resilience.errors import SanitizerError
 from ..sparse.csr import CSRMatrix
+from ..sparse.ops import ragged_arange
 from .base import EngineContext, RoundOutcome
 from .reference import ReferenceEngine
 from .replay import AllocationRecord, OptimisticRun, replay_and_commit
 
 __all__ = ["BatchedEngine"]
-
-
-def _ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenation of ``arange(starts[i], starts[i] + lengths[i])``."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    off = np.zeros(lengths.shape[0], dtype=np.int64)
-    np.cumsum(lengths[:-1], out=off[1:])
-    out = np.arange(total, dtype=np.int64)
-    out += np.repeat(np.asarray(starts, dtype=np.int64) - off, lengths)
-    return out
 
 
 def _ragged_revrange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -238,7 +226,7 @@ def _esc_slabs(ectx: EngineContext, pending: list) -> list[list]:
         (blk.block_id * npb for blk in pending), dtype=np.int64, count=n_pending
     )
     n_ent = np.minimum(a.nnz, los + npb) - los
-    cols = a.col_idx[_ragged_arange(los, n_ent)]
+    cols = a.col_idx[ragged_arange(los, n_ent)]
     counts = b.row_ptr[cols + 1] - b.row_ptr[cols]
     if opts.enable_long_row_handling:
         counts[long_row_mask(counts, opts)] = 0  # pointer chunks, no products
@@ -271,7 +259,7 @@ def _esc_optimistic_batch(
     ent_off = np.zeros(n_pending + 1, dtype=np.int64)
     np.cumsum(n_ent, out=ent_off[1:])
     total_ent = int(ent_off[-1])
-    idx = _ragged_arange(los, n_ent)
+    idx = ragged_arange(los, n_ent)
     a_cols_cat = a.col_idx[idx]
     a_rows_cat = glb.row_of_nnz[idx]
     a_vals_cat = a.values[idx].astype(dtype, copy=False)

@@ -51,19 +51,17 @@ from __future__ import annotations
 import hashlib
 import io
 import queue
-import tempfile
 import threading
 import time
 from collections import OrderedDict, deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 
 from ..backends import run_backend
-from ..bench.harness import CACHE_VERSION
+from ..campaign.plan import CACHE_VERSION, matrix_fingerprint
 from ..core import DEFAULT_OPTIONS, AcSpgemmOptions
 from ..obs.flight import get_flight_recorder, install_flight_recorder
 from ..obs.metrics import DEFAULT_LATENCY_BUCKETS_MS, MetricsRegistry
@@ -88,7 +86,7 @@ from ..sparse import (
     row_temp_counts,
     squared_operands,
 )
-from ..sparse.io import read_matrix_market_header
+from ..sparse.io import MatrixMarketError, read_matrix_market_header
 
 __all__ = ["ServeConfig", "ServeCore"]
 
@@ -313,14 +311,10 @@ class ServeCore:
                 self._entries.setdefault(e.name, e)
         return self._entries
 
-    def _register_matrix(self, name: str, matrix) -> str:
-        from ..campaign.plan import matrix_fingerprint
-
-        fp = matrix_fingerprint(matrix)
+    def _register_matrix(self, name: str, matrix, fp: str) -> None:
         with self._lock:
             self._matrices[name] = matrix
             self._by_fingerprint[fp] = name
-        return fp
 
     def _resolve_matrix(self, payload: dict):
         """The operand matrix of one request: ``(name, matrix, fp)``.
@@ -330,10 +324,8 @@ class ServeCore:
         (HTTP 400) and :class:`PayloadTooLarge` for inline matrices
         declaring more than :data:`MAX_INLINE_DIM` rows or columns or
         expanding more than :data:`MAX_INLINE_PRODUCTS` products
-        (HTTP 413).
+        (HTTP 413).  An inline matrix is fingerprinted once.
         """
-        from ..campaign.plan import matrix_fingerprint
-
         if "matrix" in payload:
             name = str(payload["matrix"])
             with self._lock:
@@ -343,7 +335,9 @@ class ServeCore:
                 if entry is None:
                     raise LookupError(f"unknown matrix {name!r}")
                 m = entry.build()
-                return name, m, self._register_matrix(name, m)
+                fp = matrix_fingerprint(m)
+                self._register_matrix(name, m, fp)
+                return name, m, fp
             return name, m, matrix_fingerprint(m)
         if "matrix_hash" in payload:
             fp = str(payload["matrix_hash"])
@@ -370,31 +364,25 @@ class ServeCore:
                 ).to_csr()
             except KeyError as exc:  # a 400, not the 404 LookupError means
                 raise ValueError(f"coo payload missing field {exc}") from None
-            _check_inline_products(m)
-            fp = self._register_matrix(f"inline-{matrix_fingerprint(m)}", m)
-            return f"inline-{fp}", m, fp
-        if "mtx" in payload:
+        elif "mtx" in payload:
             text = str(payload["mtx"])
-            # newline=None splits lines exactly as the file reader does
-            _, _, _, dims = read_matrix_market_header(
-                io.StringIO(text, newline=None), name="inline mtx"
-            )
+            # parsed in memory; newline=None splits lines exactly as the
+            # file reader does
+            fh = io.StringIO(text, newline=None)
+            _, _, _, dims = read_matrix_market_header(fh, name="inline mtx")
             _check_inline_dims(*dims[:2])
-            with tempfile.NamedTemporaryFile(
-                "w", suffix=".mtx", delete=False
-            ) as fh:
-                fh.write(text)
-                path = fh.name
-            try:
-                m = read_matrix_market(path, strict=True)
-            finally:
-                Path(path).unlink(missing_ok=True)
-            _check_inline_products(m)
-            fp = self._register_matrix(f"inline-{matrix_fingerprint(m)}", m)
-            return f"inline-{fp}", m, fp
-        raise ValueError(
-            "request needs one of: matrix, matrix_hash, coo, mtx"
-        )
+            if not text.isascii():  # the file reader decodes as ASCII
+                raise MatrixMarketError("inline mtx is not ASCII text")
+            fh.seek(0)
+            m = read_matrix_market(fh, strict=True)
+        else:
+            raise ValueError(
+                "request needs one of: matrix, matrix_hash, coo, mtx"
+            )
+        _check_inline_products(m)
+        fp = matrix_fingerprint(m)
+        self._register_matrix(f"inline-{fp}", m, fp)
+        return f"inline-{fp}", m, fp
 
     def _options(self, dtype) -> AcSpgemmOptions:
         return AcSpgemmOptions(
@@ -750,8 +738,6 @@ class ServeCore:
             trace.end_span(fb_span)
             trace.end_span(exec_span, outcome="degraded")
         _observe_execute("degraded")
-        from ..campaign.plan import matrix_fingerprint
-
         return {
             "outcome": "degraded",
             "reason": reason,
@@ -763,8 +749,6 @@ class ServeCore:
         }
 
     def _finish_primary(self, job: _Job, result, ordinal: int) -> dict:
-        from ..campaign.plan import matrix_fingerprint
-
         summary = {
             "digest": matrix_fingerprint(result.matrix),
             "nnz": result.matrix.nnz,

@@ -90,8 +90,12 @@ def read_matrix_market_header(fh, *, name: str = "<stream>"):
     return fmt, field, symmetry, dims
 
 
-def read_matrix_market(path: str | os.PathLike, *, strict: bool = True) -> CSRMatrix:
-    """Parse a ``.mtx`` file into canonical CSR.
+def read_matrix_market(source, *, strict: bool = True) -> CSRMatrix:
+    """Parse a ``.mtx`` file, or an open text stream, into canonical CSR.
+
+    ``source`` is a path (read as ASCII) or anything with ``readline``,
+    e.g. ``io.StringIO(text, newline=None)``; both go through the same
+    parser and raise the same errors.
 
     Symmetric/skew-symmetric storage is expanded to general form
     (off-diagonal entries mirrored; skew mirrors with negated value).
@@ -102,68 +106,73 @@ def read_matrix_market(path: str | os.PathLike, *, strict: bool = True) -> CSRMa
     (NaN/inf) are rejected under ``strict`` (the default) and passed
     through verbatim with ``strict=False``.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        fmt, field, symmetry, dims = read_matrix_market_header(
-            fh, name=os.fspath(path)
-        )
-        if fmt == "coordinate":
-            rows, cols, nnz = dims
-            try:
-                body = np.loadtxt(fh, ndmin=2) if nnz else np.zeros((0, 3))
-            except ValueError as exc:
-                raise MatrixMarketError(f"unparsable entry body: {exc}") from None
-            if body.shape[0] != nnz:
-                raise MatrixMarketError(
-                    f"expected {nnz} entries, found {body.shape[0]}"
-                )
-            if nnz == 0:
-                return CSRMatrix.empty(rows, cols)
-            if body.shape[1] < 2:
-                raise MatrixMarketError("entry lines need row and column indices")
-            rc = body[:, :2]
-            if not np.all(rc == np.floor(rc)):
-                raise MatrixMarketError("non-integer row/column index")
-            r = rc[:, 0].astype(np.int64) - 1
-            c = rc[:, 1].astype(np.int64) - 1
-            if np.any((r < 0) | (r >= rows)) or np.any((c < 0) | (c >= cols)):
-                raise MatrixMarketError(
-                    f"index out of range for {rows}x{cols} matrix "
-                    "(1-based indices must lie in [1, rows] x [1, cols])"
-                )
-            if field == "pattern":
-                v = np.ones(nnz, dtype=np.float64)
-            else:
-                if body.shape[1] < 3:
-                    raise MatrixMarketError("missing value column")
-                v = body[:, 2].astype(np.float64)
-            if strict and not np.all(np.isfinite(v)):
-                bad = int(np.flatnonzero(~np.isfinite(v))[0])
-                raise MatrixMarketError(
-                    f"non-finite value at entry {bad + 1} "
-                    "(pass strict=False to accept NaN/inf)"
-                )
-        else:  # array (dense column-major)
-            rows, cols = dims
-            try:
-                data = np.loadtxt(fh)
-            except ValueError as exc:
-                raise MatrixMarketError(f"unparsable entry body: {exc}") from None
-            if np.asarray(data).size != rows * cols:
-                raise MatrixMarketError(
-                    f"expected {rows * cols} array entries, "
-                    f"found {np.asarray(data).size}"
-                )
-            if strict and not np.all(np.isfinite(data)):
-                raise MatrixMarketError(
-                    "non-finite value in array body "
-                    "(pass strict=False to accept NaN/inf)"
-                )
-            dense = np.asarray(data, dtype=np.float64).reshape(cols, rows).T
-            if symmetry in ("symmetric", "skew-symmetric"):
-                raise MatrixMarketError(
-                    "symmetric array format is not supported"
-                )
-            return CSRMatrix.from_dense(dense)
+    if hasattr(source, "readline"):
+        return _read_matrix_market(source, "<stream>", strict)
+    with open(source, "r", encoding="ascii") as fh:
+        return _read_matrix_market(fh, os.fspath(source), strict)
+
+
+def _read_matrix_market(fh, name: str, strict: bool) -> CSRMatrix:
+    """The body of :func:`read_matrix_market` over an open stream."""
+    fmt, field, symmetry, dims = read_matrix_market_header(fh, name=name)
+    if fmt == "coordinate":
+        rows, cols, nnz = dims
+        try:
+            body = np.loadtxt(fh, ndmin=2) if nnz else np.zeros((0, 3))
+        except ValueError as exc:
+            raise MatrixMarketError(f"unparsable entry body: {exc}") from None
+        if body.shape[0] != nnz:
+            raise MatrixMarketError(
+                f"expected {nnz} entries, found {body.shape[0]}"
+            )
+        if nnz == 0:
+            return CSRMatrix.empty(rows, cols)
+        if body.shape[1] < 2:
+            raise MatrixMarketError("entry lines need row and column indices")
+        rc = body[:, :2]
+        if not np.all(rc == np.floor(rc)):
+            raise MatrixMarketError("non-integer row/column index")
+        r = rc[:, 0].astype(np.int64) - 1
+        c = rc[:, 1].astype(np.int64) - 1
+        if np.any((r < 0) | (r >= rows)) or np.any((c < 0) | (c >= cols)):
+            raise MatrixMarketError(
+                f"index out of range for {rows}x{cols} matrix "
+                "(1-based indices must lie in [1, rows] x [1, cols])"
+            )
+        if field == "pattern":
+            v = np.ones(nnz, dtype=np.float64)
+        else:
+            if body.shape[1] < 3:
+                raise MatrixMarketError("missing value column")
+            v = body[:, 2].astype(np.float64)
+        if strict and not np.all(np.isfinite(v)):
+            bad = int(np.flatnonzero(~np.isfinite(v))[0])
+            raise MatrixMarketError(
+                f"non-finite value at entry {bad + 1} "
+                "(pass strict=False to accept NaN/inf)"
+            )
+    else:  # array (dense column-major)
+        rows, cols = dims
+        try:
+            data = np.loadtxt(fh)
+        except ValueError as exc:
+            raise MatrixMarketError(f"unparsable entry body: {exc}") from None
+        if np.asarray(data).size != rows * cols:
+            raise MatrixMarketError(
+                f"expected {rows * cols} array entries, "
+                f"found {np.asarray(data).size}"
+            )
+        if strict and not np.all(np.isfinite(data)):
+            raise MatrixMarketError(
+                "non-finite value in array body "
+                "(pass strict=False to accept NaN/inf)"
+            )
+        dense = np.asarray(data, dtype=np.float64).reshape(cols, rows).T
+        if symmetry in ("symmetric", "skew-symmetric"):
+            raise MatrixMarketError(
+                "symmetric array format is not supported"
+            )
+        return CSRMatrix.from_dense(dense)
 
     if symmetry in ("symmetric", "skew-symmetric"):
         off = r != c

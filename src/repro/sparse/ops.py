@@ -25,6 +25,7 @@ __all__ = [
     "count_intermediate_products",
     "row_temp_counts",
     "symbolic_nnz",
+    "ragged_arange",
 ]
 
 _INDEX_DTYPE = np.int64
@@ -271,3 +272,17 @@ def symbolic_nnz(a: CSRMatrix, b: CSRMatrix) -> int:
             total += touched.shape[0]
             present[touched] = False
     return total
+
+
+def ragged_arange(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(starts[i], starts[i] + lengths[i])``:
+    the element indices of several CSR rows, gathered in one pass."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    total = int(lengths.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64)
+    off = np.zeros(lengths.shape[0], dtype=np.int64)
+    np.cumsum(lengths[:-1], out=off[1:])
+    out = np.arange(total, dtype=np.int64)
+    out += np.repeat(np.asarray(starts, dtype=np.int64) - off, lengths)
+    return out

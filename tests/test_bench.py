@@ -9,7 +9,6 @@ import pytest
 
 from repro.bench import (
     MatrixCase,
-    ResultCache,
     check_bit_stability,
     format_table,
     harmonic_mean,
@@ -58,78 +57,6 @@ class TestRunCase:
     def test_verification_flag(self, case):
         rec = run_case(case, "rmerge", verify=False)
         assert rec.correct  # default True when unverified
-
-
-class TestResultCache:
-    def test_memoisation(self, tmp_path, case):
-        cache = ResultCache(tmp_path / "c.json")
-        r1 = cache.get_or_run(case, "nsparse")
-        r2 = cache.get_or_run(case, "nsparse")
-        assert r1.cycles == r2.cycles
-        assert len(cache) == 1
-
-    def test_round_trip_disk(self, tmp_path, case):
-        path = tmp_path / "c.json"
-        cache = ResultCache(path)
-        rec = cache.get_or_run(case, "rmerge")
-        cache.save()
-        cache2 = ResultCache(path)
-        rec2 = cache2.get_or_run(case, "rmerge")
-        assert rec2.cycles == rec.cycles
-        assert rec2.stage_cycles == rec.stage_cycles
-
-    def test_version_mismatch_discards(self, tmp_path, case):
-        path = tmp_path / "c.json"
-        path.write_text('{"version": -1, "cells": {"x": {}}}')
-        cache = ResultCache(path)
-        assert len(cache) == 0
-
-    def test_corrupt_file_ignored(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text("{not json")
-        assert len(ResultCache(path)) == 0
-
-    def test_interleaved_writers_merge(self, tmp_path, rng):
-        """Two caches saving in turn must not clobber each other: the
-        save merges the on-disk cells under an exclusive lock."""
-        path = tmp_path / "c.json"
-        case_a = MatrixCase("m-a", random_csr(rng, 30, 30, 0.15))
-        case_b = MatrixCase("m-b", random_csr(rng, 30, 30, 0.15))
-        w1 = ResultCache(path)
-        w2 = ResultCache(path)  # opened before w1 writes anything
-        w1.get_or_run(case_a, "nsparse")
-        w2.get_or_run(case_b, "rmerge")
-        w1.save()
-        w2.save()  # pre-fix this rewrote the file, losing w1's cell
-        merged = ResultCache(path)
-        assert len(merged) == 2
-        assert merged.get_or_run(case_a, "nsparse")  # no re-run needed
-        assert len(merged) == 2
-
-    def test_save_is_atomic_no_torn_sibling(self, tmp_path, case):
-        path = tmp_path / "c.json"
-        cache = ResultCache(path)
-        cache.get_or_run(case, "nsparse")
-        cache.save()
-        # the temp file is renamed over the target, never left behind
-        leftovers = [
-            p for p in path.parent.iterdir() if p.name.startswith(".c.json.tmp")
-        ]
-        assert leftovers == []
-        assert len(ResultCache(path)) == 1
-
-    def test_lazy_case_untouched_on_full_cache_hit(self, tmp_path, rng):
-        """Satellite: a warm-cache sweep must not build operands or
-        count intermediate products (the expensive part)."""
-        path = tmp_path / "c.json"
-        warm = ResultCache(path)
-        warm.get_or_run(MatrixCase("lazy-m", random_csr(rng, 40, 40, 0.1)),
-                        "nsparse")
-        warm.save()
-        fresh_case = MatrixCase("lazy-m", random_csr(rng, 40, 40, 0.1))
-        assert not fresh_case.materialized
-        ResultCache(path).get_or_run(fresh_case, "nsparse")
-        assert not fresh_case.materialized  # full hit: operands never built
 
 
 class TestMetrics:

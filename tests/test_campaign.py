@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 from repro.baselines.registry import BASELINES
-from repro.bench import ResultCache, default_cache, run_case
-from repro.bench.harness import CACHE_VERSION, MatrixCase
+from repro.bench import run_case
+from repro.bench.harness import MatrixCase
 from repro.core import AcSpgemmOptions
 from repro.campaign import (
     CampaignConfig,
@@ -29,8 +29,10 @@ from repro.campaign import (
     read_shard_lines,
     tiny_entries,
 )
+from repro.campaign.plan import CACHE_VERSION
 
 TINY2 = CampaignConfig(suite="tiny", limit=2)  # 2 matrices x 6 algs = 12 cells
+SEED_TINY = Path(__file__).resolve().parent.parent / "benchmarks/seed/campaign_tiny.json"
 
 
 def _repro_segments() -> set[str]:
@@ -145,6 +147,21 @@ class TestStore:
         with pytest.raises(CampaignError, match="conflicting"):
             load_completed(tmp_path, {"a": "ka"})
 
+    def test_concurrent_runners_share_one_directory(self, tmp_path):
+        """Two campaigns started together on one fresh directory append
+        to the same shards; both finish, and the merged artifact is the
+        committed one."""
+        camp = tmp_path / "shared"
+        # throttled so that the two sweeps overlap
+        procs = [_campaign_process(camp, "--throttle", "0.05") for _ in range(2)]
+        for proc in procs:
+            assert proc.wait(timeout=120) == 0
+        lines = sum(
+            len(read_shard_lines(p)) for p in (camp / "shards").glob("*.jsonl")
+        )
+        assert lines > 36  # both campaigns checkpointed cells
+        assert (camp / "campaign.json").read_bytes() == SEED_TINY.read_bytes()
+
 
 # ------------------------------------------------------------- execution
 
@@ -178,9 +195,17 @@ class TestExecution:
         with pytest.raises(CampaignError, match="unknown algorithms"):
             CampaignConfig(algorithms=(*BASELINES, "warp9"))
 
-    def test_rerun_resumes_everything(self, tmp_path):
+    def test_rerun_resumes_everything(self, tmp_path, monkeypatch):
+        import repro.bench.harness as harness
+
         CampaignRunner(tmp_path, TINY2).run()
         before = (tmp_path / "campaign.json").read_bytes()
+
+        def refuse(matrix):
+            raise AssertionError("a resumed cell built its operands")
+
+        # resumed cells are answered from the checkpoints alone
+        monkeypatch.setattr(harness, "squared_operands", refuse)
         again = CampaignRunner(tmp_path, TINY2).run()
         assert again.stats["resumed"] == 12
         assert again.stats["executed"] == 0
@@ -301,7 +326,7 @@ class TestExecution:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_progress_counts_cell_checkpoints(self, tmp_path, workers):
-        """Progress is resumed + seeded + checkpointed cells, whatever
+        """Progress is resumed + checkpointed cells, whatever
         the worker count: never decreasing, never past the total."""
         calls = []
         CampaignRunner(
@@ -312,60 +337,6 @@ class TestExecution:
         assert done == sorted(done)
         assert all(0 < d <= t == 36 for d, t in calls)
         assert calls[-1] == (36, 36)
-
-    def test_cache_seeding_and_foldback(self, tmp_path):
-        cache = default_cache(tmp_path)
-        entries = config_entries(TINY2)
-        case = MatrixCase(entries[0].name, entries[0].build())
-        for alg in TINY2.algorithms:
-            cache.get_or_run(case, alg, verify=False)
-        cache.save()
-        result = CampaignRunner(
-            tmp_path / "camp", TINY2, cache_path=cache.path
-        ).run()
-        assert result.stats["seeded"] == 6
-        assert result.stats["executed"] == 6
-        # seeded artifact matches a cold, cacheless run byte for byte
-        cold = CampaignRunner(tmp_path / "cold", TINY2).run()
-        assert (
-            result.artifact_path.read_bytes()
-            == cold.artifact_path.read_bytes()
-        )
-        # fresh records were folded back into the shared cache
-        folded = ResultCache(cache.path)
-        assert len(folded) == 12
-
-    def test_backend_cells_cache_under_campaign_options(self, tmp_path):
-        """Backend cells run with the campaign's options, so the sweep
-        cache keys them with those options too: a non-default campaign
-        must never hand its records to a default one."""
-        algs = ("ac-spgemm", "adaptive")
-        cache_path = tmp_path / "cache.json"
-        sampling = CampaignConfig(
-            suite="tiny", algorithms=algs, estimator="sampling"
-        )
-        CampaignRunner(tmp_path / "smp", sampling, cache_path=cache_path).run()
-        default_keys = {
-            ResultCache.key(e.name, "adaptive", "float64")
-            for e in tiny_entries()
-        }
-        assert not default_keys & set(ResultCache(cache_path)._data)
-
-        default = CampaignConfig(suite="tiny", algorithms=algs)
-        warm = CampaignRunner(
-            tmp_path / "dflt", default, cache_path=cache_path
-        ).run()
-        assert warm.stats["seeded"] == 0
-        cold = CampaignRunner(tmp_path / "cold", default).run()
-
-        def longrow(result):
-            (rec,) = [
-                r for r in result.records()
-                if (r.matrix, r.algorithm) == ("tiny-longrow", "adaptive")
-            ]
-            return rec.to_json()
-
-        assert longrow(warm) == longrow(cold)
 
     def test_campaign_records_helper(self, tmp_path):
         recs = campaign_records(tmp_path, TINY2)

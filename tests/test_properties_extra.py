@@ -5,9 +5,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.gpu import schedule_blocks
+from repro.gpu import TITAN_XP, CostMeter, schedule_blocks
 from repro.matrices import generators as g
 from repro.sparse import matrix_stats, validate_csr
+from tests.conftest import random_csr
 
 SETTINGS = settings(
     max_examples=25,
@@ -104,3 +105,51 @@ class TestEstimateProperties:
         a = g.random_uniform(n, n, avg, seed=seed)
         est = sampled_output_estimate(a, a, sample_rows=32, seed=seed)
         assert 0.0 <= est <= 1.3 * n * n
+
+    @SETTINGS
+    @given(
+        st.integers(0, 30),  # rows of A
+        st.integers(1, 30),  # inner dimension
+        st.integers(1, 30),  # cols of B
+        st.sampled_from([0.0, 0.05, 0.3]),  # A density: 0 = all rows empty
+        st.sampled_from([0.0, 0.05, 0.3]),  # B density: 0 = b.nnz == 0
+        st.integers(1, 40),  # sample_rows, often capped by a.rows
+        st.integers(0, 10_000),
+    )
+    def test_sampled_estimate_matches_per_row_definition(
+        self, m, n, p, da, db, sample_rows, seed
+    ):
+        """The one-gather estimate equals the per-row symbolic pass it
+        replaced: the same rows drawn, the same distinct (row, column)
+        count and the same three meter charges."""
+        from repro.core import sampled_output_estimate
+
+        rng = np.random.default_rng(seed)
+        a = random_csr(rng, m, n, da)
+        b = random_csr(rng, n, p, db)
+        meter = CostMeter(config=TITAN_XP)
+        est = sampled_output_estimate(
+            a, b, sample_rows=sample_rows, seed=seed, meter=meter
+        )
+
+        expected, products = 0.0, 0
+        if a.rows and a.nnz and b.nnz:
+            k = min(sample_rows, a.rows)
+            rows = np.random.default_rng(seed).choice(a.rows, size=k, replace=False)
+            distinct = 0
+            for r in sorted(rows.tolist()):
+                ks = a.col_idx[a.row_ptr[r] : a.row_ptr[r + 1]]
+                cols = [b.col_idx[b.row_ptr[j] : b.row_ptr[j + 1]] for j in ks]
+                merged = np.concatenate(cols) if cols else np.zeros(0)
+                products += merged.shape[0]
+                distinct += np.unique(merged).shape[0]
+            expected = 1.3 * distinct * (a.rows / k)
+        assert est == expected
+
+        ref = CostMeter(config=TITAN_XP)
+        if a.rows and a.nnz and b.nnz:
+            ref.global_read(products, 4)
+            ref.hash_probe(products, in_scratchpad=True)
+            ref.kernel_launch()
+        assert meter.cycles == ref.cycles
+        assert meter.counters == ref.counters

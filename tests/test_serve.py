@@ -132,6 +132,76 @@ class TestServeCoreOutcomes:
         finally:
             core.close()
 
+    def test_inline_mtx_is_parsed_in_memory(self, tmp_path, monkeypatch):
+        """Inline MTX never reaches the temp directory, valid or not,
+        and each malformed body keeps the file reader's typed reason."""
+        import tempfile
+
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        opened = []
+        os_open = os.open
+
+        def spy(path, *args, **kwargs):  # tempfile opens through os.open
+            opened.append(os.fspath(path))
+            return os_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        head = "%%MatrixMarket matrix coordinate real general\n"
+        cases = {
+            head + "3 3 2\n1 1 1.0\n3 2 2.0\n": (200, None),
+            (head + "3 3 2\n1 1 1.0\n3 2 2.0\n").replace("\n", "\r"): (
+                200, None,
+            ),
+            head: (400, "truncated file: missing size line"),
+            head + "3 3 2\n1 1 1.0\n": (400, "expected 2 entries, found 1"),
+            head + "3 3 1\n4 1 1.0\n": (
+                400,
+                "index out of range for 3x3 matrix "
+                "(1-based indices must lie in [1, rows] x [1, cols])",
+            ),
+            head + "3 3 1\n1 1 nan\n": (
+                400,
+                "non-finite value at entry 1 "
+                "(pass strict=False to accept NaN/inf)",
+            ),
+            head + "% café\n3 3 1\n1 1 1.0\n": (
+                400, "inline mtx is not ASCII text",
+            ),
+        }
+        core = _core()
+        try:
+            for mtx, (status, reason) in cases.items():
+                body = core.handle({"mtx": mtx})
+                assert (body["status"], body.get("reason")) == (status, reason)
+        finally:
+            core.close()
+        assert not [p for p in opened if p.startswith(str(scratch))]
+        assert os.listdir(scratch) == []
+
+    def test_inline_miss_fingerprints_its_matrix_once(self, monkeypatch):
+        """An inline miss hashes its operand once and its result once."""
+        import repro.serve.core as serve_core
+
+        hashed = []
+
+        def counting(m):
+            hashed.append(m.nnz)
+            return matrix_fingerprint(m)
+
+        monkeypatch.setattr(serve_core, "matrix_fingerprint", counting)
+        core = _core()
+        try:
+            body = core.handle({"coo": {
+                "rows": 3, "cols": 3, "row_idx": [0, 1, 2],
+                "col_idx": [0, 1, 2], "values": [1.0, 2.0, 3.0],
+            }})
+        finally:
+            core.close()
+        assert body["outcome"] == "success"
+        assert len(hashed) == 2
+
     def test_unknown_matrix_hash_is_404(self):
         core = _core()
         try:
