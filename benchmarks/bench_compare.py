@@ -2,10 +2,13 @@
 
 Compares every shared numeric leaf of two bench payloads (a baseline and
 a candidate) and flags regressions beyond a relative threshold.  The
-primary use is gating on ``repro profile --metrics-out`` artifacts —
-their ``"metrics"`` map is flat, simulated-cycle based and therefore
+primary use is gating on ``repro analyze --metrics-out`` artifacts
+(against ``benchmarks/seed/BENCH_analyze_seed.json``) — their
+``"metrics"`` map is flat, simulated-cycle based and therefore
 machine-independent — but any JSON payload with numeric leaves works
-(nested objects are flattened with dotted keys).
+(nested objects are flattened with dotted keys).  The ``analyze``
+artifact replaced the former ``repro profile --metrics-out`` one and
+holds every key it had.
 
 Larger is treated as worse for every metric except the excluded ones:
 wall-clock quantities (machine-dependent) and host-side telemetry

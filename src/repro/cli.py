@@ -227,7 +227,7 @@ def cmd_suite(args) -> int:
     return 0
 
 
-def _load_profile_matrix(spec: str):
+def _load_matrix_spec(spec: str):
     """Resolve a matrix file path or a ``suite:NAME`` suite entry."""
     if spec.startswith("suite:"):
         from .matrices import suite_entries
@@ -236,44 +236,18 @@ def _load_profile_matrix(spec: str):
         for e in suite_entries():
             if e.name == name:
                 return name, e.build()
-        raise SystemExit(f"repro profile: unknown suite entry {name!r}")
+        raise SystemExit(f"unknown suite entry {name!r}")
     return Path(spec).stem, load_matrix(spec)
 
 
-def cmd_profile(args) -> int:
-    """Instrumented single run: per-stage report, trace and metrics."""
-    from .obs.profile import profile_run
-
-    name, matrix = _load_profile_matrix(args.matrix)
-    a, b = squared_operands(matrix)
-    opts = AcSpgemmOptions(
-        value_dtype=np.float32 if args.float else np.float64,
-        engine=args.engine,
-        estimator=args.estimator,
-        sanitize=args.sanitize,
-        on_failure="fallback" if args.fallback else "raise",
-    )
-    report = profile_run(a, b, opts, matrix_name=name)
-    print(report.text())
-    if args.trace_out:
-        out = report.write_trace(args.trace_out)
-        print(f"wrote Perfetto trace to {out}")
-    if args.metrics_out:
-        out = report.write_metrics_json(args.metrics_out)
-        print(f"wrote metrics JSON to {out}")
-    if args.prom_out:
-        out = report.write_prometheus(args.prom_out)
-        print(f"wrote Prometheus metrics to {out}")
-    return 0
-
-
 def cmd_analyze(args) -> int:
-    """Device-trace analysis: paper-figure reports from one traced run."""
+    """Instrumented single run: stage report, paper-figure reports,
+    Perfetto timeline and gate metrics from one traced run."""
     from .backends import run_backend
     from .obs.analyze import analyze_result
     from .obs.export import perfetto_payload, write_perfetto
 
-    name, matrix = _load_profile_matrix(args.matrix)
+    name, matrix = _load_matrix_spec(args.matrix)
     a, b = squared_operands(matrix)
     backend, host = _backend_and_host(args.engine)
     opts = AcSpgemmOptions(
@@ -326,7 +300,7 @@ def cmd_multinode(args) -> int:
     from .multi import NodeConfig, summa_spgemm
     from .obs.export import summa_perfetto_payload, write_perfetto
 
-    name, matrix = _load_profile_matrix(args.matrix)
+    name, matrix = _load_matrix_spec(args.matrix)
     a, b = squared_operands(matrix)
     node = NodeConfig(devices=args.devices)
     opts = AcSpgemmOptions(
@@ -564,28 +538,9 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser(
-        "profile",
-        help="instrumented single run: stage report, Perfetto trace, metrics",
-    )
-    p.add_argument("matrix",
-                   help="matrix file path, or suite:NAME for a suite entry")
-    p.add_argument("--float", action="store_true", help="single precision")
-    p.add_argument("--engine", default=DEFAULT_ENGINE, choices=HOST_ENGINES)
-    p.add_argument("--estimator", default="uniform",
-                   choices=("uniform", "sampling"))
-    p.add_argument("--sanitize", action="store_true")
-    p.add_argument("--fallback", action="store_true")
-    p.add_argument("--trace-out", default=None,
-                   help="write a Perfetto/chrome://tracing JSON timeline")
-    p.add_argument("--metrics-out", default=None,
-                   help="write the metrics JSON artifact (bench_compare input)")
-    p.add_argument("--prom-out", default=None,
-                   help="write Prometheus text-format metrics")
-    p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser(
         "analyze",
-        help="device-trace analysis: per-SM timelines, paper-figure reports",
+        help="instrumented single run: stage report, paper-figure "
+             "reports, Perfetto timeline, gate metrics",
     )
     p.add_argument("matrix",
                    help="matrix file path, or suite:NAME for a suite entry")
@@ -606,7 +561,8 @@ def main(argv=None) -> int:
                    help="write the raw device trace JSON (byte-identical "
                         "across engines)")
     p.add_argument("--perfetto-out", default=None,
-                   help="write a Perfetto timeline with per-SM tracks")
+                   help="write a Perfetto timeline: pipeline spans plus "
+                        "per-SM tracks")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser(

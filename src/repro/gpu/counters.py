@@ -11,25 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-__all__ = ["TrafficCounters", "AtomicCounter", "COUNTER_DOC", "COUNTER_FIELDS"]
-
-#: one-line description per counter field, surfaced as the ``# HELP``
-#: text of the observability layer's Prometheus export
-#: (``repro.obs.metrics``) and in the ``repro profile`` report
-COUNTER_DOC: dict[str, str] = {
-    "global_bytes_read": "Bytes read from simulated global memory.",
-    "global_bytes_written": "Bytes written to simulated global memory.",
-    "global_transactions": "Coalesced global-memory transactions issued.",
-    "scratchpad_accesses": "On-chip scratchpad (shared memory) accesses.",
-    "atomic_ops": "Device-global atomic operations.",
-    "sorted_elements": "Elements pushed through the radix sorts.",
-    "sort_passes": "LSD radix-sort passes executed.",
-    "flops": "Floating-point operations (2 per temporary product).",
-    "kernel_launches": "Simulated kernel launches.",
-    "host_round_trips": "Host synchronisation round trips (restarts).",
-    "hash_probes": "Hash-table probe steps (hash-based baselines).",
-    "hash_collisions": "Hash-table collisions (hash-based baselines).",
-}
+__all__ = ["TrafficCounters", "AtomicCounter", "COUNTER_FIELDS"]
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Unified observability layer: spans, metrics and profile exports.
+"""Unified observability layer: spans, metrics and run exports.
 
 One simulated timeline, recorded as two views on the same device clock
 so every export is engine-comparable and byte-deterministic:
@@ -18,10 +18,10 @@ Built on those two:
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, aggregating
   traffic counters, per-stage cycles, restart/degradation counts and
   pool high-water marks into JSON and Prometheus text exports;
-* :mod:`repro.obs.export` / :mod:`repro.obs.profile` — the one Perfetto
-  builder (spans + device trace) with its validator, and the
-  ``repro profile`` workload;
-* :mod:`repro.obs.analyze` — the ``repro analyze`` paper-figure reports;
+* :mod:`repro.obs.export` — the one Perfetto builder (spans + device
+  trace) with its validator;
+* :mod:`repro.obs.analyze` — the ``repro analyze`` instrumented run: the
+  Fig. 7 stage report, the paper-figure reports and the gate metrics;
 * :mod:`repro.obs.trace` / :mod:`repro.obs.flight` — the cross-process
   request-tracing layer (deterministic ids, ``traceparent``
   propagation) and the adaptive-selector flight recorder.
@@ -63,12 +63,6 @@ from .trace import (
 
 
 def __getattr__(name):
-    # lazy: repro.obs.profile imports the driver, which imports
-    # repro.obs.span — importing it eagerly here would be circular
-    if name in ("ProfileReport", "profile_run"):
-        from . import profile
-
-        return getattr(profile, name)
     if name in ("AnalysisReport", "analyze_result", "render_html"):
         from . import analyze
 
@@ -80,8 +74,6 @@ __all__ = [
     "SpanEvent",
     "SpanRecorder",
     "MetricsRegistry",
-    "ProfileReport",
-    "profile_run",
     "BlockEvent",
     "BlockMeta",
     "DeviceRecord",

@@ -29,7 +29,10 @@ adaptive stages, because the result totals cover only the fallback.
 
 The report serialises to deterministic JSON (byte-identical across
 engines), a flat ``metrics`` map for ``benchmarks/bench_compare.py``
-gating, and a self-contained HTML page with inline-CSS bar charts.
+gating (the figures' aggregates plus the run's
+:class:`~repro.obs.metrics.MetricsRegistry` samples), a text summary
+with the per-stage view of the paper's Fig. 7 and the span tree, and a
+self-contained HTML page with inline-CSS bar charts.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import json
 from pathlib import Path
 
 from ..gpu.counters import TrafficCounters
+from .metrics import MetricsRegistry
 
 __all__ = ["ANALYZE_SCHEMA", "AnalysisReport", "analyze_result", "render_html"]
 
@@ -297,15 +301,18 @@ def analyze_result(
         summary=summary,
         figures=figures,
         reconciliation=reconciliation,
+        result=result,
     )
 
 
 class AnalysisReport:
-    """One analysed run: JSON, flat gate metrics and HTML renderings."""
+    """One analysed run: JSON, flat gate metrics, text and HTML
+    renderings."""
 
     def __init__(
         self,
         *,
+        result,
         matrix_name: str,
         engine: str,
         dtype: str,
@@ -315,6 +322,7 @@ class AnalysisReport:
         figures: dict,
         reconciliation: dict,
     ) -> None:
+        self.result = result
         self.matrix_name = matrix_name
         self.engine = engine
         self.dtype = dtype
@@ -346,8 +354,12 @@ class AnalysisReport:
 
         Only stable aggregates gate: load-imbalance factors (>= 1.0,
         larger is worse), per-stage traffic bytes, the scratchpad
-        waterline and the ESC-iteration tail.  Histogram buckets stay
-        out — a legitimate distribution shift would churn the key set.
+        waterline and the ESC-iteration tail, plus the run's
+        :class:`MetricsRegistry` samples (traffic totals, stage and
+        span cycles, span counts, restarts, pool high-water marks).
+        Histogram buckets stay out — a legitimate distribution shift
+        would churn the key set.  All quantities are simulated, so the
+        document is machine-independent and byte-deterministic.
         """
         metrics: dict[str, float] = {}
         for stage, factor in self.figures["load_imbalance"].items():
@@ -362,12 +374,17 @@ class AnalysisReport:
         metrics["esc_iterations_max"] = float(
             max((int(k) for k in esc_hist), default=0)
         )
+        reg = MetricsRegistry.from_result(self.result, engine=self.engine).to_json()
+        for key, value in reg["metrics"].items():
+            metrics[key] = float(value)
         return {
             "bench": "analyze",
             "schema": ANALYZE_SCHEMA,
             "matrix": self.matrix_name,
             "engine": self.engine,
+            "dtype": self.dtype,
             "metrics": {k: metrics[k] for k in sorted(metrics)},
+            "meta": reg["meta"],
         }
 
     def to_json(self) -> str:
@@ -394,15 +411,48 @@ class AnalysisReport:
     # -- text summary ----------------------------------------------------
 
     def text(self) -> str:
+        """Per-stage profile in the style of the paper's Figure 7, the
+        device-trace figures and the span tree."""
+        r = self.result
         s = self.summary
+        us = 1e6 / (r.clock_ghz * 1e9)
+        total = r.total_cycles
         lines = [
             f"device-trace analysis of {self.matrix_name or 'run'} "
             f"(engine={self.engine}, dtype={self.dtype})",
-            f"  records={s['records']}  launches={s['launches']}  "
-            f"block events={s['block_events']}  SMs={s['num_sms']}",
-            f"  ESC blocks={s['esc_blocks']}  restarts={s['restarts']}  "
-            f"chunks={s['n_chunks']}",
+            f"  output: {r.matrix.nnz} nnz, {r.memory.output_bytes} B; "
+            f"total {total * us:.2f} us simulated",
         ]
+        for key, cycles in self.figures["stage_cycles"].items():
+            pct = 100.0 * cycles / total if total else 0.0
+            bar = "#" * int(round(pct / 2))
+            lines.append(
+                f"  {key:4s} {cycles * us:12.2f} us  {pct:5.1f}%  {bar}"
+            )
+        lines.append(
+            f"  restarts={r.restarts}  chunks={r.n_chunks}  "
+            f"blocks={r.n_blocks}  shared_rows={r.shared_rows}  "
+            f"mpL={r.multiprocessor_load:.3f}  "
+            f"sm_util={r.sm_utilization:.3f}"
+        )
+        mem = r.memory
+        lines.append(
+            f"  memory: pool={mem.chunk_pool_bytes} B "
+            f"(used {mem.chunk_used_bytes} B, "
+            f"{100.0 * mem.used_fraction:.1f}%), "
+            f"helpers={mem.helper_bytes} B"
+        )
+        if r.degraded:
+            failure = r.failure or {}
+            lines.append(
+                f"  DEGRADED: {failure.get('kind', 'unknown')} — "
+                f"{failure.get('message', '')}"
+            )
+        lines.append(
+            f"  records={s['records']}  launches={s['launches']}  "
+            f"block events={s['block_events']}  SMs={s['num_sms']}  "
+            f"ESC blocks={s['esc_blocks']}"
+        )
         imb = self.figures["load_imbalance"]
         lines.append(
             "  load imbalance (max/mean busy): "
@@ -422,7 +472,21 @@ class AnalysisReport:
             "  reconciliation: "
             + ("exact" if ok else "skipped (truncated)" if ok is None else "FAILED")
         )
+        if r.spans is not None:
+            lines.append("  span tree:")
+            lines.extend(_span_lines(r.spans, us, total, depth=2))
         return "\n".join(lines)
+
+
+def _span_lines(span, us, total, depth) -> list[str]:
+    pct = 100.0 * span.duration / total if total else 0.0
+    out = [
+        f"{'  ' * depth}{span.name:<{max(1, 30 - 2 * depth)}s} "
+        f"{span.duration * us:12.2f} us  {pct:5.1f}%"
+    ]
+    for child in span.children:
+        out.extend(_span_lines(child, us, total, depth + 1))
+    return out
 
 
 # -- HTML rendering -------------------------------------------------------

@@ -132,13 +132,13 @@ class _Family:
 class MetricsRegistry:
     """Deterministic counter/gauge store with JSON and Prometheus export.
 
-    ``const_labels`` are merged into every sample — the profile CLI uses
-    this to label everything with the engine that produced it.
+    ``const_labels`` are merged into every sample — ``repro analyze``
+    uses this to label everything with the engine that produced it.
 
     The registry is thread-safe: every update and export serialises on
     one reentrant lock, so the serve daemon's executor threads can fold
     results into a shared registry while ``/metrics`` scrapes it.  The
-    single-threaded callers (profile CLI, campaign merge) pay one
+    single-threaded callers (``repro analyze``, campaign merge) pay one
     uncontended lock acquisition per update — noise next to a run.
     """
 

@@ -282,8 +282,9 @@ class ServeCore:
         self._executed = 0  # execution ordinals handed out (chaos chokepoint)
         self._accepting = True
         self._stop = threading.Event()
-        # matrix registries: name -> built CSR, fingerprint -> name
-        self._matrices: dict[str, object] = {}
+        # matrix registries: name -> (built CSR, fingerprint),
+        # fingerprint -> name
+        self._matrices: dict[str, tuple[object, str]] = {}
         self._by_fingerprint: dict[str, str] = {}
         self._entries = None  # lazy name -> SuiteEntry map
 
@@ -313,7 +314,7 @@ class ServeCore:
 
     def _register_matrix(self, name: str, matrix, fp: str) -> None:
         with self._lock:
-            self._matrices[name] = matrix
+            self._matrices[name] = (matrix, fp)
             self._by_fingerprint[fp] = name
 
     def _resolve_matrix(self, payload: dict):
@@ -324,13 +325,14 @@ class ServeCore:
         (HTTP 400) and :class:`PayloadTooLarge` for inline matrices
         declaring more than :data:`MAX_INLINE_DIM` rows or columns or
         expanding more than :data:`MAX_INLINE_PRODUCTS` products
-        (HTTP 413).  An inline matrix is fingerprinted once.
+        (HTTP 413).  A matrix is fingerprinted once, when it is
+        registered.
         """
         if "matrix" in payload:
             name = str(payload["matrix"])
             with self._lock:
-                m = self._matrices.get(name)
-            if m is None:
+                known = self._matrices.get(name)
+            if known is None:
                 entry = self._entry_map().get(name)
                 if entry is None:
                     raise LookupError(f"unknown matrix {name!r}")
@@ -338,18 +340,19 @@ class ServeCore:
                 fp = matrix_fingerprint(m)
                 self._register_matrix(name, m, fp)
                 return name, m, fp
-            return name, m, matrix_fingerprint(m)
+            m, fp = known
+            return name, m, fp
         if "matrix_hash" in payload:
             fp = str(payload["matrix_hash"])
             with self._lock:
                 name = self._by_fingerprint.get(fp)
-                m = self._matrices.get(name) if name else None
-            if m is None:
+                known = self._matrices.get(name) if name else None
+            if known is None:
                 raise LookupError(
                     f"unknown matrix hash {fp!r} (matrices are registered "
                     "the first time they are served by name or inline)"
                 )
-            return name, m, fp
+            return name, known[0], fp
         if "coo" in payload:
             d = payload["coo"]
             try:

@@ -321,6 +321,25 @@ class TestAnalyze:
         assert doc["reconciliation"]["checked"] is False
         assert "TRUNCATED" in render_html(doc)
 
+    def test_degraded_text_report(self, rng):
+        """A degraded run's stage table gains the fallback row and the
+        report names the failure."""
+        a, b = _pair(rng)
+        opts = _opts(
+            fault_plan=FaultPlan.single(
+                "scratchpad_overflow", stage="ESC", round=0, block=0
+            ),
+            on_failure="fallback",
+        )
+        res = ac_spgemm(a, b, opts)
+        lines = analyze_result(res, opts, matrix_name="t").text().splitlines()
+        assert [ln.split()[0] for ln in lines[2:10]] == [
+            "GLB", "ESC", "MCC", "MM", "PM", "SM", "CC", "FB",
+        ]
+        assert f"  DEGRADED: {res.failure['kind']} — " in "\n".join(lines)
+        assert any(ln.startswith("  TRUNCATED: ") for ln in lines)
+        assert "  reconciliation: skipped (truncated)" in lines
+
 
 class TestPerfettoExport:
     def test_device_tracks_validate(self, rng):

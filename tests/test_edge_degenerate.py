@@ -1,8 +1,9 @@
 """Degenerate-input audit: empty and zero-structure matrices.
 
 Every shape below must flow through the full adaptive pipeline (both
-engines), the profile workload with every export, and every
-registered baseline without divide-by-zero or empty-array reductions.
+engines), the instrumented ``repro analyze`` run with every export, and
+every registered baseline without divide-by-zero or empty-array
+reductions.
 Run with ``-W error::RuntimeWarning`` semantics in mind: the numpy
 warnings that precede ``nan`` results are treated as failures here.
 """
@@ -15,8 +16,13 @@ import pytest
 from repro import AcSpgemmOptions, CSRMatrix, ac_spgemm
 from repro.baselines import ALL_ALGORITHMS, make_algorithm
 from repro.gpu import SMALL_DEVICE
-from repro.obs import validate_perfetto
-from repro.obs.profile import profile_run
+from repro.obs import (
+    MetricsRegistry,
+    analyze_result,
+    perfetto_payload,
+    validate_perfetto,
+    write_perfetto,
+)
 from repro.sparse import matrix_stats, spgemm_reference
 
 ENGINES = ("reference", "batched")
@@ -66,17 +72,24 @@ class TestDegeneratePipeline:
     def test_profile_and_exports(self, label, a, b, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = profile_run(a, b, _opts(), matrix_name=label)
+            opts = _opts(device_trace=True)
+            res = ac_spgemm(a, b, opts)
+            rep = analyze_result(res, opts, matrix_name=label)
             text = rep.text()
-            payload = rep.trace_payload()
+            payload = perfetto_payload(
+                spans=res.spans, device=res.device_trace,
+                clock_ghz=res.clock_ghz,
+            )
             doc = rep.metrics_doc()
-            prom = rep.registry().to_prometheus()
+            prom = MetricsRegistry.from_result(
+                res, engine=opts.engine
+            ).to_prometheus()
         assert label in text and "100.0%" not in text.splitlines()[1]
         validate_perfetto(payload)
         assert doc["metrics"]['repro_output_nnz{engine="batched"}'] == 0
         assert prom.endswith("\n")
-        rep.write_trace(tmp_path / "t.json")
-        rep.write_metrics_json(tmp_path / "m.json")
+        write_perfetto(tmp_path / "t.json", payload)
+        rep.write_metrics(tmp_path / "m.json")
 
     def test_fallback_path(self, label, a, b):
         with warnings.catch_warnings():

@@ -2,8 +2,9 @@
 
 Covers the acceptance criteria of the observability layer: both
 engines produce identical counter totals and the same ordered span tree
-for a fixed matrix and seed, and ``repro profile`` emits valid Perfetto
-JSON plus Prometheus-parseable text.
+for a fixed matrix and seed, ``repro analyze`` emits valid Perfetto
+JSON and the gate-metrics document, and a run's registry renders
+Prometheus-parseable text.
 """
 
 import importlib.util
@@ -22,11 +23,11 @@ from repro.matrices import random_uniform
 from repro.obs import (
     MetricsRegistry,
     SpanRecorder,
+    analyze_result,
     perfetto_payload,
     validate_perfetto,
     validate_perfetto_file,
 )
-from repro.obs.profile import profile_run
 from repro.obs.span import host_span_profile
 from repro.sparse import write_matrix_market
 from tests.conftest import random_csr
@@ -352,7 +353,9 @@ class TestEngineParity:
         a = random_uniform(200, 200, 5, seed=7)
         out = {}
         for eng in ENGINES:
-            out[eng] = profile_run(a, a, AcSpgemmOptions(engine=eng)).result
+            out[eng] = ac_spgemm(
+                a, a, AcSpgemmOptions(engine=eng, device_trace=True)
+            )
         return out
 
     def test_counter_totals_identical(self, runs):
@@ -366,7 +369,7 @@ class TestEngineParity:
             assert _normalized_tree(runs[eng]) == ref, eng
 
     def test_trace_events_identical(self, runs):
-        """The profile Perfetto payload is byte-identical across engines,
+        """The run's Perfetto payload is byte-identical across engines,
         up to the root span's ``engine`` label."""
 
         def payload(res):
@@ -393,18 +396,25 @@ class TestDeterminism:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_byte_identical_exports(self, engine):
         a = random_uniform(150, 150, 5, seed=3)
-        opts = AcSpgemmOptions(engine=engine)
+        opts = AcSpgemmOptions(engine=engine, device_trace=True)
         blobs = []
         for _ in range(2):
-            rep = profile_run(a, a, opts, matrix_name="det")
+            res = ac_spgemm(a, a, opts)
+            rep = analyze_result(res, opts, matrix_name="det")
             blobs.append(
                 (
                     json.dumps(rep.metrics_doc(), sort_keys=True),
-                    json.dumps(rep.trace_payload()),
-                    rep.registry().to_prometheus(),
+                    json.dumps(perfetto_payload(
+                        spans=res.spans, device=res.device_trace,
+                        clock_ghz=res.clock_ghz,
+                    )),
+                    MetricsRegistry.from_result(
+                        res, engine=engine
+                    ).to_prometheus(),
                 )
             )
         assert blobs[0] == blobs[1]
+        assert_prometheus_parseable(blobs[0][2])
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +425,10 @@ class TestDeterminism:
 class TestPerfetto:
     def test_profile_payload_validates(self, rng):
         a = random_csr(rng, 60, 60, 0.1)
-        rep = profile_run(a, a, _small_opts())
-        payload = rep.trace_payload()
+        res = ac_spgemm(a, a, _small_opts(device_trace=True))
+        payload = perfetto_payload(
+            spans=res.spans, device=res.device_trace, clock_ghz=res.clock_ghz
+        )
         validate_perfetto(payload)  # does not raise
         pids = {e["pid"] for e in payload["traceEvents"]}
         assert pids == {2, 3}
@@ -476,41 +488,44 @@ class TestPerfetto:
 
 
 # ---------------------------------------------------------------------------
-# profile CLI end-to-end
+# analyze CLI end-to-end
 # ---------------------------------------------------------------------------
 
 
-class TestProfileCli:
+class TestAnalyzeCli:
     def test_suite_entry_with_all_outputs(self, tmp_path, capsys):
-        trace = tmp_path / "t.json"
+        perfetto = tmp_path / "t.json"
         metrics = tmp_path / "m.json"
-        prom = tmp_path / "p.txt"
         rc = cli_main([
-            "profile", "suite:uniform-a1.5-0",
-            "--trace-out", str(trace),
+            "analyze", "suite:uniform-a1.5-0",
+            "--perfetto-out", str(perfetto),
             "--metrics-out", str(metrics),
-            "--prom-out", str(prom),
         ])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "profile of uniform-a1.5-0" in out and "span tree" in out
-        validate_perfetto_file(trace)
+        assert "analysis of uniform-a1.5-0" in out and "span tree" in out
+        assert "restarts=" in out and "memory: pool=" in out
+        # the Fig. 7 stage table: one row per stage, time, share and bar
+        assert re.search(r"^  ESC +\d+\.\d\d us +\d+\.\d% +#+$", out, re.M)
+        validate_perfetto_file(perfetto)
         doc = json.loads(metrics.read_text())
-        assert doc["bench"] == "profile" and doc["schema"] == 1
+        assert doc["bench"] == "analyze" and doc["schema"] == 1
         assert doc["metrics"]['repro_runs_total{engine="batched"}'] == 1
-        assert_prometheus_parseable(prom.read_text())
+        assert any(k.startswith("load_imbalance.") for k in doc["metrics"])
 
     def test_matrix_file_and_engine_flag(self, tmp_path, rng, capsys):
         m = random_csr(rng, 30, 30, 0.15)
         p = tmp_path / "m.mtx"
         write_matrix_market(p, m)
-        rc = cli_main(["profile", str(p), "--engine", "reference", "--float"])
+        rc = cli_main(["analyze", str(p), "--engine", "reference", "--float"])
         assert rc == 0
         assert "engine=reference" in capsys.readouterr().out
 
-    def test_unknown_suite_entry_fails(self):
-        with pytest.raises(SystemExit):
-            cli_main(["profile", "suite:no-such-matrix"])
+    @pytest.mark.parametrize("command", ["analyze", "multinode"])
+    def test_unknown_suite_entry_fails(self, command):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "suite:no-such-matrix"])
+        assert exc.value.code == "unknown suite entry 'no-such-matrix'"
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +631,7 @@ class TestBenchCompare:
         bc = _load_bench_compare()
         seed_path = (
             Path(__file__).resolve().parent.parent
-            / "benchmarks" / "seed" / "BENCH_profile_seed.json"
+            / "benchmarks" / "seed" / "BENCH_analyze_seed.json"
         )
         from repro.matrices import suite_entries
         from repro.sparse import squared_operands
@@ -625,9 +640,9 @@ class TestBenchCompare:
             e for e in suite_entries() if e.name == "uniform-a1.5-0"
         )
         a, b = squared_operands(entry.build())
-        rep = profile_run(
-            a, b, AcSpgemmOptions(),
-            matrix_name="uniform-a1.5-0",
+        opts = AcSpgemmOptions(device_trace=True)
+        rep = analyze_result(
+            ac_spgemm(a, b, opts), opts, matrix_name="uniform-a1.5-0"
         )
         reg, _, missing = bc.compare(
             json.loads(seed_path.read_text()), rep.metrics_doc(), 0.001

@@ -202,6 +202,41 @@ class TestServeCoreOutcomes:
         assert body["outcome"] == "success"
         assert len(hashed) == 2
 
+    def test_registered_matrix_is_not_rehashed(self, monkeypatch):
+        """A named matrix keeps the fingerprint it was registered with:
+        a repeat request (a cache hit) hashes nothing of its operand,
+        and registered matrices still resolve by hash and inline name."""
+        import repro.serve.core as serve_core
+
+        hashed = []
+
+        def counting(m):
+            hashed.append((m, matrix_fingerprint(m)))
+            return hashed[-1][1]
+
+        monkeypatch.setattr(serve_core, "matrix_fingerprint", counting)
+        core = _core()
+        try:
+            first = core.handle({"matrix": "tiny-uniform"})
+            operand, fp = hashed[0]  # a miss hashes the operand first
+            del hashed[:]
+            second = core.handle({"matrix": "tiny-uniform"})
+            assert second["cached"] is True
+            assert not [m for m, _ in hashed if m is operand]
+            inline = core.handle({"coo": {
+                "rows": 3, "cols": 3, "row_idx": [0, 1, 2],
+                "col_idx": [0, 1, 2], "values": [1.0, 2.0, 3.0],
+            }})
+            inline_fp = hashed[-2][1]  # operand, then result digest
+            by_name = core.handle({"matrix": f"inline-{inline_fp}"})
+            by_hash = core.handle({"matrix_hash": fp})
+        finally:
+            core.close()
+        assert first["outcome"] == second["outcome"] == "success"
+        assert inline["outcome"] == by_name["outcome"] == "success"
+        assert by_name["result"]["digest"] == inline["result"]["digest"]
+        assert by_hash["result"]["digest"] == first["result"]["digest"]
+
     def test_unknown_matrix_hash_is_404(self):
         core = _core()
         try:

@@ -1,8 +1,8 @@
 """Tests for the execution timeline (the artifact's Debug mode).
 
 The timeline is the device trace (:class:`repro.obs.device.DeviceTrace`)
-plus the pipeline span tree; ``repro profile`` renders both as one
-Perfetto file.
+plus the pipeline span tree; ``repro analyze --perfetto-out`` renders
+both as one Perfetto file.
 """
 
 import json
@@ -13,7 +13,12 @@ from repro import AcSpgemmOptions, ac_spgemm
 from repro.gpu import SMALL_DEVICE
 from repro.gpu.scheduler import schedule_blocks
 from repro.matrices import random_uniform
-from repro.obs import DeviceTrace, profile_run
+from repro.obs import (
+    DeviceTrace,
+    analyze_result,
+    perfetto_payload,
+    write_perfetto,
+)
 from repro.obs.device import BlockMeta
 from tests.conftest import random_csr
 
@@ -84,17 +89,24 @@ class TestRecorder:
 
     def test_summary_mentions_everything(self):
         a = random_uniform(300, 300, 6, seed=1)
-        rep = profile_run(a, a, _restart_opts())
-        s = rep.text()
-        assert "GLB" in s and f"restarts={rep.result.restarts}" in s
+        opts = _restart_opts()
+        res = ac_spgemm(a, a, opts)
+        s = analyze_result(res, opts).text()
+        assert "GLB" in s and f"restarts={res.restarts}" in s
         assert "esc.restart" in s
 
 
 class TestChromeExport:
     def test_valid_json_with_events(self, tmp_path):
         a = random_uniform(300, 300, 6, seed=1)
-        rep = profile_run(a, a, _restart_opts())
-        p = rep.write_trace(tmp_path / "trace.json")
+        res = ac_spgemm(a, a, _restart_opts())
+        p = write_perfetto(
+            tmp_path / "trace.json",
+            perfetto_payload(
+                spans=res.spans, device=res.device_trace,
+                clock_ghz=res.clock_ghz,
+            ),
+        )
         data = json.loads(p.read_text())
         names = [e["name"] for e in data["traceEvents"]]
         assert "ESC r0 w0" in names and "restart" in names
@@ -103,12 +115,15 @@ class TestChromeExport:
 
     def test_thread_and_process_metadata(self, rng):
         a = random_csr(rng, 60, 60, 0.1)
-        rep = profile_run(
+        res = ac_spgemm(
             a, a,
             AcSpgemmOptions(device=SMALL_DEVICE,
-                            chunk_pool_lower_bound_bytes=1 << 20),
+                            chunk_pool_lower_bound_bytes=1 << 20,
+                            device_trace=True),
         )
-        events = rep.trace_payload()["traceEvents"]
+        events = perfetto_payload(
+            spans=res.spans, device=res.device_trace, clock_ghz=res.clock_ghz
+        )["traceEvents"]
         meta = [e for e in events if e["ph"] == "M"]
         procs = {
             e["pid"]: e["args"]["name"]
