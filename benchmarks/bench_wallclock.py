@@ -72,6 +72,14 @@ def cases(smoke: bool) -> list[tuple[str, str, object]]:
             ("uniform-800-avg10", "float64", g.random_uniform(800, 800, 10.0, seed=1)),
             ("banded-1200-bw8", "float64", g.banded(1200, 8, seed=2)),
             ("powerlaw-800", "float32", g.power_law(800, avg_row_len=8.0, seed=3)),
+            # the campaign's shape: tens of one-iteration blocks, about
+            # one shared row each
+            ("uniform-8000-avg1.5", "float64", g.random_uniform(8000, 8000, 1.5, seed=4)),
+            # rows past a block's ESC capacity: pointer chunks (§3.4)
+            (
+                "longrow-2500", "float64",
+                g.long_row_matrix(2500, 2.0, n_long_rows=2, long_row_len=2200, seed=5),
+            ),
         ]
     return [
         ("uniform-3000-avg20", "float64", g.random_uniform(3000, 3000, 20.0, seed=1)),

@@ -224,7 +224,7 @@ class _SimulatedHashEngine(Backend):
                     op.stage,
                     op.round_index,
                     op.meter.cycles.tolist(),
-                    traffic=(op.meter.totals(),),
+                    traffic=op.meter.totals(),
                     metas=op.metas,
                     round=op.round_index,
                     blocks=len(op.blocks),

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from ..engine import get_engine
-from ..engine.base import EngineContext
+from ..engine.base import EngineContext, RoundOutcomes
 from ..gpu.cost import CostMeter
 from ..gpu.counters import TrafficCounters
 from ..gpu.memory import ScratchpadOverflow
@@ -238,16 +238,16 @@ class _RestartLoop:
                 ledger.spans.event(
                     "blocks_aborted", detail=f"{len(aborted)} blocks in round {rnd}"
                 )
-            outcomes = run_round(run_list) if run_list else []
+            outcomes = run_round(run_list) if run_list else RoundOutcomes.of([])
             # re-queue in original order: aborted workers keep their
             # position relative to the workers whose allocations failed
-            done = {id(w) for w, o in zip(run_list, outcomes) if o.done}
+            done = {id(w) for w, d in zip(run_list, outcomes.done.tolist()) if d}
             still = [w for w in pending if id(w) not in done]
             ledger.launch(
                 stage,
                 rnd,
-                [o.cycles for o in outcomes],
-                traffic=[o.counters for o in outcomes],
+                outcomes.cycles.tolist(),
+                traffic=outcomes.traffic(),
                 metas=lambda: [
                     _block_meta(w, row_range, o) for w, o in zip(run_list, outcomes)
                 ],

@@ -13,13 +13,15 @@ That makes the *host execution strategy* pluggable:
 ``batched`` (the default)
     The ready blocks of a kernel launch are fused into flat numpy
     batches (:mod:`repro.engine.batched`), run as slabs of consecutive
-    blocks under a fixed product budget: expansion via one global
-    ``searchsorted``, the per-block stable LSD radix sorts replaced by a
-    single composite-key ``np.argsort(kind="stable")`` over
-    ``(block_id << key_bits) | key``, segment-boundary flags for
-    compaction and ``np.add.reduceat`` for accumulation.  Prices each
-    slab on a :class:`~repro.gpu.cost.BlockArrayMeter`, one row per
-    block, to the reference's per-block numbers bit for bit.
+    blocks under a fixed product budget: expansion precomputed at entry
+    granularity, the per-block stable LSD radix sorts replaced by one
+    ``np.sort`` per lockstep batch over unique 64-bit words
+    ``(segment << (kb + pb)) | (key << pb) | position``, segment-boundary
+    flags for compaction and ``np.add.reduceat`` for accumulation.
+    Block state, keep-last-row decisions and allocation records are
+    arrays; each slab is priced on a
+    :class:`~repro.gpu.cost.BlockArrayMeter`, one row per block, to the
+    reference's per-block numbers bit for bit.
 
 Both engines produce bit-identical results, identical simulated
 statistics and identical device traces; they differ only in host
@@ -31,11 +33,18 @@ the equivalence, fault-parity and device-trace suites compare
 
 from __future__ import annotations
 
-from .base import Engine, EngineContext, RoundOutcome
+from .base import Engine, EngineContext, RoundOutcome, RoundOutcomes
 from .batched import BatchedEngine
 from .reference import ReferenceEngine
 
-__all__ = ["Engine", "EngineContext", "RoundOutcome", "ENGINES", "get_engine"]
+__all__ = [
+    "Engine",
+    "EngineContext",
+    "RoundOutcome",
+    "RoundOutcomes",
+    "ENGINES",
+    "get_engine",
+]
 
 #: engine name -> class; the one list of host engine names
 ENGINES: dict[str, type[Engine]] = {

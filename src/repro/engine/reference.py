@@ -13,7 +13,7 @@ import numpy as np
 from ..core.chunks import PoolExhausted
 from ..core.output import copy_chunks
 from ..gpu.block import BlockContext
-from .base import Engine, EngineContext, RoundOutcome
+from .base import Engine, EngineContext, RoundOutcome, RoundOutcomes
 
 __all__ = ["ReferenceEngine"]
 
@@ -23,7 +23,7 @@ class ReferenceEngine(Engine):
 
     name = "reference"
 
-    def esc_round(self, ectx: EngineContext, pending: list) -> list[RoundOutcome]:
+    def esc_round(self, ectx: EngineContext, pending: list) -> RoundOutcomes:
         opts = ectx.options
         self.count("esc_rounds")
         self.count("blocks_stepped", len(pending))
@@ -44,11 +44,11 @@ class ReferenceEngine(Engine):
                     sort_log=tuple(ctx.meter.sort_log or ()),
                 )
             )
-        return out
+        return RoundOutcomes.of(out)
 
     def merge_round(
         self, ectx: EngineContext, stage: str, workers: list
-    ) -> list[RoundOutcome]:
+    ) -> RoundOutcomes:
         opts = ectx.options
         self.count("merge_rounds")
         self.count("merge_workers_stepped", len(workers))
@@ -77,7 +77,7 @@ class ReferenceEngine(Engine):
                     sort_log=tuple(ctx.meter.sort_log or ()),
                 )
             )
-        return out
+        return RoundOutcomes.of(out)
 
     def copy_output(
         self, ectx: EngineContext, row_ptr: np.ndarray, counter_sink

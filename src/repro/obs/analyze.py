@@ -473,8 +473,11 @@ class AnalysisReport:
             + ("exact" if ok else "skipped (truncated)" if ok is None else "FAILED")
         )
         if r.spans is not None:
+            # shares of the root span: on a degraded run the tree also
+            # holds the failed attempt, which ``total`` (the fallback's
+            # cycles) does not cover
             lines.append("  span tree:")
-            lines.extend(_span_lines(r.spans, us, total, depth=2))
+            lines.extend(_span_lines(r.spans, us, r.spans.duration, depth=2))
         return "\n".join(lines)
 
 

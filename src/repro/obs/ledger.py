@@ -158,13 +158,14 @@ class LaunchLedger:
         *,
         metas,
         aborted=None,
-        traffic=(),
+        traffic: TrafficCounters | None = None,
         name: str | None = None,
         **attrs,
     ) -> None:
         """One scheduled kernel launch of ``block_cycles``.
 
-        ``traffic`` holds the blocks' counter deltas.  ``metas`` (and
+        ``traffic`` is the blocks' counter deltas summed (a launch folds
+        into the run's counters in one merge).  ``metas`` (and
         ``aborted``, for workers pulled before dispatch) are called only
         when tracing, returning the :class:`~repro.obs.device.BlockMeta`
         list in dispatch order.  The leaf span is ``<stage>.round``
@@ -177,8 +178,8 @@ class LaunchLedger:
             record_placements=self.dtrace is not None,
         )
         self.stage_cycles[stage] += timing.makespan_cycles
-        for delta in traffic:
-            self.counters.merge(delta)
+        if traffic is not None:
+            self.counters.merge(traffic)
         self.counters.kernel_launches += 1
         if timing.n_blocks >= self.num_sms:
             self.multiprocessor_load = min(

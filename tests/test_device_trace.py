@@ -340,6 +340,41 @@ class TestAnalyze:
         assert any(ln.startswith("  TRUNCATED: ") for ln in lines)
         assert "  reconciliation: skipped (truncated)" in lines
 
+    @staticmethod
+    def _pct(line: str) -> float:
+        return float(next(t for t in line.split() if t.endswith("%"))[:-1])
+
+    def test_degraded_span_shares_stay_within_the_root(self, rng):
+        """Span-tree shares are of the root span, which on a degraded run
+        holds the failed attempt as well as the fallback; the stage table
+        stays a share of the result's (fallback) cycles."""
+        a, b = _pair(rng)
+        opts = _opts(
+            fault_plan=FaultPlan.single(
+                "scratchpad_overflow", stage="ESC", round=0, block=0
+            ),
+            on_failure="fallback",
+        )
+        res = ac_spgemm(a, b, opts)
+        assert res.degraded and res.spans.duration > res.total_cycles
+        lines = analyze_result(res, opts, matrix_name="t").text().splitlines()
+        tree = lines[lines.index("  span tree:") + 1 :]
+        assert tree and all(self._pct(ln) <= 100.0 for ln in tree)
+        assert self._pct(tree[0]) == 100.0
+        for ln, (key, cycles) in zip(lines[2:10], res.stage_cycles.items()):
+            assert ln.split()[0] == key
+            assert self._pct(ln) == round(100.0 * cycles / res.total_cycles, 1)
+
+    def test_clean_span_root_is_the_total(self, rng):
+        """On a clean run the root span is the run's total, so its share
+        reads 100% as before."""
+        a, b = _pair(rng)
+        opts = _opts()
+        res = ac_spgemm(a, b, opts)
+        assert res.spans.duration == res.total_cycles
+        lines = analyze_result(res, opts, matrix_name="t").text().splitlines()
+        assert lines[lines.index("  span tree:") + 1].endswith("100.0%")
+
 
 class TestPerfettoExport:
     def test_device_tracks_validate(self, rng):

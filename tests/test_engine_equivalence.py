@@ -135,6 +135,51 @@ def test_restarts_from_small_pool():
     assert res.restarts > 0, "case must exercise the restart path"
 
 
+@pytest.mark.parametrize("mode", ["clean", "small-pool", "pool-fault"])
+def test_campaign_shape(monkeypatch, mode):
+    """The campaign's very sparse, wide squares: tens of one-iteration
+    ESC blocks with about one shared row each, merged by Multi Merge.
+    Clean, the batched replay admits each launch by one prefix sum; a
+    small pool restarts it, and a pool fault hook makes it admit record
+    by record in the reference's order."""
+    a, b = squared_operands(g.random_uniform(8000, 8000, 1.5, seed=21))
+    kw = {
+        "clean": {},
+        "small-pool": dict(chunk_pool_bytes=60000, chunk_pool_lower_bound_bytes=0),
+        "pool-fault": dict(fault_plan=FaultPlan.pool_exhaust_at(5, 30)),
+    }[mode]
+    batched_admissions = []
+    admit = ChunkPool.admission_ok
+
+    def spy(pool, nbytes):
+        batched_admissions.append(pool)
+        return admit(pool, nbytes)
+
+    results = {}
+    for engine in ("reference", "batched"):
+        if engine == "batched":
+            monkeypatch.setattr(ChunkPool, "admission_ok", spy)
+        results[engine] = ac_spgemm(
+            a, b, AcSpgemmOptions(engine=engine, device_trace=True, **kw)
+        )
+    ref, bat = (_signature(results[e]) for e in ("reference", "batched"))
+    mismatched = [k for k in ref if bat[k] != ref[k]]
+    assert not mismatched, f"batched diverges in {mismatched}"
+
+    res = results["reference"]
+    assert res.n_blocks >= 30
+    first_launch = next(
+        rec for rec in res.device_trace.records
+        if rec.stage == "ESC" and rec.kind == "launch"
+    )
+    assert max(ev.esc_iterations for ev in first_launch.blocks) == 1
+    assert res.shared_rows >= 10 and res.stage_cycles["MM"] > 0
+    assert (res.restarts > 0) == (mode != "clean")
+    # a launch that fits admits without a scan; one that does not, or
+    # any launch under a fault hook, checks record by record
+    assert bool(batched_admissions) == (mode != "clean")
+
+
 def test_bit_reduction_disabled():
     a, b = squared_operands(g.random_uniform(350, 350, 9.0, seed=15))
     _run_all(a, b, enable_bit_reduction=False)
