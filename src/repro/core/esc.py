@@ -104,7 +104,7 @@ class EscBlock:
         n_entries = hi - lo
         chunks_written = 0
         # shared-row atomics are settled once at every exit (see
-        # RowChunkTracker.insert): one n*atomic_cycles addition, the
+        # RowChunkTracker.insert_chunk): one n*atomic_cycles addition, the
         # same float operation the batched engine's replay applies
         shared0 = len(tracker.shared_rows)
 

@@ -25,7 +25,8 @@ Invariants
 * **Chunk key integrity** — global chunk order keys are unique, so the
   deterministic ``order_key`` sort consumers rely on is a total order.
 * **List linkage** — every chunk linked into a row's list is registered
-  with the pool and actually carries data for that row.
+  with the pool and actually carries data for that row, at the element
+  offset and count the link records.
 * **Row coverage** — per row, the tracker's element count equals the
   sum of the row's per-chunk segment lengths (after ESC these are the
   locally compacted counts; after the merge stages the exact output
@@ -97,28 +98,30 @@ def check_chunk_pool(pool, *, stage: str) -> None:
         )
 
 
-def _row_segment_count(chunk, row: int) -> int:
-    """Elements ``chunk`` stores for ``row`` (0 when it does not cover it)."""
+def _row_segment(chunk, row: int) -> tuple[int, int]:
+    """``(offset, count)`` of ``row``'s elements in ``chunk`` (count 0
+    when it does not cover the row)."""
     if chunk.kind == "pointer":
-        return chunk.b_length if row == chunk.first_row else 0
+        return 0, chunk.b_length if row == chunk.first_row else 0
     lo = int(np.searchsorted(chunk.rows, row, side="left"))
     hi = int(np.searchsorted(chunk.rows, row, side="right"))
-    return hi - lo
+    return lo, hi - lo
 
 
 def check_tracker(tracker, pool, *, stage: str) -> None:
     """List linkage and row-coverage completeness."""
     registered = {id(c) for c in pool.chunks}
     for row in np.flatnonzero(tracker.n_links).tolist():
-        lst = tracker.chunks_for(row)
-        keys = [c.order_key for c in lst]
+        links = tracker.links_of(row)
+        keys = [tracker.chunks[link_id].order_key for link_id, _, _ in links]
         if len(set(keys)) != len(keys):
             raise SanitizerError(
                 f"row {row} links chunks with duplicate order keys",
                 stage=stage,
             )
         total = 0
-        for chunk in lst:
+        for link_id, offset, count in links:
+            chunk = tracker.chunks[link_id]
             if id(chunk) not in registered:
                 raise SanitizerError(
                     f"row {row} links chunk {chunk.order_key} that is not "
@@ -126,11 +129,19 @@ def check_tracker(tracker, pool, *, stage: str) -> None:
                     stage=stage,
                     block_id=chunk.order_key[0],
                 )
-            count = _row_segment_count(chunk, row)
-            if count == 0:
+            segment = _row_segment(chunk, row)
+            if segment[1] == 0:
                 raise SanitizerError(
                     f"row {row} links chunk {chunk.order_key} that carries "
                     f"no data for it",
+                    stage=stage,
+                    block_id=chunk.order_key[0],
+                )
+            if (offset, count) != segment:
+                raise SanitizerError(
+                    f"row {row}'s link to chunk {chunk.order_key} records "
+                    f"elements {offset}+{count}, the chunk holds them at "
+                    f"{segment[0]}+{segment[1]}",
                     stage=stage,
                     block_id=chunk.order_key[0],
                 )
