@@ -21,7 +21,9 @@ That makes the *host execution strategy* pluggable:
     Block state, keep-last-row decisions and allocation records are
     arrays; each slab is priced on a
     :class:`~repro.gpu.cost.BlockArrayMeter`, one row per block, to the
-    reference's per-block numbers bit for bit.
+    reference's per-block numbers bit for bit.  Path/Search Merge run
+    the reference workers with each radix sort as one numpy pass
+    (:func:`~repro.gpu.radix.fast_stable_sort`).
 
 Both engines produce bit-identical results, identical simulated
 statistics and identical device traces; they differ only in host

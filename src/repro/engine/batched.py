@@ -23,29 +23,33 @@ Cost fidelity: ESC and the output copy price their blocks on one
 :class:`~repro.gpu.cost.BlockArrayMeter` (a row per block), adding the
 reference's per-block charges in its call order, and one
 :func:`~repro.gpu.memory.layout_high_water` call checks an ESC slab's
-scratchpad layouts.  The merges keep a scalar
-:class:`~repro.gpu.cost.CostMeter` per worker: a Multi Merge launch
-holds a few capacity-packed groups, so one meter per group costs less
-than array charges, and Path/Search Merge share threshold hooks that
-charge one.  Pool allocations run through the
-optimistic record / serial replay machinery (:mod:`repro.engine.replay`)
-so restart behaviour, chunk offsets and shared-row attribution are
-exactly the reference's.  ESC and Multi Merge hand the replay their
-blocks and records as arrays (:class:`~repro.engine.replay.OptimisticBatch`),
-so their host time follows products, not blocks.
+scratchpad layouts.  Multi Merge keeps a scalar
+:class:`~repro.gpu.cost.CostMeter` per group: a launch holds a few
+capacity-packed groups, so one meter per group costs less than array
+charges.  Pool allocations run through the optimistic record / serial
+replay machinery (:mod:`repro.engine.replay`) so restart behaviour,
+chunk offsets and shared-row attribution are exactly the reference's.
+ESC and Multi Merge hand the replay their blocks and records as arrays
+(:class:`~repro.engine.replay.OptimisticBatch`), so their host time
+follows products, not blocks.
+
+Path/Search Merge are not batched: :class:`BatchedEngine` runs the
+reference workers under :func:`~repro.gpu.radix.fast_stable_sort`.
+Only shared rows with more chunks than Multi Merge takes, or more
+products than one block holds, reach them: long output rows spread over
+several blocks.  A launch holds few such workers.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from copy import copy
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.chunks import Chunk
 from ..core.long_rows import long_row_mask
-from ..core.merge import MERGE_BLOCK_SEQ_BASE, gather_row_segments
+from ..core.merge import MERGE_BLOCK_SEQ_BASE
 from ..gpu.cost import BlockArrayMeter, CostMeter
 from ..gpu.counters import counter_rows
 from ..gpu.memory import layout_high_water
@@ -892,268 +896,6 @@ def _multi_merge_optimistic_batch(
 
 
 # ---------------------------------------------------------------------------
-# stage 3: batched Path/Search Merge (iterative row merges)
-# ---------------------------------------------------------------------------
-
-
-class _MergeCtx:
-    """The slice of :class:`~repro.gpu.block.BlockContext` the threshold
-    hooks consume (``.config`` and ``.meter``) — iterative merge workers
-    never touch a scratchpad, so building the full context per worker
-    per round would be pure allocation churn."""
-
-    __slots__ = ("config", "meter")
-
-    def __init__(self, config, meter):
-        self.config = config
-        self.meter = meter
-
-
-@dataclass
-class _IterMergeState:
-    """Per-worker lockstep state of one batched PM/SM round."""
-
-    k: int  # the worker's run index
-    w: object
-    meter: CostMeter
-    ctx: _MergeCtx
-    final_commit: object = None
-    # slice of the current iteration's segment in the batch arrays
-    cols: np.ndarray | None = None
-    vals: np.ndarray | None = None
-    take: np.ndarray | None = None
-
-
-def _iter_merge_rollback(w, restore: dict) -> None:
-    """Roll the worker back to a failed allocation's snapshot; its
-    cursors from earlier successful iterations survive (the reference
-    resumes mid-row after pool growth)."""
-    w._cursors = list(restore["cursors"])
-    del w._produced[restore["n_produced"] :]
-    w._offset = restore["offset"]
-    w._emit_seq = restore["emit_seq"]
-    w.done = False
-
-
-def _iterative_merge_optimistic_batch(
-    ectx: EngineContext, workers: list
-) -> OptimisticBatch:
-    """Run every Path/Search Merge worker of one round in lockstep.
-
-    Each lockstep iteration gathers every still-active worker's next
-    column slice (threshold selection stays per-worker — it is sampling
-    over tiny arrays — but charges land on the worker's own meter in
-    reference order), then executes the sort + compaction of *all*
-    slices as one segmented batch.  Keys are column-only: an iterative
-    merge block handles exactly one row, so the reference's composite
-    ``(row_rel << col_bits) | col`` key has a constant zero in its
-    single row bit and the permutation equals sorting the column part.
-    Charges still account the full ``row_bits + col_bits`` wide sort.
-    """
-    opts = ectx.options
-    cfg = opts.device
-    b = ectx.b
-    dtype = opts.value_dtype
-    capacity = cfg.elements_per_block
-    elem_bytes = opts.element_bytes
-
-    states: list[_IterMergeState] = []
-    # (run, chunk, nbytes, pre-cycles, pre-counters, pre-sorts, restore)
-    records: list[tuple] = []
-    for k, w in enumerate(workers):
-        w.attempts += 1
-        meter = CostMeter(config=cfg, constants=opts.costs)
-        if opts.device_trace:
-            meter.sort_log = []
-        if w._cols is None:
-            segs = gather_row_segments(
-                w.row, ectx.tracker, b, opts, meter, materialize_cost=False
-            )
-            w._cols = segs.cols
-            w._vals = segs.vals
-            w._cursors = [0] * len(segs.cols)
-        states.append(
-            _IterMergeState(k=k, w=w, meter=meter, ctx=_MergeCtx(cfg, meter))
-        )
-
-    tracker = ectx.tracker
-    active = states
-    while active:
-        batch: list[_IterMergeState] = []
-        for st in active:
-            w = st.w
-            meter = st.meter
-            remaining_cols = [
-                c[cur:] for c, cur in zip(w._cols, w._cursors)
-            ]
-            total = sum(c.shape[0] for c in remaining_cols)
-            if total == 0:
-                # retire: the multi-chunk row swap is deferred to the
-                # run's final_commit so the replay applies it at the
-                # reference's point of the serial order — and only when
-                # no allocation of this run failed
-                meter.atomic(1)
-                w.done = True
-
-                def _commit(row=w.row, chunks=list(w._produced), off=w._offset):
-                    tracker.replace_row(row, chunks, off)
-
-                st.final_commit = _commit
-                continue
-
-            if total <= capacity:
-                take = np.asarray(
-                    [c.shape[0] for c in remaining_cols], dtype=np.int64
-                )
-            else:
-                threshold = w._choose_threshold(st.ctx, remaining_cols, capacity)
-                take = w._counts_for(remaining_cols, threshold)
-                taken_total = int(take.sum())
-                if taken_total == 0 or taken_total > capacity:
-                    raise AssertionError(
-                        "threshold selection violated the capacity contract"
-                    )
-
-            take_list = take.tolist()
-            cols_parts = [
-                c[:t] for c, t in zip(remaining_cols, take_list) if t
-            ]
-            vals_parts = [
-                v[cur : cur + t]
-                for v, cur, t in zip(w._vals, w._cursors, take_list)
-                if t
-            ]
-            st.cols = (
-                cols_parts[0] if len(cols_parts) == 1 else np.concatenate(cols_parts)
-            )
-            st.vals = (
-                vals_parts[0] if len(vals_parts) == 1 else np.concatenate(vals_parts)
-            )
-            st.take = take
-            meter.global_read(st.cols.shape[0], elem_bytes)
-            batch.append(st)
-
-        if not batch:
-            break
-
-        # ---- batched esc_merge_batch over every active segment --------
-        nseg = len(batch)
-        seg_sizes = np.fromiter((st.cols.shape[0] for st in batch), np.int64, nseg)
-        seg_off = np.zeros(nseg + 1, dtype=np.int64)
-        np.cumsum(seg_sizes, out=seg_off[1:])
-        cols_b = (
-            batch[0].cols if nseg == 1 else np.concatenate([st.cols for st in batch])
-        )
-        vals_b = (
-            batch[0].vals if nseg == 1 else np.concatenate([st.vals for st in batch])
-        )
-
-        if opts.enable_bit_reduction:
-            cmin = np.minimum.reduceat(cols_b, seg_off[:-1])
-            cmax = np.maximum.reduceat(cols_b, seg_off[:-1])
-            for i in range(nseg):
-                batch[i].meter.scan(int(seg_sizes[i]))
-        else:
-            cmin = np.zeros(nseg, dtype=np.int64)
-            cmax = np.maximum.reduceat(cols_b, seg_off[:-1])
-        col_bits = bits_required_array(cmax - cmin)
-        # one row per block: row_bits == bits_required(0) == 1, and the
-        # row part of every key is zero
-        key_bits = col_bits + 1
-
-        keys = (cols_b - np.repeat(cmin, seg_sizes)).astype(np.uint64)
-        perm, keys_s = _segmented_sort(keys, seg_sizes, int(col_bits.max()))
-        vals_s = vals_b[perm]
-        for i in range(nseg):
-            batch[i].meter.radix_sort(int(seg_sizes[i]), int(key_bits[i]))
-
-        comp_keys, comp_vals, comp_counts = _segmented_compact(
-            keys_s, vals_s, seg_off
-        )
-        comp_off = np.zeros(nseg + 1, dtype=np.int64)
-        np.cumsum(comp_counts, out=comp_off[1:])
-        comp_cols_all = comp_keys.astype(np.int64) + np.repeat(cmin, comp_counts)
-
-        # ---- per-worker chunk emission (reference charge order) --------
-        next_active: list[_IterMergeState] = []
-        for i, st in enumerate(batch):
-            w = st.w
-            meter = st.meter
-            m = int(seg_sizes[i])
-            meter.alu(2 * m)  # compaction neighbour compares
-            meter.scan(m)  # Algorithm 3's single scan
-            lo_c, hi_c = int(comp_off[i]), int(comp_off[i + 1])
-            comp_n = hi_c - lo_c
-            meter.alu(m - comp_n)  # the merge's re-combining additions
-
-            chunk = Chunk(
-                order_key=w._order_key(),
-                kind="data",
-                first_row=w.row,
-                last_row=w.row,
-                rows=np.full(comp_n, w.row, dtype=np.int64),
-                cols=comp_cols_all[lo_c:hi_c],
-                vals=comp_vals[lo_c:hi_c],
-                segment_offsets={w.row: w._offset},
-            )
-            nbytes = ectx.pool.data_bytes(
-                comp_n, dtype.itemsize, opts.col_index_bytes
-            )
-            records.append(
-                (
-                    st.k,
-                    chunk,
-                    nbytes,
-                    meter.cycles,
-                    copy(meter.counters),
-                    len(meter.sort_log or ()),
-                    {
-                        "cursors": list(w._cursors),
-                        "n_produced": len(w._produced),
-                        "offset": w._offset,
-                        "emit_seq": w._emit_seq,
-                    },
-                )
-            )
-            meter.atomic(1)  # pool bump allocation
-            meter.scratchpad(2 * comp_n)
-            meter.global_write(comp_n, elem_bytes)
-            meter.global_write(1, 32)
-
-            # optimistic advance (rolled back by _iter_merge_rollback)
-            w._emit_seq += 1
-            w._offset += comp_n
-            w._produced.append(chunk)
-            w._cursors = [
-                cur + int(t) for cur, t in zip(w._cursors, st.take.tolist())
-            ]
-            st.cols = st.vals = st.take = None
-            next_active.append(st)
-        active = next_active
-
-    records.sort(key=lambda rec: rec[0])  # run by run, emission order kept
-    owner, chunks, nbytes, pre_cycles, pre_counters, pre_sorts, restore = (
-        list(zip(*records)) or [()] * 7
-    )
-    return OptimisticBatch(
-        workers=workers,
-        cycles=np.asarray([st.meter.cycles for st in states], dtype=np.float64),
-        counters=counter_rows([st.meter.counters for st in states]),
-        scratch_high=np.zeros(len(states), dtype=np.int64),
-        sort_logs=[st.meter.sort_log or () for st in states],
-        chunks=list(chunks),
-        owner=np.asarray(owner, dtype=np.int64),
-        nbytes=np.asarray(nbytes, dtype=np.int64),
-        pre_cycles=np.asarray(pre_cycles, dtype=np.float64),
-        pre_counters=counter_rows(pre_counters),
-        pre_scratch_high=np.zeros(len(records), dtype=np.int64),
-        pre_sort_len=np.asarray(pre_sorts, dtype=np.int64),
-        restore=restore,
-        final_commits=[st.final_commit for st in states],
-    )
-
-
-# ---------------------------------------------------------------------------
 # stage 4: batched chunk copy
 # ---------------------------------------------------------------------------
 
@@ -1263,11 +1005,12 @@ def _copy_chunks_batched(
 class BatchedEngine(ReferenceEngine):
     """Fuse all ready blocks of each kernel launch into numpy batches.
 
-    Every stage is batched: ESC as one flat batch per slab of each
-    round, Multi Merge as one flat batch per round, Path/Search Merge
-    as lockstep iterations whose sorts and
-    compactions fuse across workers (threshold sampling stays
-    per-worker — it reads tiny arrays and carries restart cursors).
+    ESC runs as one flat batch per slab of each round, Multi Merge as
+    one flat batch per round, and the output copy as slice copies of
+    the live links.  Path/Search Merge run the reference workers under
+    :func:`~repro.gpu.radix.fast_stable_sort`: they see few rows (long
+    output rows spread over several blocks), and the single-pass sort,
+    not running the workers in lockstep, is what makes them cheaper.
     """
 
     name = "batched"
@@ -1298,17 +1041,10 @@ class BatchedEngine(ReferenceEngine):
                 ectx.pool, ectx.tracker, batch, ectx.options.costs
             )
             return outcomes
-        # PM/SM: lockstep-batched iterative merges.  The threshold
-        # hooks' internal sample sorts run under the single-pass
-        # execution mode (same permutations, same charges).
-        self.count("fused_iter_launches")
-        self.count("fused_iter_workers", len(workers))
+        # PM/SM: the reference workers, with their radix sorts run as
+        # single numpy passes (same permutations, same charges)
         with fast_stable_sort():
-            batch = _iterative_merge_optimistic_batch(ectx, workers)
-        outcomes, failed = replay(ectx.pool, ectx.tracker, batch, ectx.options.costs)
-        for i in np.flatnonzero(failed >= 0).tolist():
-            _iter_merge_rollback(workers[i], batch.restore[failed[i]])
-        return outcomes
+            return super().merge_round(ectx, stage, workers)
 
     def copy_output(
         self, ectx: EngineContext, row_ptr: np.ndarray, counter_sink

@@ -25,9 +25,11 @@ known during the serial commit, so optimistic runs skip that charge and
 the replay adds it to the committing block's cycles and counters, as
 counted per chunk by the tracker's batched :meth:`RowChunkTracker.link_flat`.
 
-Each kernel hands the replay an :class:`OptimisticBatch`, its launch's
-runs and allocation records as arrays, and applies the rollback of a
-failed run itself from the record's ``restore`` entry.
+ESC and Multi Merge hand the replay an :class:`OptimisticBatch`, their
+launch's runs and allocation records as arrays.  ESC rolls a failed
+run back itself from the record's ``restore`` entry; a Multi Merge
+restart starts from scratch.  Path/Search Merge run the reference
+workers, which allocate from the pool directly and need no replay.
 """
 
 from __future__ import annotations
@@ -58,15 +60,14 @@ class OptimisticBatch:
     Records are listed run by run in emission order: record ``j`` of run
     ``owner[j]`` allocates ``nbytes[j]`` pool bytes for ``chunks[j]``,
     and the ``pre_*[j]`` entries are its run's state just before (what
-    the reference reports when that allocation fails).  ``restore[j]``
-    is the worker state the kernel rolls back to when record ``j``
-    fails, in a form the kernel defines.
+    the reference reports when that allocation fails).  ``restore[j]``,
+    if given, is the worker state the kernel rolls back to when record
+    ``j`` fails, in a form the kernel defines.
 
-    ``commit`` applies to every admitted record: ``"insert"`` links its
-    chunk into rows ``link_rows[link_off[j]:link_off[j + 1]]`` adding
-    the matching ``link_counts``, ``"replace"`` swaps those rows over to
-    it, and ``"none"`` only registers it in the pool.  A run's
-    ``final_commits[i]``, if any, runs once all its records committed.
+    ``commit`` applies to every admitted record: ``"insert"`` (ESC)
+    links its chunk into rows ``link_rows[link_off[j]:link_off[j + 1]]``
+    adding the matching ``link_counts``, and ``"replace"`` (Multi Merge)
+    swaps those rows over to it.
     """
 
     workers: list
@@ -81,12 +82,11 @@ class OptimisticBatch:
     pre_counters: np.ndarray
     pre_scratch_high: np.ndarray
     pre_sort_len: np.ndarray
-    commit: str = "none"
-    link_off: np.ndarray | None = None
-    link_rows: np.ndarray | None = None
-    link_counts: np.ndarray | None = None
+    commit: str
+    link_off: np.ndarray
+    link_rows: np.ndarray
+    link_counts: np.ndarray
     restore: Sequence | None = None
-    final_commits: list | None = None
 
     @classmethod
     def concat(cls, batches: list["OptimisticBatch"]) -> "OptimisticBatch":
@@ -96,14 +96,11 @@ class OptimisticBatch:
         first = batches[0]
         starts = np.cumsum([0] + [len(bt.workers) for bt in batches[:-1]])
         cat = np.concatenate
-        linked = first.link_off is not None
-        link_off = None
-        if linked:
-            ends = np.cumsum([0] + [bt.link_off[-1] for bt in batches[:-1]])
-            link_off = cat(
-                [bt.link_off[:-1] + e for bt, e in zip(batches, ends)]
-                + [[ends[-1] + batches[-1].link_off[-1]]]
-            )
+        ends = np.cumsum([0] + [bt.link_off[-1] for bt in batches[:-1]])
+        link_off = cat(
+            [bt.link_off[:-1] + e for bt, e in zip(batches, ends)]
+            + [[ends[-1] + batches[-1].link_off[-1]]]
+        )
         return cls(
             workers=[w for bt in batches for w in bt.workers],
             cycles=cat([bt.cycles for bt in batches]),
@@ -119,8 +116,8 @@ class OptimisticBatch:
             pre_sort_len=cat([bt.pre_sort_len for bt in batches]),
             commit=first.commit,
             link_off=link_off,
-            link_rows=cat([bt.link_rows for bt in batches]) if linked else None,
-            link_counts=cat([bt.link_counts for bt in batches]) if linked else None,
+            link_rows=cat([bt.link_rows for bt in batches]),
+            link_counts=cat([bt.link_counts for bt in batches]),
             restore=(
                 cat([bt.restore for bt in batches])
                 if first.restore is not None
@@ -194,10 +191,6 @@ def replay(
             tracker.replace_rows(
                 batch.link_rows[lo:hi], chunk, batch.link_counts[lo:hi]
             )
-    if batch.final_commits is not None:
-        for commit, fail in zip(batch.final_commits, failed.tolist()):
-            if commit is not None and fail < 0:
-                commit()
 
     cycles = batch.cycles.copy()
     counters = batch.counters.copy()

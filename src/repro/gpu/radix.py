@@ -10,6 +10,7 @@ pass; sorting fewer bits executes — and is charged — fewer passes.
 from __future__ import annotations
 
 import contextlib
+import threading
 
 import numpy as np
 
@@ -23,7 +24,14 @@ __all__ = [
     "fast_stable_sort",
 ]
 
-_fast_stable = False
+
+class _FastStable(threading.local):
+    """The :func:`fast_stable_sort` mode, one flag per thread."""
+
+    active = False
+
+
+_fast_stable = _FastStable()
 
 
 @contextlib.contextmanager
@@ -36,16 +44,18 @@ def fast_stable_sort():
     over a uint8/uint16 view, which numpy implements as an O(n) radix
     sort.  This is an execution switch only: permutations and every
     :class:`~repro.gpu.cost.CostMeter` charge (pass counts included) are
-    identical to the pass-by-pass path.  Batch-oriented engines enable it
-    around shared fallback stages; the reference engine never does.
+    identical to the pass-by-pass path.  The batched engine enables it
+    around the Path/Search Merge rounds, which run the reference merge
+    workers; the reference engine never does.  The mode is per thread,
+    so a daemon's executor threads entering and leaving it in any
+    interleaving never leave it on for another thread.
     """
-    global _fast_stable
-    prev = _fast_stable
-    _fast_stable = True
+    prev = _fast_stable.active
+    _fast_stable.active = True
     try:
         yield
     finally:
-        _fast_stable = prev
+        _fast_stable.active = prev
 
 
 def bits_required(max_value: int) -> int:
@@ -105,8 +115,9 @@ def radix_sort_permutation(
     # digits (numpy argsorts them with an O(n) radix kernel; one pass
     # covers the common <=16-bit keys) while charges stay keyed to
     # ``key_bits`` alone.
-    exec_bits = 16 if _fast_stable else bits_per_pass
-    digit_dtype = np.uint16 if _fast_stable else np.int64
+    fast = _fast_stable.active
+    exec_bits = 16 if fast else bits_per_pass
+    digit_dtype = np.uint16 if fast else np.int64
     for shift in range(0, key_bits, exec_bits):
         # the final pass masks only the remaining bits: bits at or above
         # key_bits must not influence the order

@@ -21,6 +21,7 @@ import pytest
 from repro import AcSpgemmOptions, FaultPlan, ac_spgemm
 from repro.core.chunks import ChunkPool
 from repro.engine import batched
+from repro.engine.reference import ReferenceEngine
 from repro.matrices import generators as g
 from repro.sparse.stats import count_intermediate_products, squared_operands
 from tests.conftest import random_csr
@@ -178,6 +179,43 @@ def test_campaign_shape(monkeypatch, mode):
     # a launch that fits admits without a scan; one that does not, or
     # any launch under a fault hook, checks record by record
     assert bool(batched_admissions) == (mode != "clean")
+
+
+def test_path_and_search_merge_restarts(monkeypatch):
+    """A pool fault in the middle of the Path Merge admissions and one in
+    the middle of the Search Merge admissions: each kernel restarts with
+    its workers' cursors kept, on both engines alike (the batched engine
+    runs the reference workers under the fast sort)."""
+    a, b = squared_operands(g.power_law(2500, avg_row_len=12.0, seed=4))
+    stages: list[str] = []
+    current = ["ESC"]
+    admit = ChunkPool.admission_ok
+    merge_round = ReferenceEngine.merge_round
+
+    def spy_admit(pool, nbytes):
+        stages.append(current[0])
+        return admit(pool, nbytes)
+
+    def spy_round(engine, ectx, stage, workers):
+        current[0] = stage
+        return merge_round(engine, ectx, stage, workers)
+
+    with monkeypatch.context() as m:
+        m.setattr(ChunkPool, "admission_ok", spy_admit)
+        m.setattr(ReferenceEngine, "merge_round", spy_round)
+        ac_spgemm(a, b, AcSpgemmOptions(engine="reference"))
+    pm = [i + 1 for i, st in enumerate(stages) if st == "PM"]
+    sm = [i + 1 for i, st in enumerate(stages) if st == "SM"]
+    assert len(pm) > 1 and len(sm) > 1, "case must run Path and Search Merge"
+    # the failed Path Merge attempt is retried, so every later
+    # admission moves one ordinal on
+    res = _run_all(
+        a, b, device_trace=True,
+        fault_plan=FaultPlan.pool_exhaust_at(pm[len(pm) // 2], sm[len(sm) // 2] + 1),
+    )
+    restarts = [rec.stage for rec in res.device_trace.records if rec.kind == "host"]
+    assert restarts == ["PM", "SM"]
+    assert res.restarts == 2
 
 
 def test_bit_reduction_disabled():

@@ -170,6 +170,45 @@ class TestExecutionShortcuts:
 
         with pytest.raises(RuntimeError):
             with radix.fast_stable_sort():
-                assert radix._fast_stable
+                assert radix._fast_stable.active
                 raise RuntimeError("boom")
-        assert not radix._fast_stable
+        assert not radix._fast_stable.active
+
+    def test_fast_stable_sort_is_per_thread(self):
+        """Two threads whose contexts interleave (A enters, B enters, A
+        exits, B exits) leave the mode off in both and in this thread."""
+        import threading
+
+        from repro.gpu import radix
+
+        step = [threading.Event() for _ in range(4)]
+        seen: dict[str, list[bool]] = {"a": [], "b": []}
+
+        def a():
+            with radix.fast_stable_sort():
+                step[0].set()
+                step[1].wait(5)
+                seen["a"].append(radix._fast_stable.active)
+            step[2].set()
+            step[3].wait(5)
+            seen["a"].append(radix._fast_stable.active)
+
+        def b():
+            step[0].wait(5)
+            seen["b"].append(radix._fast_stable.active)
+            with radix.fast_stable_sort():
+                step[1].set()
+                step[2].wait(5)
+                seen["b"].append(radix._fast_stable.active)
+            step[3].set()
+            seen["b"].append(radix._fast_stable.active)
+
+        threads = [threading.Thread(target=a), threading.Thread(target=b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert not any(t.is_alive() for t in threads)
+        assert all(e.is_set() for e in step)
+        assert seen == {"a": [True, False], "b": [False, True, False]}
+        assert not radix._fast_stable.active

@@ -1,7 +1,7 @@
 """The batched engine's segmented sort: one sort of unique packed words.
 
-Every batched stage sorts a lockstep batch of segments (one per block)
-at once.  The permutation must equal sorting each segment on its own
+Batched ESC and Multi Merge sort a batch of segments (one per block or
+group) at once.  The permutation must equal sorting each segment on its own
 with a stable sort, because tie order fixes the floating-point
 accumulation order downstream.
 """

@@ -35,7 +35,7 @@ def _dataclasses():
 
 def test_every_dataclass_annotation_resolves():
     classes = _dataclasses()
-    assert len(classes) >= 73
+    assert len(classes) >= 72
     unresolved = {}
     for cls in classes:
         try:
