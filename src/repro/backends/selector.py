@@ -27,7 +27,10 @@ from .registry import get_backend, register_backend
 
 __all__ = ["SelectionFeatures", "collect_features", "AdaptiveSelector"]
 
-#: rows of B sampled for the column-span probe (as in HybridAdaptive)
+#: rows of B sampled for the column-span probe.  A narrow span means
+#: dynamic bit reduction shrinks ESC's sort keys enough that ESC stays
+#: competitive on long rows; the ``ac-spgemm`` predictor prices its
+#: column bits from it
 SPAN_SAMPLE_ROWS = 64
 
 
@@ -52,7 +55,7 @@ class SelectionFeatures:
     #: temp products per (estimated) output entry — the compaction ratio
     compaction: float
     #: mean sampled B-row column spread over the matrix width (0.0 for
-    #: width-degenerate B — the guard HybridAdaptive was missing)
+    #: width-degenerate B, which has no width to divide by)
     span_fraction: float
     row_temps: np.ndarray = field(repr=False, default=None)
     row_lengths_a: np.ndarray = field(repr=False, default=None)

@@ -14,7 +14,6 @@ from .bhsparse import BhSparse
 from .cusparse_like import CusparseLike
 from .esc_global import EscGlobal
 from .gustavson import GustavsonCPU
-from .hybrid import HybridAdaptive
 from .kokkos_like import KokkosLike
 from .mkl_like import MklLikeCPU
 from .nsparse import NsparseHash
@@ -29,7 +28,6 @@ __all__ = [
     "EscGlobal",
     "GPU_ALGORITHMS",
     "GustavsonCPU",
-    "HybridAdaptive",
     "KokkosLike",
     "MklLikeCPU",
     "NsparseHash",

@@ -19,7 +19,6 @@ from .bhsparse import BhSparse
 from .cusparse_like import CusparseLike
 from .esc_global import EscGlobal
 from .gustavson import GustavsonCPU
-from .hybrid import HybridAdaptive
 from .kokkos_like import KokkosLike
 from .mkl_like import MklLikeCPU
 from .nsparse import NsparseHash
@@ -42,7 +41,7 @@ BASELINES: dict[str, type[SpGEMMAlgorithm]] = {
     cls.name: cls
     for cls in (
         CusparseLike, BhSparse, RMerge, NsparseHash, KokkosLike, EscGlobal,
-        BalancedHash, GustavsonCPU, MklLikeCPU, HybridAdaptive,
+        BalancedHash, GustavsonCPU, MklLikeCPU,
     )
 }
 

@@ -18,6 +18,7 @@ The contract being pinned down (docs/ARCHITECTURE.md §10):
 
 from __future__ import annotations
 
+import dataclasses
 import subprocess
 import sys
 
@@ -35,6 +36,9 @@ from repro.backends import (
     run_backend,
 )
 from repro.backends.base import Backend
+from repro.backends.selector import SPAN_SAMPLE_ROWS
+from repro.gpu.config import TITAN_XP
+from repro.gpu.cost import CostMeter
 from repro.matrices import generators as g
 from repro.obs.analyze import reconcile, stage_leaf_spans
 from repro.resilience.faults import FaultPlan
@@ -252,6 +256,11 @@ class TestSelectorDegenerate:
         assert res.matrix.allclose(ref, rtol=1e-10)
         assert reconcile(res)["checked"]
 
+    def test_inner_dimension_mismatch_rejected(self, rng):
+        a = random_csr(rng, 3, 4, 0.5)
+        with pytest.raises(ValueError, match="inner dimensions"):
+            run_backend("adaptive", a, a)
+
     def test_b_cols_zero_features_are_finite(self):
         a = random_csr(np.random.default_rng(3), 20, 15, 0.3)
         b = _empty(15, 0)
@@ -432,41 +441,54 @@ class TestSamplingEstimator:
 
 
 # ---------------------------------------------------------------------------
-# hybrid probe accounting (satellite fix)
+# selector probe accounting
 # ---------------------------------------------------------------------------
 
 
-class TestHybridProbeAccounting:
-    def test_b_cols_zero_routes_to_esc(self):
-        from repro.baselines.hybrid import HybridAdaptive
-
-        hy = HybridAdaptive()
-        a = random_csr(np.random.default_rng(4), 30, 20, 0.4)
-        b = _empty(20, 0)
-        assert hy.choose(a, b) == "esc"
-
+class TestSelectorProbe:
     def test_probe_counts_actual_sampled_reads(self):
-        from repro.baselines.hybrid import HybridAdaptive
+        # B row r holds r % 4 entries: the sampled rows mix lengths 0-3
+        rows = 200
+        pattern = np.zeros((rows, rows))
+        for r in range(rows):
+            pattern[r, (np.arange(r % 4) * 37 + r) % rows] = 1.0
+        b = CSRMatrix.from_dense(pattern)
+        a = random_csr(np.random.default_rng(5), 30, rows, 0.1)
+        meter = CostMeter(config=TITAN_XP)
+        reads = []
+        charge = meter.global_read
 
-        hy = HybridAdaptive()
-        dense = random_csr(np.random.default_rng(5), 90, 90, 0.7)
-        decision, sampled_reads = hy._inspect(dense, dense)
-        # dense rows: every sampled row contributes ptr pair + 2 ids
-        step = max(1, dense.rows // hy.structure_sample_rows)
-        n_sampled = len(range(0, dense.rows, step))
-        assert sampled_reads == 4 * n_sampled
-        run = hy.multiply(dense, dense)
-        assert run.dispatched_to in ("ac-spgemm", "nsparse")
-        assert run.stage_cycles.get("dispatch", 0) > 0
+        def spy(n, nbytes, *, coalesced=True):
+            reads.append((n, nbytes, coalesced))
+            charge(n, nbytes, coalesced=coalesced)
 
-    def test_probe_skipped_below_threshold(self):
-        from repro.baselines.hybrid import HybridAdaptive
+        meter.global_read = spy
+        collect_features(a, b, meter)
+        # 2 reads (the row-pointer pair) per sampled B row, plus 2 (the
+        # first and last column id) per sampled row of 2 or more entries
+        step = max(1, b.rows // SPAN_SAMPLE_ROWS)
+        lengths = b.row_lengths()[::step]
+        expected = 2 * len(lengths) + 2 * int((lengths >= 2).sum())
+        assert 0 < (lengths < 2).sum() < len(lengths)
+        # the row statistics' three reads come first, then the span probe
+        assert reads[:4] == [
+            (a.rows + 1, 4, True),
+            (a.nnz, 4, True),
+            (min(a.nnz, b.rows), 4, False),
+            (expected, 4, False),
+        ]
 
-        hy = HybridAdaptive()
-        sparse = random_csr(np.random.default_rng(6), 120, 120, 0.02)
-        decision, sampled_reads = hy._inspect(sparse, sparse)
-        assert decision == "esc"
-        assert sampled_reads == 0
+    def test_narrow_span_keeps_structured_dense_on_ac_spgemm(self):
+        # long rows (about 63 entries) but a narrow column span: bit
+        # reduction shrinks ESC's sort keys
+        a = g.banded(600, 32, seed=3)
+        f = collect_features(a, a)
+        assert f.span_fraction < 0.25
+        assert AdaptiveSelector().select(f) == "ac-spgemm"
+        ac = get_backend("ac-spgemm")
+        opts = AcSpgemmOptions()
+        wide = dataclasses.replace(f, span_fraction=1.0)
+        assert ac.predict_cycles(f, opts) < ac.predict_cycles(wide, opts)
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,6 @@ OUTPUT_PINS = {
     "cusparse": "8c80bde24181b0146d871fd8fe37763a73e49f91784b5d792b18f34144a9d628",
     "hash-spgemm": "4fef1c7c4fc09684495829f5366332707cff2750e9031f1ef76cfca9904d2151",
     "hashmap-spgemm": "0babafd4801919d3f0cd9df5601917c808daf38d0ee6bc2071ad28f6df6f56a9",
-    "hybrid-adaptive": "82ec93f80c86f7117a64969baf315c44200a6815adc6ecb4609526498f9c9abe",
     "kokkos": "2f7ec6649ade7eabedb1643e658275862929427548a705094115ed0f55148112",
     "nsparse": "e41b04f35bc21c17b6ce2ac9eccc4811f18df4781d3ed5324508d117f9b4a7c4",
     "rmerge": "5e21fbcd366e57fad4e273744a5f13b9e5ab0a8dfeb891db9cf18664cab9cb2b",
