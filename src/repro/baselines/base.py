@@ -214,8 +214,15 @@ def accumulate_products(
 @dataclass
 class _Groups:
     """The output entries of a sorted product list, for every dtype and
-    seed: C's pattern, each entry's first sorted position, and what the
-    seeded shuffle reads of the groups of two or more products."""
+    seed: C's pattern, each entry's first sorted position, and where the
+    *shared* products sit (those in a group of two or more).
+
+    Cost model: :meth:`of` runs once per operand pair, after the expand
+    and the sort. Each :meth:`accumulate` is O(nnz(C)) to gather every
+    entry's first product, plus a ``reduceat`` over the shared products
+    only and, under a seed, a sort of the shared products. A singleton
+    group's value is its product's bits: nothing is added to it.
+    """
 
     n_rows: int
     n_cols: int
@@ -225,12 +232,19 @@ class _Groups:
     col_idx: np.ndarray
     #: first sorted position of each output entry
     starts: np.ndarray
-    #: sorted positions in groups of two or more, ascending
+    #: sorted positions of the shared products, ascending
     shared_pos: np.ndarray
     #: their products' positions in expansion order
     shared_ids: np.ndarray
-    #: their packed ``row * n_cols + col`` keys (the shuffle's outer key)
-    shared_keys: np.ndarray
+    #: each shared group's first index into ``shared_pos``
+    shared_starts: np.ndarray
+    #: each shared group's output entry
+    shared_slots: np.ndarray
+    #: each shared product's group number shifted left by ``rank_bits``
+    #: (uint64): the high half of the shuffle's sort word
+    shared_words: np.ndarray
+    #: bits that hold a product's priority rank among the shared products
+    rank_bits: int
 
     @classmethod
     def of(cls, order: np.ndarray, keys: np.ndarray, n_rows: int, n_cols: int):
@@ -243,10 +257,18 @@ class _Groups:
         # sorted positions in a group of two or more: the position
         # continues its group, or the next position continues it
         shared = ~new_group
-        del new_group
         shared[:-1] |= shared[1:]
         pos = np.flatnonzero(shared)
+        slots = np.flatnonzero(shared[starts])
         del shared
+        first = new_group[pos]
+        del new_group
+        # group numbers below len(pos) / 2 and ranks below len(pos):
+        # both fit one uint64 word up to 2**32 shared products
+        rank_bits = max(int(pos.shape[0] - 1).bit_length(), 1)
+        words = np.cumsum(first, dtype=np.uint64)
+        words -= np.uint64(1)
+        words <<= np.uint64(rank_bits)
         out_rows, out_cols = np.divmod(keys[starts], n_cols)
         row_ptr = np.zeros(n_rows + 1, dtype=_INDEX_DTYPE)
         np.cumsum(np.bincount(out_rows, minlength=n_rows), out=row_ptr[1:])
@@ -259,7 +281,10 @@ class _Groups:
             starts=starts,
             shared_pos=pos,
             shared_ids=order[pos],
-            shared_keys=keys[pos],
+            shared_starts=np.flatnonzero(first),
+            shared_slots=slots,
+            shared_words=words,
+            rank_bits=rank_bits,
         )
 
     def accumulate(self, vals: np.ndarray, shuffle_seed: int | None) -> CSRMatrix:
@@ -271,21 +296,66 @@ class _Groups:
         IEEE addition of two NaNs keeps the first operand's payload, so
         even a two-product sum depends on the order.
         """
-        if shuffle_seed is not None and self.shared_pos.shape[0]:
-            priority = np.random.default_rng(shuffle_seed).random(self.n)
-            priority = priority[self.shared_ids]
-            perm = np.lexsort((priority, self.shared_keys))
-            del priority
-            shuffled = vals.copy()
-            shuffled[self.shared_pos] = vals[self.shared_pos[perm]]
-            vals = shuffled
+        values = vals[self.starts]
+        pos = self.shared_pos
+        if pos.shape[0]:
+            if shuffle_seed is not None:
+                priority = np.random.default_rng(shuffle_seed).random(self.n)
+                pos = pos[self.shuffle(priority[self.shared_ids])]
+            # a shared group is one contiguous run of the compact
+            # array, its products in summation order
+            values[self.shared_slots] = np.add.reduceat(
+                vals[pos], self.shared_starts
+            )
         return CSRMatrix(
             rows=self.n_rows,
             cols=self.n_cols,
             row_ptr=self.row_ptr.copy(),
             col_idx=self.col_idx.copy(),
-            values=np.add.reduceat(vals, self.starts),
+            values=values,
         )
+
+    def shuffle(self, priority: np.ndarray) -> np.ndarray:
+        """``np.lexsort((priority, key))`` over the shared products, as
+        one sort of ``group << rank_bits | rank`` words, where ``rank``
+        is a product's place in a stable sort of ``priority``."""
+        by_priority = _stable_argsort(priority, self.rank_bits)
+        words = self.shared_words[by_priority]
+        words |= np.arange(words.shape[0], dtype=np.uint64)
+        words.sort()
+        words &= np.uint64((1 << self.rank_bits) - 1)
+        return by_priority[words]
+
+
+def _stable_argsort(priority: np.ndarray, bits: int) -> np.ndarray:
+    """``np.argsort(priority, kind="stable")`` of finite values in
+    ``[0, 1)``, fewer than ``2**bits``.
+
+    One sort of words holding the top ``64 - bits`` of the priority's 53
+    bits above the position; a run whose truncated priorities tie is
+    then reordered by the full priority, ties in position order.
+    """
+    # rng.random draws multiples of 2**-53: the scaled value is exact,
+    # and a larger priority never gets a smaller word
+    words = (priority * 2.0**53).astype(np.uint64)
+    words >>= np.uint64(max(bits - 11, 0))
+    words <<= np.uint64(bits)
+    words |= np.arange(words.shape[0], dtype=np.uint64)
+    words.sort()
+    order = (words & np.uint64((1 << bits) - 1)).astype(np.intp)
+    words >>= np.uint64(bits)
+    tie = words[1:] == words[:-1]
+    del words
+    if tie.any():
+        in_run = np.zeros(order.shape[0], dtype=bool)
+        in_run[:-1] = tie
+        in_run[1:] |= tie
+        at = np.flatnonzero(in_run)
+        # a run starts where a position does not tie the one before
+        run = np.cumsum(np.concatenate(([True], ~tie))[at])
+        sub = order[at]
+        order[at] = sub[np.lexsort((priority[sub], run))]
+    return order
 
 
 class ProductPlan:
@@ -297,10 +367,15 @@ class ProductPlan:
     * ``per_row``, the temporary products of each row of A
       (:func:`~repro.sparse.ops.row_temp_counts`, read-only);
     * the grouping of the sorted products (:class:`_Groups`): C's
-      pattern, the group starts, and the sorted positions and product
-      ids of the groups of two or more that a seeded shuffle reorders;
+      pattern, the group starts, and where the shared products (those
+      in a group of two or more) sit, which alone are summed and
+      shuffled;
     * one dtype's products in sorted order. Asking for another dtype
       replaces them (expanded and sorted again; the grouping stays).
+
+    Cost model: the expand, sort and grouping are paid once per operand
+    pair and dtype. Each :meth:`product` call is then O(nnz(C)) plus a
+    sum of the shared products and, under a seed, a sort of them.
 
     The expansion order and the sort keys are dropped once the grouping
     is built. :meth:`product` returns the bytes

@@ -123,6 +123,9 @@ class _Family:
     help: str = ""
     samples: dict[str, float] = field(default_factory=dict)
     labels_of: dict[str, dict] = field(default_factory=dict)
+    #: (name, str(value)) of the const labels then the call's labels ->
+    #: sample key
+    key_of: dict[tuple, str] = field(default_factory=dict)
     #: histogram-kind families only: fixed bucket bounds + per-label-set
     #: histogram state
     bounds: tuple | None = None
@@ -164,9 +167,15 @@ class MetricsRegistry:
         return fam
 
     def _sample(self, fam: _Family, labels: dict) -> str:
-        merged = {**self.const_labels, **labels}
-        key = sample_key(fam.name, merged)
-        fam.labels_of.setdefault(key, merged)
+        # the key reads only the label names and their values' str()
+        memo = tuple(
+            (k, str(v)) for d in (self.const_labels, labels) for k, v in d.items()
+        )
+        key = fam.key_of.get(memo)
+        if key is None:
+            merged = {**self.const_labels, **labels}
+            key = fam.key_of[memo] = sample_key(fam.name, merged)
+            fam.labels_of.setdefault(key, merged)
         return key
 
     def inc(self, name: str, value=1, help: str = "", **labels) -> None:
@@ -360,16 +369,21 @@ class MetricsRegistry:
             "block-level kernel launches.",
         )
         if result.spans is not None:
-            for name in sorted({s.name for s in result.spans.walk()}):
+            # one walk; each name's durations in walk order, so the sums
+            # are those of ``Span.cycle_sum``
+            durations: dict[str, list] = {}
+            for s in result.spans.walk():
+                durations.setdefault(s.name, []).append(s.duration)
+            for name in sorted(durations):
                 self.inc(
                     "repro_span_cycles_total",
-                    result.spans.cycle_sum(name),
+                    sum(durations[name]),
                     help="Total simulated cycles per span name.",
                     span=name,
                 )
                 self.inc(
                     "repro_spans_total",
-                    sum(1 for s in result.spans.walk() if s.name == name),
+                    len(durations[name]),
                     help="Spans recorded per span name.",
                     span=name,
                 )

@@ -7,6 +7,7 @@ JSON and the gate-metrics document, and a run's registry renders
 Prometheus-parseable text.
 """
 
+import dataclasses
 import importlib.util
 import json
 import re
@@ -28,6 +29,7 @@ from repro.obs import (
     validate_perfetto,
     validate_perfetto_file,
 )
+from repro.obs.metrics import sample_key
 from repro.obs.span import host_span_profile
 from repro.sparse import write_matrix_market
 from tests.conftest import random_csr
@@ -415,6 +417,57 @@ class TestDeterminism:
             )
         assert blobs[0] == blobs[1]
         assert_prometheus_parseable(blobs[0][2])
+
+    def test_record_result_matches_the_unmemoized_fold(self):
+        """One span walk and memoized sample keys export the bytes of a
+        registry that rebuilds every key and walks the tree twice per
+        span name."""
+        results = []
+        for seed, engine in ((3, "batched"), (4, "reference"), (3, "batched")):
+            a = random_uniform(120, 120, 4, seed=seed)
+            results.append(ac_spgemm(a, a, AcSpgemmOptions(engine=engine)))
+        results.append(
+            ac_spgemm(*[random_csr(np.random.default_rng(5), 60, 60, 0.1)] * 2,
+                      _small_opts())
+        )
+        new = MetricsRegistry(const_labels={"service": "s"})
+        old = _UnmemoizedRegistry(const_labels={"service": "s"})
+        for res in results:
+            for reg in (new, old):
+                reg.record_result(res)
+                # equal label values whose str() differs stay apart
+                for value in (1, 1.0, True, "1"):
+                    reg.inc("x_total", 1, code=value)
+        assert new.to_prometheus() == old.to_prometheus()
+        assert json.dumps(new.to_json()) == json.dumps(old.to_json())
+        assert len([k for k in new.to_json()["metrics"] if "x_total" in k]) == 3
+
+
+class _UnmemoizedRegistry(MetricsRegistry):
+    """The registry fold as written before its sample keys were
+    memoized and its span tree walked once."""
+
+    def _sample(self, fam, labels):
+        merged = {**self.const_labels, **labels}
+        key = sample_key(fam.name, merged)
+        fam.labels_of.setdefault(key, merged)
+        return key
+
+    def _record_result_locked(self, result):
+        super()._record_result_locked(dataclasses.replace(result, spans=None))
+        for name in sorted({s.name for s in result.spans.walk()}):
+            self.inc(
+                "repro_span_cycles_total",
+                result.spans.cycle_sum(name),
+                help="Total simulated cycles per span name.",
+                span=name,
+            )
+            self.inc(
+                "repro_spans_total",
+                sum(1 for s in result.spans.walk() if s.name == name),
+                help="Spans recorded per span name.",
+                span=name,
+            )
 
 
 # ---------------------------------------------------------------------------

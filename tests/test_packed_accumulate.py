@@ -9,6 +9,13 @@ Pinned down here:
 * ``accumulate_products`` equals that ``lexsort`` formula, kept below as
   the oracle, on triplets in arbitrary order with heavy duplicates, NaN
   payloads and signed zeros;
+* the same in the two regimes the compact accumulation splits: mostly
+  singleton groups (gathered, not summed) and only shared groups
+  (summed and shuffled as one compact array), with NaN payloads and
+  signed zeros in both;
+* the seeded shuffle's packed-word sort is the two-key ``lexsort``
+  permutation, ties in the priorities included;
+* ``ProductPlan.product`` hands out fresh arrays;
 * ``COOMatrix.to_csr`` equals its former ``lexsort`` formula;
 * ``expand_products`` equals its former gather-based formula;
 * ``row_major_order`` is the two-key ``lexsort`` permutation and rejects
@@ -26,7 +33,12 @@ from hypothesis import strategies as st
 
 from repro import CSRMatrix
 from repro.baselines import GPU_ALGORITHMS, make_algorithm
-from repro.baselines.base import accumulate_products, expand_products
+from repro.baselines.base import (
+    ProductPlan,
+    _Groups,
+    accumulate_products,
+    expand_products,
+)
 from repro.campaign.plan import tiny_entries
 from repro.matrices import generators as g
 from repro.sparse import COOMatrix, sort_row_entries
@@ -253,6 +265,134 @@ def test_signed_zeros_in_one_group():
             accumulate_products(rows, cols, vals, 1, 2, shuffle_seed=seed),
             lexsort_accumulate(rows, cols, vals, 1, 2, shuffle_seed=seed),
         )
+
+
+def _special(dtype) -> np.ndarray:
+    """NaNs with distinct payloads (one negative), signed zeros and
+    infinities, as bit patterns of ``dtype``."""
+    if dtype is np.float32:
+        nans = np.array([0x7FC00001, 0x7FC00002, 0xFFC00003], dtype=np.uint32)
+    else:
+        nans = np.array(
+            [0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000003],
+            dtype=np.uint64,
+        )
+    return np.concatenate(
+        [nans.view(dtype), np.array([0.0, -0.0, np.inf, -np.inf], dtype=dtype)]
+    )
+
+
+@st.composite
+def regime_triplets(draw, shared_only: bool):
+    """Products in arbitrary order whose output entries are all shared,
+    or all single but for up to three repeated keys."""
+    dtype = draw(st.sampled_from((np.float32, np.float64)))
+    n_rows = draw(st.integers(1, 12))
+    n_cols = draw(st.integers(1, 12))
+    cells = n_rows * n_cols
+    keys = draw(
+        st.lists(
+            st.integers(0, cells - 1), min_size=1, max_size=min(cells, 60),
+            unique=True,
+        )
+    )
+    if shared_only:
+        reps = draw(st.lists(st.integers(2, 5), min_size=len(keys), max_size=len(keys)))
+        flat = np.repeat(np.array(keys, dtype=np.int64), reps)
+    else:
+        extra = draw(st.lists(st.sampled_from(keys), max_size=3))
+        flat = np.array(keys + extra, dtype=np.int64)
+    flat = flat[draw(st.permutations(range(flat.shape[0])))]
+    special = _special(dtype)
+    width = 32 if dtype is np.float32 else 64
+    vals = np.empty(flat.shape[0], dtype=dtype)
+    for i in range(vals.shape[0]):
+        pick = draw(
+            st.one_of(
+                st.integers(0, special.shape[0] - 1),
+                st.floats(width=width, allow_nan=False),
+            )
+        )
+        vals[i] = special[pick] if isinstance(pick, int) else float(pick)
+    rows, cols = np.divmod(flat, n_cols)
+    return rows, cols, vals, n_rows, n_cols
+
+
+@SETTINGS
+@given(
+    st.booleans().flatmap(regime_triplets), st.sampled_from((None, 0, 1))
+)
+def test_accumulate_regimes_equal_lexsort_oracle(t, seed):
+    rows, cols, vals, n_rows, n_cols = t
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = accumulate_products(
+            rows, cols, vals, n_rows, n_cols, shuffle_seed=seed
+        )
+        want = lexsort_accumulate(
+            rows, cols, vals, n_rows, n_cols, shuffle_seed=seed
+        )
+    assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_special_values_alone_and_shared(dtype):
+    """A single NaN or -0.0 keeps its bits; the same values in shared
+    groups sum in the oracle's order."""
+    special = _special(dtype)
+    k = special.shape[0]
+    # entry (0, j) holds special[j] alone; entry (1, j) holds it with
+    # every other special value after it
+    rows = np.concatenate([np.zeros(k, np.int64), np.ones(k * k, np.int64)])
+    cols = np.concatenate([np.arange(k), np.repeat(np.arange(k), k)])
+    vals = np.concatenate(
+        [special, np.concatenate([np.roll(special, -j) for j in range(k)])]
+    )
+    for seed in (None, 0, 1, 2):
+        with np.errstate(invalid="ignore"):
+            got = accumulate_products(rows, cols, vals, 2, k, shuffle_seed=seed)
+            want = lexsort_accumulate(rows, cols, vals, 2, k, shuffle_seed=seed)
+        assert_same_bytes(got, want)
+        assert got.values[:k].tobytes() == special.tobytes()
+
+
+@pytest.mark.parametrize("n", (300, 6000))
+def test_packed_shuffle_is_the_lexsort_permutation(n):
+    """Equal priorities within and across groups order by position; at
+    6000 shared products the packed words truncate the priorities, so
+    priorities one ulp apart tie there and are reordered in full."""
+    rng = np.random.default_rng(11)
+    rows = rng.integers(0, 7, n)
+    cols = rng.integers(0, 5, n)
+    order, keys = row_major_order(rows, cols, 7, 5)
+    groups = _Groups.of(order, keys, 7, 5)
+    m = groups.shared_pos.shape[0]
+    assert m == n  # 35 entries: every product is shared
+    shared_keys = keys[groups.shared_pos]
+    ulp = 2.0**-53
+    for priority in (
+        np.full(m, 0.5),
+        rng.choice([0.0, 0.25, 0.5, 0.5 + ulp, 0.5 + 2 * ulp, 1 - ulp], m),
+        np.floor(rng.random(m) * 8) / 8,
+        rng.random(m),
+    ):
+        np.testing.assert_array_equal(
+            groups.shuffle(priority), np.lexsort((priority, shared_keys))
+        )
+
+
+def test_product_returns_fresh_arrays():
+    a, b = squared_operands(
+        g.long_row_matrix(200, 3.0, n_long_rows=2, long_row_len=80, seed=2)
+    )
+    plan = ProductPlan(a, b)
+    for seed in (None, 1):
+        first = plan.product(np.float64, seed)
+        want = [x.tobytes() for x in (first.row_ptr, first.col_idx, first.values)]
+        for arr in (first.row_ptr, first.col_idx, first.values):
+            arr[...] = -1
+        again = plan.product(np.float64, seed)
+        got = [x.tobytes() for x in (again.row_ptr, again.col_idx, again.values)]
+        assert got == want
 
 
 def test_packed_key_overflow_raises():
