@@ -4,8 +4,9 @@ Two engines, promoted from the host-side cost sketches in
 ``repro.baselines`` to full pipeline drivers on the simulated device:
 
 ``hash-spgemm``
-    An nsparse/balanced-hash style binned engine: a device-wide binning
-    pass groups A's rows by their temporary-product count, per-bin
+    An nsparse-style binned engine (it also stands for the binned
+    balanced-hash design, which has no model of its own): a device-wide
+    binning pass groups A's rows by their temporary-product count, per-bin
     symbolic kernels count nnz per output row in power-of-two
     scratchpad hash tables (rows whose table cannot fit scratchpad run
     against global-memory tables), a device-wide scan builds the row
@@ -289,7 +290,7 @@ class _SimulatedHashEngine(Backend):
 
 @register_backend
 class NsparseHashBackend(_SimulatedHashEngine):
-    """Binned scratchpad-hash engine (nsparse / balanced hash style)."""
+    """Binned scratchpad-hash engine (nsparse style)."""
 
     name = "hash-spgemm"
     stage_keys = ("BIN", "SYM", "PTR", "NUM")

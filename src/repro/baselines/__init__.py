@@ -2,7 +2,6 @@
 reimplemented on the shared simulated device for apples-to-apples
 comparison with AC-SpGEMM."""
 
-from .balanced_hash import BalancedHash
 from .base import (
     ProductPlan,
     SpGEMMAlgorithm,
@@ -17,12 +16,11 @@ from .gustavson import GustavsonCPU
 from .kokkos_like import KokkosLike
 from .mkl_like import MklLikeCPU
 from .nsparse import NsparseHash
-from .registry import GPU_ALGORITHMS, make_algorithm, make_lineup
+from .registry import GPU_ALGORITHMS, make_algorithm
 from .rmerge import RMerge
 
 __all__ = [
     "ALL_ALGORITHMS",
-    "BalancedHash",
     "BhSparse",
     "CusparseLike",
     "EscGlobal",
@@ -38,7 +36,6 @@ __all__ = [
     "accumulate_products",
     "expand_products",
     "make_algorithm",
-    "make_lineup",
 ]
 
 

@@ -13,7 +13,6 @@ from ..backends.registry import available_backends, is_backend
 from ..core.options import AcSpgemmOptions
 from ..gpu.config import DeviceConfig, TITAN_XP
 from ..gpu.cost import CostConstants, DEFAULT_COSTS
-from .balanced_hash import BalancedHash
 from .base import SpGEMMAlgorithm
 from .bhsparse import BhSparse
 from .cusparse_like import CusparseLike
@@ -29,7 +28,6 @@ __all__ = [
     "BASELINES",
     "ALL_ALGORITHMS",
     "make_algorithm",
-    "make_lineup",
 ]
 
 GPU_ALGORITHMS: tuple[str, ...] = (
@@ -41,7 +39,7 @@ BASELINES: dict[str, type[SpGEMMAlgorithm]] = {
     cls.name: cls
     for cls in (
         CusparseLike, BhSparse, RMerge, NsparseHash, KokkosLike, EscGlobal,
-        BalancedHash, GustavsonCPU, MklLikeCPU,
+        GustavsonCPU, MklLikeCPU,
     )
 }
 
@@ -84,13 +82,3 @@ def make_algorithm(
 
     return BackendAlgorithm(name, device=device, costs=costs, options=options)
 
-
-def make_lineup(
-    names=None,
-    device: DeviceConfig = TITAN_XP,
-    costs: CostConstants = DEFAULT_COSTS,
-) -> list[SpGEMMAlgorithm]:
-    """The paper's evaluation line-up (or a named subset)."""
-    if names is None:
-        names = GPU_ALGORITHMS
-    return [make_algorithm(n, device=device, costs=costs) for n in names]

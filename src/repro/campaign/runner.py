@@ -46,7 +46,7 @@ from .store import (
     shard_dir,
     write_atomic,
 )
-from .worker import campaign_trace_meta, worker_main
+from .worker import worker_main
 
 __all__ = ["CampaignResult", "CampaignRunner", "campaign_records"]
 
@@ -190,7 +190,6 @@ class CampaignRunner:
 
             ctx = mp.get_context("fork")
         work = ctx.Queue() if n > 1 else queue.Queue()
-        trace_meta = campaign_trace_meta(self.config)
         try:
             # fork before the first put: the queue's feeder thread does
             # not exist yet, so no lock can be copied held into a child
@@ -203,7 +202,6 @@ class CampaignRunner:
                     ),
                     kwargs={
                         "cell_timeout": self.cell_timeout,
-                        "trace_meta": trace_meta,
                         "built": self._built,
                     },
                 )
@@ -214,7 +212,7 @@ class CampaignRunner:
             drained = worker_main(
                 str(self.directory), 0, self.config.to_json(), work,
                 self.throttle, cell_timeout=self.cell_timeout,
-                trace_meta=trace_meta, built=self._built, on_cell=progress,
+                built=self._built, on_cell=progress,
             )
             if drained:
                 for p in procs:

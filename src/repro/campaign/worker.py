@@ -38,7 +38,6 @@ import signal
 import threading
 import time
 import traceback
-from contextlib import nullcontext
 from functools import partial
 
 from ..baselines.base import ProductPlan
@@ -115,9 +114,9 @@ def execute_cell(
     *,
     key: str,
     worker: int,
+    trace_meta: dict,
     runner=None,
     cell_timeout: float | None = None,
-    trace_meta: dict | None = None,
     plan: ProductPlan | None = None,
 ) -> dict:
     """Run one cell under the per-cell retry budget.
@@ -137,30 +136,29 @@ def execute_cell(
     process (always true for forked campaign workers); elsewhere the
     timeout is a no-op rather than a wrong answer.
 
-    ``trace_meta`` (see :func:`campaign_trace_meta`) opts the cell into
-    request tracing: the attempts run under an ambient per-cell trace
-    (cell span ids derive from ``cell.index``, so they are identical
-    whichever worker ran it) and the checkpoint line gains a ``trace``
-    field — outside :data:`repro.campaign.store._ARTIFACT_FIELDS`, so
-    the merged artifact stays byte-identical.
+    Every cell is traced under ``trace_meta`` (the campaign's pair, see
+    :func:`campaign_trace_meta`): the attempts run under an ambient
+    per-cell trace (cell span ids derive from ``cell.index``, so they
+    are identical whichever worker ran it) and the checkpoint line
+    carries a ``trace`` field — outside
+    :data:`repro.campaign.store._ARTIFACT_FIELDS`, so the merged
+    artifact does not depend on it.
     """
     import numpy as np
 
     run = runner if runner is not None else partial(run_case, plan=plan)
     dtype = np.dtype(cell.dtype)  # validated by CampaignConfig
     options = config.options()
-    trace = None
-    if trace_meta is not None:
-        ctx = TraceContext(
-            trace_id=trace_meta["trace_id"],
-            span_id=derive_span_id(
-                trace_meta["trace_id"], trace_meta["parent_id"],
-                "cell", cell.index,
-            ),
-        )
-        trace = RequestTrace(
-            ctx, name="cell", cell=cell.id, key=key, worker=worker
-        )
+    ctx = TraceContext(
+        trace_id=trace_meta["trace_id"],
+        span_id=derive_span_id(
+            trace_meta["trace_id"], trace_meta["parent_id"],
+            "cell", cell.index,
+        ),
+    )
+    trace = RequestTrace(
+        ctx, name="cell", cell=cell.id, key=key, worker=worker
+    )
     use_alarm = (
         cell_timeout is not None
         and cell_timeout > 0
@@ -175,48 +173,35 @@ def execute_cell(
     while attempts <= config.retries:
         attempts += 1
         prev_handler = None
-        att_span = (
-            trace.start_span("attempt", attempt=attempts)
-            if trace is not None
-            else None
-        )
+        att_span = trace.start_span("attempt", attempt=attempts)
         try:
             if use_alarm:
                 prev_handler = signal.signal(signal.SIGALRM, _raise_cell_deadline)
                 signal.setitimer(signal.ITIMER_REAL, cell_timeout)
-            with (
-                use_trace(trace, att_span)
-                if trace is not None
-                else nullcontext()
-            ):
+            with use_trace(trace, att_span):
                 rec = run(
                     case,
                     _algorithm_for(cell, options),
                     dtype.type,
                     verify=config.verify,
                 )
-            if trace is not None:
-                trace.end_span(att_span)
+            trace.end_span(att_span)
             record = rec.to_json()
             status = "ok" if attempts == 1 else "retried"
             error = None
             break
         except ReproError as exc:
             error = exc.context()
-            if trace is not None:
-                trace.end_span(
-                    att_span, status="error", error=exc.one_line()
-                )
+            trace.end_span(att_span, status="error", error=exc.one_line())
         except Exception as exc:  # noqa: BLE001 - isolation by design
             error = {
                 "kind": type(exc).__name__,
                 "message": str(exc),
                 "trace": traceback.format_exc(limit=3),
             }
-            if trace is not None:
-                trace.end_span(
-                    att_span, status="error", error=type(exc).__name__
-                )
+            trace.end_span(
+                att_span, status="error", error=type(exc).__name__
+            )
         finally:
             if use_alarm:
                 signal.setitimer(signal.ITIMER_REAL, 0.0)
@@ -231,13 +216,12 @@ def execute_cell(
         "error": error,
         "worker": worker,
         "t_host": round(time.monotonic() - t0, 6),
-    }
-    if trace is not None:
-        trace.release(status=status, attempts=attempts)
-        line["trace"] = {
+        "trace": {
             "trace_id": trace.trace_id,
             "span_id": trace.root.span_id,
-        }
+        },
+    }
+    trace.release(status=status, attempts=attempts)
     return line
 
 
@@ -249,7 +233,6 @@ def worker_main(
     throttle: float = 0.0,
     cell_timeout: float | None = None,
     starve_timeout: float = DEFAULT_STARVE_TIMEOUT,
-    trace_meta: dict | None = None,
     built: dict | None = None,
     on_cell=None,
 ) -> bool:
@@ -271,6 +254,7 @@ def worker_main(
     per-cell-timeout semantics.
     """
     config = CampaignConfig.from_json(config_json)
+    trace_meta = campaign_trace_meta(config)
     cells = enumerate_cells(config)
     entries = {e.name: e for e in config_entries(config)}
     built = built or {}
@@ -333,8 +317,8 @@ def worker_main(
                 plan_for = (cell.matrix, cell.dtype)
             line = execute_cell(
                 case, cell, config, key=cell_key(cell, fp, config),
-                worker=worker, cell_timeout=cell_timeout, trace_meta=trace_meta,
-                plan=plan,
+                worker=worker, trace_meta=trace_meta,
+                cell_timeout=cell_timeout, plan=plan,
             )
             writer.append(line)
             if on_cell is not None:

@@ -10,7 +10,7 @@ from .block import BlockContext
 from .config import SMALL_DEVICE, TITAN_XP, DeviceConfig
 from .cost import DEFAULT_COSTS, CostConstants, CostMeter
 from .counters import AtomicCounter, TrafficCounters
-from .memory import DeviceAllocationTracker, Scratchpad, ScratchpadOverflow
+from .memory import Scratchpad, ScratchpadOverflow
 from .primitives import (
     block_reduce_minmax,
     blocked_to_striped,
@@ -19,7 +19,7 @@ from .primitives import (
     inclusive_prefix_sum,
     striped_to_blocked,
 )
-from .radix import bits_required, radix_sort_pairs, radix_sort_permutation
+from .radix import bits_required, radix_sort_permutation
 from .scheduler import KernelTiming, schedule_blocks
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "CostConstants",
     "CostMeter",
     "DEFAULT_COSTS",
-    "DeviceAllocationTracker",
     "DeviceConfig",
     "KernelTiming",
     "SMALL_DEVICE",
@@ -42,7 +41,6 @@ __all__ = [
     "exclusive_prefix_sum",
     "inclusive_max_scan",
     "inclusive_prefix_sum",
-    "radix_sort_pairs",
     "radix_sort_permutation",
     "schedule_blocks",
     "striped_to_blocked",

@@ -3,8 +3,9 @@
 The scratchpad enforces the hard on-chip capacity that shapes AC-SpGEMM
 (§3: "Considering register sizes of current GPUs and reasonably small
 thread block sizes, up to 4000 temporary elements can be held").  Global
-allocations are tracked so Table 3 / Figure 8 (memory consumption) can be
-reproduced exactly as "helper", "chunk pool" and "used" byte counts.
+allocations are not tracked here: Table 3 / Figure 8 (memory consumption)
+read the "helper", "chunk pool" and "used" byte counts of each run's
+:class:`repro.core.acspgemm.MemoryReport`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .config import DeviceConfig
 __all__ = [
     "ScratchpadOverflow",
     "Scratchpad",
-    "DeviceAllocationTracker",
     "layout_high_water",
 ]
 
@@ -119,46 +119,3 @@ def layout_high_water(config: DeviceConfig, layout: dict) -> np.ndarray:
             pad.alloc(name, int(np.broadcast_to(n_bytes, total.shape)[over[0]]))
     return total
 
-
-@dataclass
-class DeviceAllocationTracker:
-    """Tracks global-memory allocations by category.
-
-    Categories used by the benches: ``"helper"`` (load-balancing arrays,
-    list heads, restart state, ...), ``"chunk_pool"`` and ``"output"``.
-    ``used`` bytes within the chunk pool are recorded separately by the
-    pool itself.
-    """
-
-    allocated: dict[str, int] = field(default_factory=dict)
-    peak: dict[str, int] = field(default_factory=dict)
-
-    def alloc(self, category: str, n_bytes: int) -> None:
-        """Record a global allocation under ``category``."""
-        if n_bytes < 0:
-            raise ValueError("allocation size must be non-negative")
-        new = self.allocated.get(category, 0) + n_bytes
-        self.allocated[category] = new
-        if new > self.peak.get(category, 0):
-            self.peak[category] = new
-
-    def free(self, category: str, n_bytes: int) -> None:
-        """Record a release from ``category``."""
-        cur = self.allocated.get(category, 0)
-        if n_bytes > cur:
-            raise ValueError(
-                f"freeing {n_bytes} B from {category!r} which holds {cur} B"
-            )
-        self.allocated[category] = cur - n_bytes
-
-    def total_allocated(self) -> int:
-        """Currently allocated bytes across categories."""
-        return sum(self.allocated.values())
-
-    def peak_total(self) -> int:
-        """Sum of per-category allocation peaks."""
-        return sum(self.peak.values())
-
-    def bytes_of(self, category: str) -> int:
-        """Peak bytes of one category."""
-        return self.peak.get(category, 0)

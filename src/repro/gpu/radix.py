@@ -18,7 +18,6 @@ from .cost import CostMeter
 
 __all__ = [
     "radix_sort_permutation",
-    "radix_sort_pairs",
     "bits_required",
     "bits_required_array",
     "fast_stable_sort",
@@ -132,13 +131,3 @@ def radix_sort_permutation(
     meter.radix_sort(n, key_bits)
     return order
 
-
-def radix_sort_pairs(
-    meter: CostMeter,
-    keys: np.ndarray,
-    values: np.ndarray,
-    key_bits: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sort ``(keys, values)`` pairs stably by key; returns sorted copies."""
-    perm = radix_sort_permutation(meter, keys, key_bits)
-    return np.asarray(keys)[perm], np.asarray(values)[perm]

@@ -43,6 +43,7 @@ from pathlib import Path
 
 from ..gpu.counters import TrafficCounters
 from .metrics import MetricsRegistry
+from .span import stage_leaf_spans
 
 __all__ = ["ANALYZE_SCHEMA", "AnalysisReport", "analyze_result", "render_html"]
 
@@ -63,24 +64,6 @@ _TRAFFIC_FIELDS = (
 
 class ReconciliationError(ValueError):
     """The device trace disagrees with the run's other accounting."""
-
-
-#: driver span names that group per-round leaves; normally excluded by
-#: the no-children filter, but an empty stage (zero ESC blocks) leaves
-#: its group span childless, so they are excluded by name as well
-GROUP_SPAN_NAMES = frozenset({"esc", "mm", "pm", "sm"})
-
-
-def stage_leaf_spans(root) -> list:
-    """The childless stage-attributed spans, in chronological order —
-    exactly one per device-trace record."""
-    return [
-        s
-        for s in root.walk()
-        if not s.children
-        and "stage" in s.attrs
-        and s.name not in GROUP_SPAN_NAMES
-    ]
 
 
 def _hist(values) -> dict[str, int]:

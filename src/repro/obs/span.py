@@ -29,11 +29,13 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 __all__ = [
+    "GROUP_SPAN_NAMES",
     "HostSpanProfile",
     "Span",
     "SpanEvent",
     "SpanRecorder",
     "host_span_profile",
+    "stage_leaf_spans",
 ]
 
 
@@ -94,6 +96,24 @@ class Span:
             "events": [e.to_dict() for e in self.events],
             "children": [c.to_dict() for c in self.children],
         }
+
+
+#: driver span names that group per-round leaves; normally excluded by
+#: the no-children filter, but an empty stage (zero ESC blocks) leaves
+#: its group span childless, so they are excluded by name as well
+GROUP_SPAN_NAMES = frozenset({"esc", "mm", "pm", "sm"})
+
+
+def stage_leaf_spans(root: Span) -> list[Span]:
+    """The childless stage-attributed spans, in chronological order —
+    exactly one per device-trace record."""
+    return [
+        s
+        for s in root.walk()
+        if not s.children
+        and "stage" in s.attrs
+        and s.name not in GROUP_SPAN_NAMES
+    ]
 
 
 class HostSpanProfile:

@@ -52,6 +52,8 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
+from .span import stage_leaf_spans
+
 __all__ = [
     "TraceContext",
     "TraceSpan",
@@ -71,11 +73,6 @@ _TRACEPARENT_RE = re.compile(
     r"^(?P<version>[0-9a-f]{2})-(?P<trace>[0-9a-f]{32})"
     r"-(?P<span>[0-9a-f]{16})-(?P<flags>[0-9a-f]{2})$"
 )
-
-#: span names whose grafted copies group per-round leaves (mirrors
-#: :data:`repro.obs.analyze.GROUP_SPAN_NAMES`)
-_GROUP_SPAN_NAMES = frozenset({"esc", "mm", "pm", "sm"})
-
 
 def derive_trace_id(content: str, ordinal: int) -> str:
     """32-hex trace id from a content fingerprint and request ordinal."""
@@ -309,14 +306,9 @@ class RequestTrace:
             grafted = self._graft_tree(parent, root)
             summary["spans"] = grafted
             stage_sums: dict[str, float] = {}
-            for s in root.walk():
-                if (
-                    not s.children
-                    and "stage" in s.attrs
-                    and s.name not in _GROUP_SPAN_NAMES
-                ):
-                    stage = str(s.attrs["stage"])
-                    stage_sums[stage] = stage_sums.get(stage, 0.0) + s.duration
+            for s in stage_leaf_spans(root):
+                stage = str(s.attrs["stage"])
+                stage_sums[stage] = stage_sums.get(stage, 0.0) + s.duration
             stages = (
                 ["FB"] if getattr(result, "degraded", False)
                 else list(result.stage_cycles)

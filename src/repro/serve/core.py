@@ -54,7 +54,6 @@ import queue
 import threading
 import time
 from collections import OrderedDict, deque
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -91,6 +90,11 @@ from ..sparse.io import MatrixMarketError, read_matrix_market_header
 __all__ = ["ServeConfig", "ServeCore"]
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
+
+#: longest ``deadline_ms`` a request may ask for: the handler waits on
+#: the job with a timeout in seconds, which must not exceed what the
+#: platform's wait can take
+_MAX_DEADLINE_MS = threading.TIMEOUT_MAX * 1000.0
 
 #: largest row or column count an inline (COO or MTX) matrix may
 #: declare; ``row_ptr`` is sized from the declared rows before a single
@@ -177,12 +181,9 @@ class _Job:
     b: object
     dtype: np.dtype
     cache_key: str
-    matrix_fp: str
+    trace: RequestTrace  # retained for the executor thread
     done: threading.Event = field(default_factory=threading.Event)
     response: dict | None = None
-    abandoned: bool = False  # requester gave up (deadline); finish anyway
-    trace: RequestTrace | None = None  # retained for the executor thread
-    request_id: str = ""
     t_enqueue: float = 0.0  # admission timestamp (queue-wait span)
 
 
@@ -443,6 +444,11 @@ class ServeCore:
             deadline_ms = float(
                 payload.get("deadline_ms", self.config.default_deadline_ms)
             )
+            if not 0.0 < deadline_ms <= _MAX_DEADLINE_MS:  # NaN fails too
+                raise ValueError(
+                    f"deadline_ms must be finite, positive and at most "
+                    f"{_MAX_DEADLINE_MS:.0f}; got {deadline_ms!r}"
+                )
             dtype_name = str(payload.get("dtype", "float64"))
             if dtype_name not in _DTYPES:
                 raise ValueError(f"unknown dtype {dtype_name!r}")
@@ -494,8 +500,7 @@ class ServeCore:
 
         a, b = squared_operands(matrix)
         job = _Job(a=a, b=b, dtype=np.dtype(_DTYPES[dtype_name]),
-                   cache_key=cache_key, matrix_fp=fp,
-                   trace=trace, request_id=request_id,
+                   cache_key=cache_key, trace=trace,
                    t_enqueue=time.monotonic())
         if not self._accepting:
             err = ServerOverloaded("server is shutting down", stage="serve")
@@ -526,7 +531,7 @@ class ServeCore:
         )
 
         if not job.done.wait(timeout=deadline_ms / 1000.0):
-            job.abandoned = True  # executor will still finish + cache it
+            # the executor still finishes the job and caches its result
             err = DeadlineExceeded(
                 f"no result within {deadline_ms:.0f} ms "
                 "(queue wait + execution)",
@@ -550,7 +555,7 @@ class ServeCore:
         )
 
     def _reply(self, outcome: str, status: int, t0: float, *,
-               trace: RequestTrace | None = None, **extra) -> dict:
+               trace: RequestTrace, **extra) -> dict:
         latency_ms = (time.monotonic() - t0) * 1e3
         with self._lock:
             self._latencies.append(latency_ms)
@@ -565,21 +570,22 @@ class ServeCore:
                          help="Recent request latency quantiles.")
         self.metrics.set("repro_serve_latency_ms", p99, quantile="p99",
                          help="Recent request latency quantiles.")
-        body = {"outcome": outcome, "status": status,
-                "latency_ms": round(latency_ms, 3)}
-        if trace is not None:
-            body["request_id"] = trace.root.attrs.get("request_id", "")
-            body["trace_id"] = trace.trace_id
-            body["traceparent"] = TraceContext(
+        body = {
+            "outcome": outcome, "status": status,
+            "latency_ms": round(latency_ms, 3),
+            "request_id": trace.root.attrs.get("request_id", ""),
+            "trace_id": trace.trace_id,
+            "traceparent": TraceContext(
                 trace.trace_id, trace.root.span_id
-            ).to_traceparent()
-            self.metrics.observe(
-                "repro_serve_request_ms", latency_ms, outcome=outcome,
-                buckets=DEFAULT_LATENCY_BUCKETS_MS,
-                exemplar={"trace_id": trace.trace_id},
-                help="End-to-end request latency, by typed outcome.",
-            )
-            trace.release(outcome=outcome, status=status)
+            ).to_traceparent(),
+        }
+        self.metrics.observe(
+            "repro_serve_request_ms", latency_ms, outcome=outcome,
+            buckets=DEFAULT_LATENCY_BUCKETS_MS,
+            exemplar={"trace_id": trace.trace_id},
+            help="End-to-end request latency, by typed outcome.",
+        )
+        trace.release(outcome=outcome, status=status)
         for k, v in extra.items():
             if v is not None:
                 body[k] = v
@@ -605,15 +611,14 @@ class ServeCore:
                     "reason": f"unexpected executor error: {exc!r}",
                 }
             finally:
-                if job.trace is not None:
-                    # the executor's reference from admission; on an
-                    # abandoned (deadline-expired) job this is the last
-                    # one, so the trace still finalizes exactly once
-                    job.trace.release(
-                        executed_outcome=(job.response or {}).get(
-                            "outcome", "unknown"
-                        )
+                # the executor's reference from admission; on an
+                # abandoned (deadline-expired) job this is the last one,
+                # so the trace still finalizes exactly once
+                job.trace.release(
+                    executed_outcome=(job.response or {}).get(
+                        "outcome", "unknown"
                     )
+                )
                 job.done.set()
                 self._queue.task_done()
 
@@ -647,29 +652,22 @@ class ServeCore:
             ordinal = self._executed
             try_primary = self._breaker.route_primary()
             breaker = self._set_breaker_state()
-        if trace is not None:
-            trace.add_span(
-                "queue.wait", t_start=job.t_enqueue, ordinal=ordinal
-            )
-            self.metrics.observe(
-                "repro_serve_queue_wait_ms",
-                (time.monotonic() - job.t_enqueue) * 1e3,
-                buckets=DEFAULT_LATENCY_BUCKETS_MS,
-                exemplar={"trace_id": trace.trace_id},
-                help="Admission-queue wait before an executor picked up.",
-            )
+        trace.add_span("queue.wait", t_start=job.t_enqueue, ordinal=ordinal)
+        self.metrics.observe(
+            "repro_serve_queue_wait_ms",
+            (time.monotonic() - job.t_enqueue) * 1e3,
+            buckets=DEFAULT_LATENCY_BUCKETS_MS,
+            exemplar={"trace_id": trace.trace_id},
+            help="Admission-queue wait before an executor picked up.",
+        )
         self._apply_chaos(ordinal)
         options = self._options(job.dtype)
         t_exec = time.monotonic()
-        exec_span = (
-            trace.start_span("execute", ordinal=ordinal, breaker=breaker)
-            if trace is not None
-            else None
+        exec_span = trace.start_span(
+            "execute", ordinal=ordinal, breaker=breaker
         )
 
         def _observe_execute(outcome: str) -> None:
-            if trace is None:
-                return
             self.metrics.observe(
                 "repro_serve_execute_ms",
                 (time.monotonic() - t_exec) * 1e3,
@@ -681,32 +679,21 @@ class ServeCore:
 
         failure = None
         if try_primary:
-            att_span = (
-                trace.start_span("attempt", parent=exec_span, breaker=breaker)
-                if trace is not None
-                else None
-            )
-            scope = (
-                use_trace(trace, att_span, breaker=breaker)
-                if trace is not None
-                else nullcontext()
+            att_span = trace.start_span(
+                "attempt", parent=exec_span, breaker=breaker
             )
             try:
-                with scope:
+                with use_trace(trace, att_span, breaker=breaker):
                     result = self._multiply(job.a, job.b, options)
             except ReproError as exc:
                 failure = exc  # degrade below
-                if trace is not None:
-                    trace.end_span(
-                        att_span, status="error", error=exc.one_line()
-                    )
+                trace.end_span(att_span, status="error", error=exc.one_line())
                 with self._lock:
                     self._breaker.failed()
                     self._set_breaker_state()
             else:
-                if trace is not None:
-                    trace.end_span(att_span)
-                    trace.graft_result(exec_span, result)
+                trace.end_span(att_span)
+                trace.graft_result(exec_span, result)
                 with self._lock:
                     self._breaker.succeeded()
                     self._set_breaker_state()
@@ -722,24 +709,14 @@ class ServeCore:
             if failure is not None
             else f"circuit breaker {self._breaker.state_name()}"
         )
-        fb_span = (
-            trace.start_span(
-                "fallback", parent=exec_span,
-                breaker=self._breaker.state_name(), reason=reason,
-            )
-            if trace is not None
-            else None
+        fb_span = trace.start_span(
+            "fallback", parent=exec_span,
+            breaker=self._breaker.state_name(), reason=reason,
         )
-        fb_scope = (
-            use_trace(trace, fb_span, breaker=self._breaker.state_name())
-            if trace is not None
-            else nullcontext()
-        )
-        with fb_scope:
+        with use_trace(trace, fb_span, breaker=self._breaker.state_name()):
             run = fallback_multiply(job.a, job.b, options)
-        if trace is not None:
-            trace.end_span(fb_span)
-            trace.end_span(exec_span, outcome="degraded")
+        trace.end_span(fb_span)
+        trace.end_span(exec_span, outcome="degraded")
         _observe_execute("degraded")
         return {
             "outcome": "degraded",

@@ -109,18 +109,15 @@ class _Handler(BaseHTTPRequestHandler):
         body = self.core.handle(
             payload, traceparent=self.headers.get("traceparent")
         )
-        if "traceparent" in body:
-            # echo the trace identity as a header too, so W3C-style
-            # clients correlate without parsing the body
-            self.send_response(int(body.get("status", 200)))
-            doc = (json.dumps(body, sort_keys=True) + "\n").encode()
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(doc)))
-            self.send_header("traceparent", body["traceparent"])
-            self.end_headers()
-            self.wfile.write(doc)
-        else:
-            self._send_json(int(body.get("status", 200)), body)
+        # echo the trace identity as a header too, so W3C-style clients
+        # correlate without parsing the body
+        self.send_response(int(body.get("status", 200)))
+        doc = (json.dumps(body, sort_keys=True) + "\n").encode()
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(doc)))
+        self.send_header("traceparent", body["traceparent"])
+        self.end_headers()
+        self.wfile.write(doc)
 
 
 class ReproServer(ThreadingHTTPServer):

@@ -10,7 +10,6 @@ from repro.baselines import (
     accumulate_products,
     expand_products,
     make_algorithm,
-    make_lineup,
 )
 from tests.conftest import random_csr
 
@@ -175,7 +174,7 @@ class TestCostShapes:
 
 class TestRegistry:
     def test_lineup_default(self):
-        lineup = make_lineup()
+        lineup = [make_algorithm(n) for n in GPU_ALGORITHMS]
         assert [a.name for a in lineup] == list(GPU_ALGORITHMS)
 
     def test_unknown_name(self):
@@ -183,5 +182,5 @@ class TestRegistry:
             make_algorithm("does-not-exist")
 
     def test_named_subset(self):
-        lineup = make_lineup(["nsparse", "rmerge"])
+        lineup = [make_algorithm(n) for n in ("nsparse", "rmerge")]
         assert [a.name for a in lineup] == ["nsparse", "rmerge"]

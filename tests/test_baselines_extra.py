@@ -1,47 +1,11 @@
-"""Tests for the additional baselines: BalancedHash and the MKL-like
-parallel CPU."""
+"""Tests for the MKL-like parallel CPU baseline."""
 
-import numpy as np
 import pytest
 
 from repro import count_intermediate_products, spgemm_reference
-from repro.baselines import BalancedHash, GustavsonCPU, MklLikeCPU, make_algorithm
+from repro.baselines import GustavsonCPU, MklLikeCPU, make_algorithm
 from repro.matrices import random_uniform
 from tests.conftest import random_csr
-
-
-class TestBalancedHash:
-    def test_registered(self):
-        assert make_algorithm("balanced-hash").name == "balanced-hash"
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_correct(self, seed):
-        rng = np.random.default_rng(seed)
-        a = random_csr(rng, 50, 50, 0.1)
-        run = BalancedHash().multiply(a, a)
-        assert run.matrix.allclose(spgemm_reference(a, a))
-
-    def test_not_bit_stable(self, rng):
-        a = random_csr(rng, 60, 60, 0.15)
-        alg = BalancedHash()
-        assert not alg.bit_stable
-        rs = [alg.multiply(a, a, scheduler_seed=s).matrix for s in range(4)]
-        assert any(not rs[0].exactly_equal(r) for r in rs[1:])
-
-    def test_local_only_memory(self, rng):
-        """BalancedHash avoids global hash tables: extra memory stays
-        tiny even for rows that would spill in the dual-hash designs."""
-        a = random_uniform(600, 600, 40, seed=1)
-        bh = BalancedHash().multiply(a, a)
-        cu = make_algorithm("cusparse").multiply(a, a)
-        assert bh.extra_memory_bytes <= cu.extra_memory_bytes
-
-    def test_stage_cycles(self, rng):
-        a = random_csr(rng, 40, 40, 0.1)
-        run = BalancedHash().multiply(a, a)
-        assert {"estimate", "symbolic", "numeric", "output"} <= set(
-            run.stage_cycles
-        )
 
 
 class TestMklLikeCPU:

@@ -30,6 +30,7 @@ from repro.campaign import (
     tiny_entries,
 )
 from repro.campaign.plan import CACHE_VERSION
+from repro.campaign.worker import campaign_trace_meta
 
 TINY2 = CampaignConfig(suite="tiny", limit=2)  # 2 matrices x 6 algs = 12 cells
 SEED_TINY = Path(__file__).resolve().parent.parent / "benchmarks/seed/campaign_tiny.json"
@@ -367,7 +368,8 @@ class TestRetries:
             return run_case(case, alg, dtype, verify=verify)
 
         line = execute_cell(
-            case, cell, config, key="k", worker=0, runner=flaky
+            case, cell, config, key="k", worker=0,
+            trace_meta=campaign_trace_meta(config), runner=flaky,
         )
         assert line["status"] == "retried"
         assert line["attempts"] == 3
@@ -382,7 +384,8 @@ class TestRetries:
             raise RuntimeError("deterministic crash")
 
         line = execute_cell(
-            case, cell, config, key="k", worker=0, runner=broken
+            case, cell, config, key="k", worker=0,
+            trace_meta=campaign_trace_meta(config), runner=broken,
         )
         assert line["status"] == "failed"
         assert line["attempts"] == 2
@@ -534,6 +537,7 @@ class TestWorkerLiveness:
         t0 = time.monotonic()
         line = execute_cell(
             case, cell, config, key="k", worker=0,
+            trace_meta=campaign_trace_meta(config),
             runner=hang, cell_timeout=0.2,
         )
         assert time.monotonic() - t0 < 10
@@ -549,7 +553,8 @@ class TestWorkerLiveness:
         cell = enumerate_cells(CampaignConfig(suite="tiny", limit=1))[0]
         config = CampaignConfig(suite="tiny", limit=1)
         line = execute_cell(
-            case, cell, config, key="k", worker=0, cell_timeout=30.0,
+            case, cell, config, key="k", worker=0,
+            trace_meta=campaign_trace_meta(config), cell_timeout=30.0,
         )
         assert line["status"] == "ok"
         time.sleep(0.05)  # a leaked alarm would fire here and kill us

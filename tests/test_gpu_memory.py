@@ -1,10 +1,9 @@
-"""Unit tests for scratchpad and device-allocation tracking."""
+"""Unit tests for the scratchpad and the atomic counter."""
 
 import pytest
 
 from repro.gpu import (
     AtomicCounter,
-    DeviceAllocationTracker,
     Scratchpad,
     ScratchpadOverflow,
     TITAN_XP,
@@ -57,30 +56,6 @@ class TestScratchpad:
         s.alloc("a", 10)
         s.reset()
         assert s.used_bytes == 0
-
-
-class TestAllocationTracker:
-    def test_peak_tracking(self):
-        t = DeviceAllocationTracker()
-        t.alloc("pool", 100)
-        t.alloc("pool", 50)
-        t.free("pool", 120)
-        assert t.allocated["pool"] == 30
-        assert t.peak["pool"] == 150
-        assert t.bytes_of("pool") == 150
-
-    def test_over_free_rejected(self):
-        t = DeviceAllocationTracker()
-        t.alloc("x", 10)
-        with pytest.raises(ValueError, match="freeing"):
-            t.free("x", 20)
-
-    def test_totals(self):
-        t = DeviceAllocationTracker()
-        t.alloc("a", 10)
-        t.alloc("b", 20)
-        assert t.total_allocated() == 30
-        assert t.peak_total() == 30
 
 
 class TestAtomicCounter:

@@ -12,7 +12,6 @@ from repro.gpu import (
     exclusive_prefix_sum,
     inclusive_max_scan,
     inclusive_prefix_sum,
-    radix_sort_pairs,
     radix_sort_permutation,
     striped_to_blocked,
 )
@@ -114,14 +113,6 @@ class TestRadixSort:
         m = CostMeter(config=TITAN_XP)
         radix_sort_permutation(m, np.arange(10, dtype=np.uint64), 24, bits_per_pass=8)
         assert m.counters.sort_passes == 6  # meter charges ceil(24/4)
-
-    def test_pairs(self, meter, rng):
-        keys = rng.integers(0, 100, 50).astype(np.uint64)
-        vals = rng.random(50)
-        ks, vs = radix_sort_pairs(meter, keys, vals, 7)
-        order = np.argsort(keys, kind="stable")
-        np.testing.assert_array_equal(ks, keys[order])
-        np.testing.assert_array_equal(vs, vals[order])
 
     def test_empty(self, meter):
         perm = radix_sort_permutation(meter, np.zeros(0, dtype=np.uint64), 8)

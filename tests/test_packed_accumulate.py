@@ -124,7 +124,6 @@ def assert_same_bytes(got: CSRMatrix, want: CSRMatrix) -> None:
 OUTPUT_PINS = {
     "ac-spgemm": "917f5129165ec3d51907dd05a3627842dac31b0a60857bae49b27e3793a26475",
     "adaptive": "47d2f4a2fc795b119d0dcf1e45aa6ef83e201ee045919fead6787d238c30045a",
-    "balanced-hash": "ccfc7b763b9f26a0b97575f3c9c59b8057d71ac6ced5b1c818dc32c6fb73ace5",
     "bhsparse": "79ce4f6cf07c9f4aa7f039fe565f5df7c24bcd3e352e75073705ccf2b637d430",
     "cusp-esc": "0e5ab341ace22f455576e18bd1b07ba029b8b52697fa9350e084d9d5f31c08aa",
     "cusparse": "8c80bde24181b0146d871fd8fe37763a73e49f91784b5d792b18f34144a9d628",

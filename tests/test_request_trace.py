@@ -592,18 +592,52 @@ class TestCampaignTracing:
         assert lines[0]["trace"] == lines[1]["trace"]
         assert lines[0]["trace"]["trace_id"] == meta["trace_id"]
 
-    def test_no_trace_meta_means_no_trace_field(self):
+    def test_retried_and_failed_cells_keep_worker_independent_ids(self):
         from repro.campaign.plan import CampaignConfig, cell_key
         from repro.campaign.plan import enumerate_cells, matrix_fingerprint
-        from repro.campaign.worker import execute_cell
-        from repro.bench.harness import MatrixCase
+        from repro.campaign.worker import campaign_trace_meta, execute_cell
+        from repro.bench.harness import MatrixCase, run_case
 
         config = CampaignConfig(
-            suite="tiny", limit=1, algorithms=("ac-spgemm",)
+            suite="tiny", limit=1, algorithms=("ac-spgemm",), retries=1
         )
+        meta = campaign_trace_meta(config)
         cell = enumerate_cells(config)[0]
         entry = next(e for e in tiny_entries() if e.name == cell.matrix)
         case = MatrixCase(entry.name, entry.build(), family=entry.family)
         key = cell_key(cell, matrix_fingerprint(case.matrix), config)
-        line = execute_cell(case, cell, config, key=key, worker=0)
-        assert "trace" not in line
+
+        def flaky_runner():
+            calls = []
+
+            def flaky(case, alg, dtype, *, verify):
+                calls.append(1)
+                if len(calls) == 1:
+                    raise RuntimeError("transient")
+                return run_case(case, alg, dtype, verify=verify)
+
+            return flaky
+
+        def broken(case, alg, dtype, *, verify):
+            raise RuntimeError("deterministic crash")
+
+        by_status = {}
+        for status, make_runner in (
+            ("ok", lambda: None),
+            ("retried", flaky_runner),
+            ("failed", lambda: broken),
+        ):
+            lines = [
+                execute_cell(
+                    case, cell, config, key=key, worker=w,
+                    trace_meta=meta, runner=make_runner(),
+                )
+                for w in (0, 3)
+            ]
+            assert [ln["status"] for ln in lines] == [status, status]
+            assert [ln["worker"] for ln in lines] == [0, 3]
+            assert lines[0]["trace"] == lines[1]["trace"]
+            by_status[status] = lines[0]["trace"]
+        # the cell's ids do not depend on how its attempts went either
+        assert by_status["ok"] == by_status["retried"] == by_status["failed"]
+        assert by_status["ok"]["trace_id"] == meta["trace_id"]

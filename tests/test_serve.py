@@ -395,6 +395,33 @@ class TestServeCoreHardening:
             release.set()
             core.close()
 
+    @pytest.mark.parametrize(
+        "deadline_ms", [1e300, "Infinity", float("nan"), 0, -5],
+        ids=["1e300", "Infinity", "nan", "zero", "negative"],
+    )
+    def test_bad_deadline_is_400_before_anything_is_queued(
+        self, deadline_ms
+    ):
+        calls = []
+
+        def counting_multiply(a, b, options):
+            calls.append(1)
+            return ac_spgemm(a, b, options)
+
+        core = _core(multiply=counting_multiply)
+        try:
+            body = core.handle(
+                {"matrix": "tiny-uniform", "deadline_ms": deadline_ms}
+            )
+            assert (body["outcome"], body["status"]) == ("error", 400)
+            assert "deadline_ms" in body["reason"]
+            stats = core.stats()
+            assert stats["executed"] == 0
+            assert stats["queue_depth"] == 0
+            assert calls == []
+        finally:
+            core.close()
+
     def test_spent_restart_budget_degrades_not_drops(self):
         calls = []
 
@@ -577,6 +604,11 @@ class TestServeHTTP:
         assert status == 404 and body["outcome"] == "error"
         status, body = self._post(server, {"dtype": "float64"})
         assert status == 400 and body["outcome"] == "error"
+        # json.dumps writes a bare Infinity, which json.loads accepts
+        status, body = self._post(
+            server, {"matrix": "tiny-uniform", "deadline_ms": float("inf")}
+        )
+        assert status == 400 and "deadline_ms" in body["reason"]
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             urllib.request.urlopen(
                 self._base(server) + "/nowhere", timeout=30
